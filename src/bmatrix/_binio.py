@@ -1,19 +1,18 @@
-"""Little-endian binary helpers shared by the serializers."""
+"""Little-endian binary helpers shared by the serializers.
+
+In memory, per-element integer buffers are `array.array`s of the smallest
+unsigned typecode that holds their largest value (native byte order, as
+`array` requires); on disk they are fixed-width little-endian slots.
+"""
 
 from __future__ import annotations
 
-import struct
+from array import array
 
 import numpy as np
 
-
-def write_u64(out, *values: int) -> None:
-    out.write(struct.pack(f"<{len(values)}Q", *values))
-
-
-def read_u64(src, count: int = 1):
-    vals = struct.unpack(f"<{count}Q", src.read(8 * count))
-    return vals[0] if count == 1 else vals
+# unsigned array typecodes by ascending item size; "Q" is always 8 bytes
+_TYPECODES = "BHIQ"
 
 
 def read_exact(src, n: int) -> bytes:
@@ -23,21 +22,43 @@ def read_exact(src, n: int) -> bytes:
     return data
 
 
+def _as_uint(values) -> np.ndarray:
+    if isinstance(values, (bytes, array)):
+        return np.asarray(memoryview(values))
+    return np.asarray(values, dtype=np.uint64).ravel()
+
+
+def packed_array(values) -> array:
+    """Unsigned ints as an array of the smallest typecode that fits them all."""
+    arr = _as_uint(values)
+    top = int(arr.max()) if arr.size else 0
+    out = next(array(tc) for tc in _TYPECODES
+               if top >> (8 * array(tc).itemsize) == 0)
+    out.frombytes(arr.astype(f"=u{out.itemsize}").tobytes())
+    return out
+
+
 def pack_fixed(values, width: int) -> bytes:
     """Pack unsigned ints into `width`-bit slots, LSB-first bit order."""
-    arr = np.asarray(values, dtype=np.uint64).ravel()
+    arr = _as_uint(values)
     if arr.size == 0:
         return b""
+    if width in (8, 16, 32, 64):
+        return arr.astype(f"<u{width // 8}").tobytes()
+    arr = arr.astype(np.uint64)
     shifts = np.arange(width, dtype=np.uint64)
     bits = ((arr[:, None] >> shifts[None, :]) & np.uint64(1)).astype(np.uint8)
     return np.packbits(bits.ravel(), bitorder="little").tobytes()
 
 
-def unpack_fixed(data: bytes, width: int, count: int) -> list[int]:
-    """Inverse of pack_fixed; returns `count` ints."""
-    if count == 0:
-        return []
+def unpack_fixed(data: bytes, width: int, count: int):
+    """Inverse of pack_fixed: `count` ints, as `data` itself at width 8,
+    else as a packed_array."""
+    if width == 8:
+        return bytes(data[:count])
+    if width in (16, 32, 64):
+        return packed_array(np.frombuffer(data, dtype=f"<u{width // 8}", count=count))
     bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8),
                          count=count * width, bitorder="little")
     weights = (np.uint64(1) << np.arange(width, dtype=np.uint64))
-    return (bits.reshape(count, width).astype(np.uint64) @ weights).tolist()
+    return packed_array(bits.reshape(count, width).astype(np.uint64) @ weights)

@@ -1,17 +1,22 @@
 """Plain bit sequence with sampled rank/select acceleration.
 
-Bits are packed LSB-first into 64-bit words. Rank uses one cumulative
-64-bit counter every `sample_rate` bits, so the overhead over the raw
-bits is 64/sample_rate: the "default" preset costs ~5% extra space, the
-"dense" preset 12.5% and shortens the scan between samples.
+Bits are packed LSB-first into one immutable `bytes` object, zero-padded
+to whole 64-bit words: the same bytes as the little-endian u64 words of
+the file format. Rank uses one cumulative 64-bit counter every
+`sample_rate` bits, so the overhead over the raw bits is 64/sample_rate:
+the "default" preset costs ~5% extra space, the "dense" preset 12.5% and
+shortens the popcount between samples.
 """
 
 from __future__ import annotations
 
 import struct
+from array import array
 from bisect import bisect_left, bisect_right
 
 import numpy as np
+
+from ._binio import read_exact
 
 WORD_BITS = 64
 
@@ -30,62 +35,60 @@ def _as_bool_array(bits) -> np.ndarray:
     return np.asarray(bits, dtype=bool).ravel()
 
 
+def _padded_size(length: int) -> int:
+    """Bytes holding `length` bits in whole 64-bit words."""
+    return 8 * ((length + WORD_BITS - 1) // WORD_BITS)
+
+
 class BitVector:
     """Immutable bit sequence; positions are 0-based, rank1(i) includes bit i.
 
-    Safe for unlimited concurrent readers once built.
+    Bit i is `data[i >> 3] >> (i & 7) & 1`. Safe for unlimited concurrent
+    readers once built.
     """
 
-    __slots__ = ("length", "sample_rate", "words", "_samples", "ones")
+    __slots__ = ("length", "sample_rate", "data", "_samples", "ones")
 
     def __init__(self, bits=(), sample_rate: int = SAMPLE_RATE_DEFAULT):
-        if sample_rate < 1:
-            raise ValueError("sample_rate must be >= 1")
         arr = _as_bool_array(bits)
         packed = np.packbits(arr, bitorder="little").tobytes()
-        n_words = (arr.size + WORD_BITS - 1) // WORD_BITS
-        packed = packed.ljust(n_words * 8, b"\x00")
-        self.length = int(arr.size)
-        self.sample_rate = int(sample_rate)
-        self.words = np.frombuffer(packed, dtype="<u8").tolist()
-        self._build_samples()
+        self._wrap(packed.ljust(_padded_size(arr.size), b"\x00"),
+                   int(arr.size), sample_rate)
 
     @classmethod
-    def from_words(cls, words: list[int], length: int,
+    def from_bytes(cls, data: bytes, length: int,
                    sample_rate: int = SAMPLE_RATE_DEFAULT) -> "BitVector":
-        """Wrap pre-packed 64-bit words (LSB-first); bits past `length` must be 0."""
+        """Wrap bits packed LSB-first in whole 64-bit words; bits past `length` must be 0."""
+        if len(data) != _padded_size(length):
+            raise ValueError("byte count does not match length")
+        bv = cls.__new__(cls)
+        bv._wrap(bytes(data), length, sample_rate)
+        return bv
+
+    def _wrap(self, data: bytes, length: int, sample_rate: int) -> None:
         if sample_rate < 1:
             raise ValueError("sample_rate must be >= 1")
-        if len(words) != (length + WORD_BITS - 1) // WORD_BITS:
-            raise ValueError("word count does not match length")
-        bv = cls.__new__(cls)
-        bv.length = int(length)
-        bv.sample_rate = int(sample_rate)
-        bv.words = [int(w) for w in words]
-        bv._build_samples()
-        return bv
+        self.data = data
+        self.length = int(length)
+        self.sample_rate = int(sample_rate)
+        self._build_samples()
 
     def _build_samples(self) -> None:
         # samples[j] = number of ones in bits [0, j*sample_rate)
         rate = self.sample_rate
         n = self.length
         if n == 0:
-            self._samples = [0]
+            self._samples = array("Q", [0])
             self.ones = 0
             return
-        words = np.array(self.words, dtype=np.uint64)
-        per_word = np.bitwise_count(words).astype(np.int64)
-        cum = np.zeros(len(words) + 1, dtype=np.int64)
-        np.cumsum(per_word, out=cum[1:])
-        bounds = np.arange(0, n // rate + 1, dtype=np.int64) * rate
-        w_idx = bounds >> 6
-        rem = bounds & 63
-        partial = np.zeros(len(bounds), dtype=np.int64)
-        inside = rem > 0
-        if inside.any():
-            masks = (np.uint64(1) << rem[inside].astype(np.uint64)) - np.uint64(1)
-            partial[inside] = np.bitwise_count(words[w_idx[inside]] & masks)
-        self._samples = (cum[w_idx] + partial).tolist()
+        raw = np.frombuffer(self.data, dtype=np.uint8)
+        cum = np.zeros(raw.size + 1, dtype=np.int64)
+        np.cumsum(np.bitwise_count(raw), out=cum[1:])
+        bounds = np.arange(n // rate + 1, dtype=np.int64) * rate
+        at = bounds >> 3
+        below = (np.uint8(1) << (bounds & 7).astype(np.uint8)) - np.uint8(1)
+        partial = np.bitwise_count(raw[np.minimum(at, raw.size - 1)] & below)
+        self._samples = array("Q", (cum[at] + partial).astype("=u8").tobytes())
         self.ones = int(cum[-1])
 
     def __len__(self) -> int:
@@ -98,30 +101,30 @@ class BitVector:
         """Bit value at position i."""
         if not 0 <= i < self.length:
             raise IndexError(f"bit position {i} out of range [0, {self.length})")
-        return (self.words[i >> 6] >> (i & 63)) & 1 == 1
-
-    def _ones_in(self, lo: int, hi: int) -> int:
-        # ones in bits [lo, hi], both inclusive, lo <= hi
-        words = self.words
-        wlo = lo >> 6
-        whi = hi >> 6
-        if wlo == whi:
-            return ((words[wlo] >> (lo & 63)) & ((1 << (hi - lo + 1)) - 1)).bit_count()
-        total = (words[wlo] >> (lo & 63)).bit_count()
-        for w in range(wlo + 1, whi):
-            total += words[w].bit_count()
-        return total + (words[whi] & ((2 << (hi & 63)) - 1)).bit_count()
+        return self.data[i >> 3] >> (i & 7) & 1 == 1
 
     def rank1(self, i: int) -> int:
         """Number of 1s in bits [0, i] (inclusive)."""
         if not 0 <= i < self.length:
             raise IndexError(f"bit position {i} out of range [0, {self.length})")
-        j = i // self.sample_rate
-        return self._samples[j] + self._ones_in(j * self.sample_rate, i)
+        rate = self.sample_rate
+        j = i // rate
+        p = j * rate
+        data = self.data
+        b = i >> 3
+        # bytes from the sample's byte to i's byte, shifted to start at bit p,
+        # less the bits of i's byte above i
+        return (self._samples[j]
+                + (int.from_bytes(data[p >> 3:b + 1], "little") >> (p & 7)).bit_count()
+                - (data[b] >> (i & 7) >> 1).bit_count())
 
     def rank0(self, i: int) -> int:
         """Number of 0s in bits [0, i] (inclusive)."""
         return i + 1 - self.rank1(i)
+
+    def _word(self, wi: int) -> int:
+        """The wi-th 64-bit word, LSB first."""
+        return int.from_bytes(self.data[wi << 3:(wi + 1) << 3], "little")
 
     def select1(self, j: int) -> int:
         """0-based position of the j-th 1 (j >= 1)."""
@@ -130,9 +133,8 @@ class BitVector:
         idx = bisect_left(self._samples, j) - 1
         need = j - self._samples[idx]
         pos = idx * self.sample_rate
-        words = self.words
         wi = pos >> 6
-        w = words[wi] >> (pos & 63)
+        w = self._word(wi) >> (pos & 63)
         base = pos
         while True:
             c = w.bit_count()
@@ -142,7 +144,7 @@ class BitVector:
                 return base + ((w & -w).bit_length() - 1)
             need -= c
             wi += 1
-            w = words[wi]
+            w = self._word(wi)
             base = wi << 6
 
     def select0(self, j: int) -> int:
@@ -156,13 +158,12 @@ class BitVector:
                            key=lambda x: x * rate - samples[x]) - 1
         need = j - (idx * rate - samples[idx])
         pos = idx * rate
-        words = self.words
         wi = pos >> 6
         shift = pos & 63
         base = pos
         while True:
             valid = min(WORD_BITS, self.length - (wi << 6))
-            w = (~words[wi] & ((1 << valid) - 1)) >> shift
+            w = (~self._word(wi) & ((1 << valid) - 1)) >> shift
             c = w.bit_count()
             if c >= need:
                 for _ in range(need - 1):
@@ -177,8 +178,8 @@ class BitVector:
 
     @property
     def data_bytes(self) -> int:
-        """Bytes of packed bit words."""
-        return 8 * len(self.words)
+        """Bytes of packed bits, whole 64-bit words."""
+        return len(self.data)
 
     @property
     def accel_bytes(self) -> int:
@@ -188,23 +189,17 @@ class BitVector:
     # -- serialization ------------------------------------------------------
 
     def write(self, out) -> None:
-        """Length as u64 LE, then packed words LE; samples are not written."""
+        """Length as u64 LE, then the packed bytes (u64 LE words); samples are not written."""
         out.write(struct.pack("<Q", self.length))
-        out.write(np.array(self.words, dtype="<u8").tobytes())
+        out.write(self.data)
 
     @classmethod
     def read(cls, src, sample_rate: int = SAMPLE_RATE_DEFAULT) -> "BitVector":
-        (length,) = struct.unpack("<Q", src.read(8))
-        n_words = (length + WORD_BITS - 1) // WORD_BITS
-        raw = src.read(8 * n_words)
-        if len(raw) != 8 * n_words:
+        (length,) = struct.unpack("<Q", read_exact(src, 8))
+        # read here, not through read_exact, so the bits are counted as
+        # this module's allocation by tracemalloc-based memory reports
+        size = _padded_size(length)
+        data = src.read(size)
+        if len(data) != size:
             raise ValueError("truncated bit vector")
-        words = np.frombuffer(raw, dtype="<u8").tolist()
-        return cls.from_words(words, length, sample_rate)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, BitVector) and self.length == other.length
-                and self.words == other.words)
-
-    def __hash__(self):
-        return hash((self.length, tuple(self.words)))
+        return cls.from_bytes(data, length, sample_rate)

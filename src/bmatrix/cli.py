@@ -106,8 +106,9 @@ def pattern_text(s, p, o) -> str:
 
 def _print_space_report(store: TripleStore, dictionary: Dictionary, out) -> None:
     report = store.space_report()
-    report["dictionary"] = {"serialized": dictionary.serialized_bytes(),
-                            "accel": 0, "total": dictionary.serialized_bytes()}
+    dict_bytes = dictionary.serialized_bytes()
+    report["dictionary"] = {"serialized": dict_bytes, "accel": 0,
+                            "total": dict_bytes}
     n = max(store.n, 1)
     print("component bytes (serialized / +rank acceleration):", file=out)
     for name in ("subject_tree", "object_tree", "pred_index", "dictionary"):
@@ -210,6 +211,13 @@ def cmd_query(args) -> int:
         for ts, tp, to in triples:
             print(f"#{ts}\t#{tp}\t#{to}" if args.tsv else f"#{ts} #{tp} #{to}")
         return 0
+    covered = (dictionary.subject_count, dictionary.predicate_count,
+               dictionary.object_count)
+    if triples and covered != (store.n_subjects, store.n_predicates,
+                               store.n_objects):
+        print("error: the store's dictionary does not cover its ids (was it"
+              " saved without one?); use --ids", file=sys.stderr)
+        return 1
     dec_s, dec_p, dec_o = _decoders(dictionary)
     for ts, tp, to in triples:
         subj, pred, obj = dec_s(ts), dec_p(tp), dec_o(to)

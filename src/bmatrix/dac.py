@@ -3,16 +3,20 @@
 Each value is split into base-2**b chunks, least significant first; chunks
 are regrouped per level, with a continuation bitmap per level whose rank
 steers the decoder to the next chunk. Value 0 occupies exactly one chunk.
+Each level's chunks are a packed buffer: the file bytes themselves at the
+default 8-bit width, else an `array.array` of the smallest unsigned
+typecode that holds a chunk.
 """
 
 from __future__ import annotations
 
 import struct
+from array import array
 
 import numpy as np
 
 from .bitvector import SAMPLE_RATE_DEFAULT, BitVector
-from ._binio import pack_fixed, unpack_fixed
+from ._binio import pack_fixed, packed_array, read_exact, unpack_fixed
 
 
 class Dac:
@@ -21,7 +25,7 @@ class Dac:
     __slots__ = ("chunk_bits", "length", "levels")
 
     def __init__(self, chunk_bits: int, length: int,
-                 levels: list[tuple[list[int], BitVector]]):
+                 levels: list[tuple[bytes | array, BitVector]]):
         self.chunk_bits = chunk_bits
         self.length = length
         self.levels = levels
@@ -39,7 +43,7 @@ class Dac:
         while cur.size:
             rest = cur >> b
             more = rest != 0
-            levels.append(((cur & mask).tolist(),
+            levels.append((packed_array(cur & mask),
                            BitVector(more, sample_rate)))
             cur = rest[more]
         return cls(int(chunk_bits), int(arr.size), levels)
@@ -90,11 +94,11 @@ class Dac:
 
     @classmethod
     def read(cls, src, sample_rate: int = SAMPLE_RATE_DEFAULT) -> "Dac":
-        chunk_bits, length, n_levels = struct.unpack("<BQB", src.read(10))
+        chunk_bits, length, n_levels = struct.unpack("<BQB", read_exact(src, 10))
         levels = []
         for _ in range(n_levels):
-            (count,) = struct.unpack("<Q", src.read(8))
+            (count,) = struct.unpack("<Q", read_exact(src, 8))
             n_bytes = (count * chunk_bits + 7) // 8
-            chunks = unpack_fixed(src.read(n_bytes), chunk_bits, count)
+            chunks = unpack_fixed(read_exact(src, n_bytes), chunk_bits, count)
             levels.append((chunks, BitVector.read(src, sample_rate)))
         return cls(chunk_bits, length, levels)

@@ -22,6 +22,7 @@ from math import prod
 
 import numpy as np
 
+from ._binio import pack_fixed, packed_array, read_exact, unpack_fixed
 from .bitvector import SAMPLE_PRESETS, BitVector
 from .dac import Dac
 
@@ -126,6 +127,29 @@ def plan_levels(config: K2Config, max_dim: int) -> list[int]:
     return ks
 
 
+def _level_bits(codes: np.ndarray, ks: list[int]) -> list[np.ndarray]:
+    """Per-level node bits, top level first, from the ascending distinct
+    path codes of the last level's set cells."""
+    level_bits: list[np.ndarray] = [None] * len(ks)  # type: ignore[list-item]
+    for lvl in range(len(ks) - 1, -1, -1):
+        arity = ks[lvl] * ks[lvl]
+        digit = codes % arity
+        parent = codes // arity
+        if lvl == 0:
+            bits = np.zeros(arity, dtype=bool)
+            bits[digit] = True
+        else:
+            # codes ascend, so parent does too: a new parent starts each run
+            new = np.empty(parent.size, dtype=bool)
+            new[:1] = True
+            np.not_equal(parent[1:], parent[:-1], out=new[1:])
+            codes = parent[new]
+            bits = np.zeros(codes.size * arity, dtype=bool)
+            bits[(np.cumsum(new) - 1) * arity + digit] = True
+        level_bits[lvl] = bits
+    return level_bits
+
+
 class LeafVocabulary:
     """Distinct leaf matrices ranked by descending frequency.
 
@@ -135,6 +159,9 @@ class LeafVocabulary:
     cols-rank  -- like cols-full but R holds entries only for set columns,
                   located through rank on C. Both column encodings require
                   at most one 1 per leaf column.
+
+    `patterns` and `row_in_col` are `array.array`s of the smallest
+    unsigned typecode that holds their values.
     """
 
     __slots__ = ("encoding", "side", "count", "patterns", "col_flags", "row_in_col")
@@ -144,9 +171,9 @@ class LeafVocabulary:
         self.encoding = encoding
         self.side = side
         self.count = count
-        self.patterns = patterns       # plain: list of side*side-bit ints
+        self.patterns = patterns       # plain: array of side*side-bit ints
         self.col_flags = col_flags     # cols-*: BitVector of count*side bits
-        self.row_in_col = row_in_col   # cols-*: list of row indices
+        self.row_in_col = row_in_col   # cols-*: array of row indices
 
     @classmethod
     def build(cls, patterns, side: int, encoding: str,
@@ -155,7 +182,7 @@ class LeafVocabulary:
         pats = np.asarray(patterns, dtype=np.uint64).ravel()
         m = int(pats.size)
         if encoding == VOCAB_PLAIN:
-            return cls(encoding, side, m, patterns=pats.tolist())
+            return cls(encoding, side, m, patterns=packed_array(pats))
         shifts = np.arange(side * side, dtype=np.uint64)
         cells = ((pats[:, None] >> shifts[None, :]) & np.uint64(1)).astype(bool)
         cells = cells.reshape(m, side, side)          # [id, row, col]
@@ -167,10 +194,10 @@ class LeafVocabulary:
         rows = np.argmax(cells, axis=1)               # 0 for empty columns
         if encoding == VOCAB_COLS_FULL:
             return cls(encoding, side, m, col_flags=col_flags,
-                       row_in_col=rows.ravel().tolist())
+                       row_in_col=packed_array(rows.ravel()))
         mask = per_col.ravel() > 0
         return cls(encoding, side, m, col_flags=col_flags,
-                   row_in_col=rows.ravel()[mask].tolist())
+                   row_in_col=packed_array(rows.ravel()[mask]))
 
     def bit(self, e: int, r: int, c: int) -> bool:
         """Cell (r, c) of the stored leaf matrix e."""
@@ -203,17 +230,17 @@ class LeafVocabulary:
                 bits ^= low
             return out
         base = e * side
-        words = self.col_flags.words
+        flags = self.col_flags.data
         rows = self.row_in_col
         if self.encoding == VOCAB_COLS_FULL:
             return [c for c in range(side)
-                    if (words[(base + c) >> 6] >> ((base + c) & 63)) & 1
+                    if (flags[(base + c) >> 3] >> ((base + c) & 7)) & 1
                     and rows[base + c] == r]
         j = self.col_flags.rank1(base - 1) if base else 0
         out = []
         for c in range(side):
             i = base + c
-            if (words[i >> 6] >> (i & 63)) & 1:
+            if (flags[i >> 3] >> (i & 7)) & 1:
                 if rows[j] == r:
                     out.append(c)
                 j += 1
@@ -250,17 +277,17 @@ class LeafVocabulary:
                 bits ^= low
             return out
         base = e * side
-        words = self.col_flags.words
+        flags = self.col_flags.data
         rows = self.row_in_col
         if self.encoding == VOCAB_COLS_FULL:
             pairs = [(rows[base + c], c) for c in range(side)
-                     if (words[(base + c) >> 6] >> ((base + c) & 63)) & 1]
+                     if (flags[(base + c) >> 3] >> ((base + c) & 7)) & 1]
         else:
             j = self.col_flags.rank1(base - 1) if base else 0
             pairs = []
             for c in range(side):
                 i = base + c
-                if (words[i >> 6] >> (i & 63)) & 1:
+                if (flags[i >> 3] >> (i & 7)) & 1:
                     pairs.append((rows[j], c))
                     j += 1
         pairs.sort()
@@ -287,7 +314,6 @@ class LeafVocabulary:
         return self.col_flags.accel_bytes if self.col_flags is not None else 0
 
     def write(self, out) -> None:
-        from ._binio import pack_fixed
         tag = VOCAB_ENCODINGS.index(self.encoding)
         out.write(struct.pack("<BBQ", tag, self.side, self.count))
         if self.encoding == VOCAB_PLAIN:
@@ -299,17 +325,16 @@ class LeafVocabulary:
 
     @classmethod
     def read(cls, src, sample_rate: int) -> "LeafVocabulary":
-        from ._binio import unpack_fixed
-        tag, side, count = struct.unpack("<BBQ", src.read(10))
+        tag, side, count = struct.unpack("<BBQ", read_exact(src, 10))
         encoding = VOCAB_ENCODINGS[tag]
         if encoding == VOCAB_PLAIN:
             n_bytes = (count * side * side + 7) // 8
-            patterns = unpack_fixed(src.read(n_bytes), side * side, count)
+            patterns = unpack_fixed(read_exact(src, n_bytes), side * side, count)
             return cls(encoding, side, count, patterns=patterns)
         col_flags = BitVector.read(src, sample_rate)
-        (n_rows,) = struct.unpack("<Q", src.read(8))
+        (n_rows,) = struct.unpack("<Q", read_exact(src, 8))
         width = side.bit_length() - 1
-        rows = unpack_fixed(src.read((n_rows * width + 7) // 8), width, n_rows)
+        rows = unpack_fixed(read_exact(src, (n_rows * width + 7) // 8), width, n_rows)
         return cls(encoding, side, count, col_flags=col_flags, row_in_col=rows)
 
 
@@ -391,21 +416,7 @@ class K2Tree:
             codes = np.unique(leaf_code)
             patterns = None
 
-        level_bits: list[np.ndarray] = [None] * depth  # type: ignore[list-item]
-        for lvl in range(depth - 1, -1, -1):
-            arity = ks[lvl] * ks[lvl]
-            digit = codes % arity
-            parent = codes // arity
-            if lvl == 0:
-                bits = np.zeros(arity, dtype=bool)
-                bits[digit] = True
-            else:
-                uniq = np.unique(parent)
-                idx = np.searchsorted(uniq, parent)
-                bits = np.zeros(len(uniq) * arity, dtype=bool)
-                bits[idx * arity + digit] = True
-                codes = uniq
-            level_bits[lvl] = bits
+        level_bits = _level_bits(codes, ks)
 
         if leaf_side > 1:
             tree = BitVector(np.concatenate(level_bits), rate)
@@ -508,7 +519,7 @@ class K2Tree:
         if self.depth == 0:
             return False
         tree = self.tree_bits
-        twords = tree.words
+        tdata = tree.data
         last = self.depth - 1
         base = 0
         for lvl in range(self.depth):
@@ -518,11 +529,11 @@ class K2Tree:
             if lvl == last:
                 if self.vocab is None:
                     return self.bit_at(pos)
-                if not (twords[pos >> 6] >> (pos & 63)) & 1:
+                if not (tdata[pos >> 3] >> (pos & 7)) & 1:
                     return False
                 side = self.config.leaf_side
                 return self.vocab.bit(self._leaf_id(pos), r % side, c % side)
-            if not (twords[pos >> 6] >> (pos & 63)) & 1:
+            if not (tdata[pos >> 3] >> (pos & 7)) & 1:
                 return False
             ordinal = tree.rank1(pos) - self._ones_before[lvl] - 1
             base = self._level_start[lvl + 1] + ordinal * self._arity[lvl + 1]
@@ -541,7 +552,7 @@ class K2Tree:
         if self.depth == 0:
             return out
         tree = self.tree_bits
-        twords = tree.words
+        tdata = tree.data
         rank1 = tree.rank1
         block = self._block
         ks = self.ks
@@ -552,7 +563,7 @@ class K2Tree:
         vocab = self.vocab
         leaf_side = self.config.leaf_side
         t_len = tree.length
-        lwords = self.leaf_bits.words if self.leaf_bits is not None else None
+        ldata = self.leaf_bits.data if self.leaf_bits is not None else None
         leaf_access = self.leaf_ids.access if self.leaf_ids is not None else None
         # stack frames: (level of the children bits, their base, block origin)
         stack = [(0, 0, 0, 0)]
@@ -567,7 +578,7 @@ class K2Tree:
                 if vocab is None:
                     for cc in range(cc_lo, cc_hi + 1):
                         pos = row_base + cc - t_len
-                        if (lwords[pos >> 6] >> (pos & 63)) & 1:
+                        if (ldata[pos >> 3] >> (pos & 7)) & 1:
                             out.append(col0 + cc)
                             if limit is not None and len(out) >= limit:
                                 return out
@@ -576,7 +587,7 @@ class K2Tree:
                     before = ones_before[last]
                     for cc in range(cc_lo, cc_hi + 1):
                         pos = row_base + cc
-                        if not (twords[pos >> 6] >> (pos & 63)) & 1:
+                        if not (tdata[pos >> 3] >> (pos & 7)) & 1:
                             continue
                         leaf = leaf_access(rank1(pos) - before - 1)
                         c_base = col0 + cc * leaf_side
@@ -593,7 +604,7 @@ class K2Tree:
                 r0 = row0 + ((r - row0) // child) * child
                 for cc in range(cc_hi, cc_lo - 1, -1):
                     pos = row_base + cc
-                    if (twords[pos >> 6] >> (pos & 63)) & 1:
+                    if (tdata[pos >> 3] >> (pos & 7)) & 1:
                         stack.append((lvl + 1,
                                       next_start + (rank1(pos) - before - 1) * next_arity,
                                       r0, col0 + cc * child))
@@ -607,7 +618,7 @@ class K2Tree:
         if self.depth == 0:
             return out
         tree = self.tree_bits
-        twords = tree.words
+        tdata = tree.data
         rank1 = tree.rank1
         block = self._block
         ks = self.ks
@@ -619,7 +630,7 @@ class K2Tree:
         leaf_side = self.config.leaf_side
         n_rows = self.n_rows
         t_len = tree.length
-        lwords = self.leaf_bits.words if self.leaf_bits is not None else None
+        ldata = self.leaf_bits.data if self.leaf_bits is not None else None
         leaf_access = self.leaf_ids.access if self.leaf_ids is not None else None
         stack = [(0, 0, 0, 0)]
         while stack:
@@ -632,7 +643,7 @@ class K2Tree:
                 if vocab is None:
                     for rr in range(rr_hi + 1):
                         pos = base + rr * k + cc - t_len
-                        if (lwords[pos >> 6] >> (pos & 63)) & 1:
+                        if (ldata[pos >> 3] >> (pos & 7)) & 1:
                             out.append(row0 + rr * child)
                             if limit is not None and len(out) >= limit:
                                 return out
@@ -641,7 +652,7 @@ class K2Tree:
                     before = ones_before[last]
                     for rr in range(rr_hi + 1):
                         pos = base + rr * k + cc
-                        if not (twords[pos >> 6] >> (pos & 63)) & 1:
+                        if not (tdata[pos >> 3] >> (pos & 7)) & 1:
                             continue
                         leaf = leaf_access(rank1(pos) - before - 1)
                         r_base = row0 + rr * leaf_side
@@ -658,7 +669,7 @@ class K2Tree:
                 c0 = col0 + cc * child
                 for rr in range(rr_hi, -1, -1):
                     pos = base + rr * k + cc
-                    if (twords[pos >> 6] >> (pos & 63)) & 1:
+                    if (tdata[pos >> 3] >> (pos & 7)) & 1:
                         stack.append((lvl + 1,
                                       next_start + (rank1(pos) - before - 1) * next_arity,
                                       row0 + rr * child, c0))
@@ -678,7 +689,7 @@ class K2Tree:
         if self.depth == 0:
             return out
         tree = self.tree_bits
-        twords = tree.words
+        tdata = tree.data
         rank1 = tree.rank1
         block = self._block
         ks = self.ks
@@ -689,7 +700,7 @@ class K2Tree:
         vocab = self.vocab
         leaf_side = self.config.leaf_side
         t_len = tree.length
-        lwords = self.leaf_bits.words if self.leaf_bits is not None else None
+        ldata = self.leaf_bits.data if self.leaf_bits is not None else None
         leaf_access = self.leaf_ids.access if self.leaf_ids is not None else None
         stack = [(0, 0, 0, 0)]
         while stack:
@@ -707,7 +718,7 @@ class K2Tree:
                         rg = row0 + rr * child
                         for cc in range(cc_lo, cc_hi + 1):
                             pos = rbase + cc
-                            if (lwords[pos >> 6] >> (pos & 63)) & 1:
+                            if (ldata[pos >> 3] >> (pos & 7)) & 1:
                                 out.append((rg, col0 + cc * child))
                 else:
                     before = ones_before[last]
@@ -718,7 +729,7 @@ class K2Tree:
                         r_base = row0 + rr * leaf_side
                         for cc in range(cc_lo, cc_hi + 1):
                             pos = rbase + cc
-                            if not (twords[pos >> 6] >> (pos & 63)) & 1:
+                            if not (tdata[pos >> 3] >> (pos & 7)) & 1:
                                 continue
                             leaf = leaf_access(rank1(pos) - before - 1)
                             c_base = col0 + cc * leaf_side
@@ -737,7 +748,7 @@ class K2Tree:
                 for rr in range(rr_hi, rr_lo - 1, -1):
                     for cc in range(cc_hi, cc_lo - 1, -1):
                         pos = base + rr * k + cc
-                        if (twords[pos >> 6] >> (pos & 63)) & 1:
+                        if (tdata[pos >> 3] >> (pos & 7)) & 1:
                             stack.append((lvl + 1,
                                           next_start + (rank1(pos) - before - 1) * next_arity,
                                           row0 + rr * child, col0 + cc * child))

@@ -17,12 +17,12 @@ and may be changed between queries.
 from __future__ import annotations
 
 import struct
+from array import array
 from bisect import bisect_right
-from io import BytesIO
 
 import numpy as np
 
-from ._binio import read_exact
+from ._binio import pack_fixed, packed_array, read_exact, unpack_fixed
 from .dictionary import Dictionary
 from .k2tree import K2Config, K2Tree
 
@@ -40,12 +40,14 @@ class PredicateIndex:
     final sentinel equal to the triple count; unused predicate ids own
     empty runs. samples[j] holds the predicate of column j*period
     (clamped to the last column), which narrows the binary search that
-    maps a column back to its predicate.
+    maps a column back to its predicate. Both are `array.array`s of the
+    smallest unsigned typecode that holds their values; the file keeps
+    starts as u64 and samples as u32.
     """
 
     __slots__ = ("starts", "period", "samples", "n", "n_predicates")
 
-    def __init__(self, starts: list[int], period: int, samples: list[int], n: int):
+    def __init__(self, starts: array, period: int, samples: array, n: int):
         self.starts = starts
         self.period = period
         self.samples = samples
@@ -58,15 +60,14 @@ class PredicateIndex:
         if period < 1:
             raise ValueError("sampling period must be >= 1")
         n = int(preds_sorted.size)
-        starts = np.searchsorted(preds_sorted, np.arange(1, n_predicates + 1),
-                                 side="left").tolist()
-        starts.append(n)
+        starts = np.searchsorted(preds_sorted, np.arange(1, n_predicates + 2),
+                                 side="left")
         if n:
             cols = np.minimum(np.arange(0, n // period + 1) * period, n - 1)
-            samples = preds_sorted[cols].tolist()
+            samples = preds_sorted[cols]
         else:
-            samples = []
-        return cls(starts, period, samples, n)
+            samples = ()
+        return cls(packed_array(starts), period, packed_array(samples), n)
 
     def _check_predicate(self, p: int) -> None:
         if not 1 <= p <= self.n_predicates:
@@ -100,18 +101,18 @@ class PredicateIndex:
     def write(self, out) -> None:
         out.write(struct.pack("<QQ", self.n, self.period))
         out.write(struct.pack("<Q", len(self.starts)))
-        out.write(np.array(self.starts, dtype="<u8").tobytes())
+        out.write(pack_fixed(self.starts, 64))
         out.write(struct.pack("<Q", len(self.samples)))
-        out.write(np.array(self.samples, dtype="<u4").tobytes())
+        out.write(pack_fixed(self.samples, 32))
 
     @classmethod
     def read(cls, src) -> "PredicateIndex":
         n, period = struct.unpack("<QQ", read_exact(src, 16))
         (n_starts,) = struct.unpack("<Q", read_exact(src, 8))
-        starts = np.frombuffer(read_exact(src, 8 * n_starts), dtype="<u8")
+        starts = unpack_fixed(read_exact(src, 8 * n_starts), 64, n_starts)
         (n_samples,) = struct.unpack("<Q", read_exact(src, 8))
-        samples = np.frombuffer(read_exact(src, 4 * n_samples), dtype="<u4")
-        return cls(starts.tolist(), period, samples.tolist(), n)
+        samples = unpack_fixed(read_exact(src, 4 * n_samples), 32, n_samples)
+        return cls(starts, period, samples, n)
 
 
 def _merge_sorted_lists(a: list[int], b: list[int]) -> list[int]:
@@ -424,8 +425,3 @@ def load(path: str) -> tuple[TripleStore, Dictionary]:
     with open(path, "rb") as src:
         return read_store(src)
 
-
-def store_bytes(store: TripleStore, dictionary: Dictionary | None = None) -> int:
-    buf = BytesIO()
-    write_store(buf, store, dictionary or Dictionary.empty())
-    return buf.tell()

@@ -1,5 +1,6 @@
 import io
 import random
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -131,7 +132,25 @@ def test_serialization_round_trip():
         buf.seek(0)
         # acceleration is rebuilt, possibly with a different preset
         back = BitVector.read(buf, sample_rate=512)
-        assert back == bv
+        assert (back.length, back.data) == (bv.length, bv.data)
         assert back.ones == bv.ones
         for i in range(0, n, 17):
             assert back.rank1(i) == bv.rank1(i)
+
+
+@pytest.mark.parametrize("rate", [1, 3, 7, 100, 512, 1280])
+def test_every_position_matches_naive_count(rate):
+    # lengths around byte, word and sample boundaries; rates 1, 3 and 7
+    # put samples inside bytes
+    rng = random.Random(rate)
+    for n in (1, 7, 8, 9, 63, 64, 65, 127, 128, 129, 1279, 1280, 1281, 2561):
+        for density in (0.1, 0.5):
+            bits = [rng.random() < density for _ in range(n)]
+            bv = BitVector(bits, sample_rate=rate)
+            assert len(bv.data) == 8 * ((n + 63) // 64)
+            assert [bv.access(i) for i in range(n)] == bits
+            assert [bv.rank1(i) for i in range(n)] == list(accumulate(bits))
+            assert [bv.select1(j) for j in range(1, bv.ones + 1)] == \
+                [i for i, b in enumerate(bits) if b]
+            assert [bv.select0(j) for j in range(1, n - bv.ones + 1)] == \
+                [i for i, b in enumerate(bits) if not b]

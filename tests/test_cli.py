@@ -2,7 +2,8 @@ import gzip
 
 import pytest
 
-from bmatrix import cli
+from bmatrix import cli, store as store_mod
+from bmatrix.store import TripleStore
 
 CORPUS = """\
 <http://x/a> <http://x/p1> <http://x/b> .
@@ -183,3 +184,12 @@ def test_thresholds_flag(built, tmp_path, capsys):
     assert cli.main(["bench", str(out), str(qfile), "--thresholds", "0,5",
                      "--min-reps", "1", "--min-time", "0"]) == 0
     assert cli.main(["bench", str(out), str(qfile), "--thresholds", "bad"]) == 1
+
+
+def test_query_store_without_dictionary(tmp_path, capsys):
+    path = tmp_path / "ids.bmx"
+    store_mod.save(str(path), TripleStore.build([(1, 1, 2), (2, 1, 1)], 2, 2, 1))
+    assert cli.main(["query", str(path), "#1", "?", "?"]) == 1
+    assert "--ids" in capsys.readouterr().err
+    assert cli.main(["query", str(path), "#1", "?", "?", "--ids"]) == 0
+    assert capsys.readouterr().out.split() == ["#1", "#1", "#2"]

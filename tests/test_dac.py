@@ -13,7 +13,7 @@ def bits(bv):
 def test_single_level_example():
     d = Dac.encode([0, 1, 2], chunk_bits=2)
     assert len(d.levels) == 1
-    assert d.levels[0][0] == [0, 1, 2]
+    assert list(d.levels[0][0]) == [0, 1, 2]
     assert bits(d.levels[0][1]) == "000"
     assert [d.access(i) for i in range(3)] == [0, 1, 2]
 
@@ -21,9 +21,9 @@ def test_single_level_example():
 def test_two_level_example():
     # 5 = 01|01 base 4, 9 = 10|01 base 4
     d = Dac.encode([5, 1, 9], chunk_bits=2)
-    assert d.levels[0][0] == [1, 1, 1]
+    assert list(d.levels[0][0]) == [1, 1, 1]
     assert bits(d.levels[0][1]) == "101"
-    assert d.levels[1][0] == [1, 2]
+    assert list(d.levels[1][0]) == [1, 2]
     assert bits(d.levels[1][1]) == "00"
     assert d.access(2) == 9
     assert [d.access(i) for i in range(3)] == [5, 1, 9]

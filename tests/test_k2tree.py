@@ -1,4 +1,5 @@
 import io
+from math import prod
 
 import numpy as np
 import pytest
@@ -172,7 +173,7 @@ def leaf_vocab(pattern_rows, encoding):
 def test_cols_full_example():
     v = leaf_vocab([[0, 1], [0, 0]], VOCAB_COLS_FULL)
     assert bits(v.col_flags) == "01"
-    assert v.row_in_col == [0, 0]  # unset columns store 0
+    assert list(v.row_in_col) == [0, 0]  # unset columns store 0
     assert v.bit(0, 0, 1) is True
     assert v.bit(0, 1, 1) is False
     assert v.bit(0, 0, 0) is False
@@ -181,7 +182,7 @@ def test_cols_full_example():
 def test_cols_rank_example():
     v = leaf_vocab([[0, 1], [0, 0]], VOCAB_COLS_RANK)
     assert bits(v.col_flags) == "01"
-    assert v.row_in_col == [0]
+    assert list(v.row_in_col) == [0]
     assert v.bit(0, 0, 1) is True
     assert v.bit(0, 1, 1) is False
 
@@ -299,3 +300,43 @@ def test_serialization_round_trip():
 def test_leaf_side_limit():
     with pytest.raises(ValueError):
         K2Config(stages=(Stage(2, None),), leaf_side=16)
+
+
+def unique_level_bits(pts, n_rows, n_cols, config):
+    """T:L bits of the tree over pts, each level's parents found by np.unique."""
+    ks = plan_levels(config, max(n_rows, n_cols))
+    rows, cols = pts[:, 0], pts[:, 1]
+    block = prod(ks) * config.leaf_side
+    code = np.zeros(len(pts), dtype=np.int64)
+    for k in ks:
+        block //= k
+        code = code * (k * k) + (rows // block % k) * k + (cols // block % k)
+    codes = np.unique(code)
+    levels = []
+    for lvl in range(len(ks) - 1, -1, -1):
+        arity = ks[lvl] * ks[lvl]
+        digit, parent = codes % arity, codes // arity
+        uniq = np.unique(parent) if lvl else np.zeros(1, dtype=np.int64)
+        level = np.zeros(len(uniq) * arity, dtype=bool)
+        level[np.searchsorted(uniq, parent) * arity + digit] = True
+        levels.insert(0, level)
+        codes = uniq
+    return np.concatenate(levels)
+
+
+@pytest.mark.parametrize("config", [K2Config(vocab_encoding=VOCAB_PLAIN),
+                                    K2_PLAIN, HYBRID,
+                                    K2Config(stages=(Stage(3, 2), Stage(2, None)),
+                                             leaf_side=4, vocab_encoding=VOCAB_PLAIN)])
+def test_level_bits_match_unique_reference(config):
+    rng = np.random.default_rng(23)
+    for size in (0, 1, 2, 17, 400, 3000):
+        n_rows, n_cols = (int(x) for x in rng.integers(1, 700, 2))
+        pts = np.column_stack([rng.integers(0, n_rows, size),
+                               rng.integers(0, n_cols, size)])
+        tree = K2Tree.build(pts, n_rows, n_cols, config)
+        got = bits(tree.tree_bits)
+        if tree.leaf_bits is not None:
+            got += bits(tree.leaf_bits)
+        want = unique_level_bits(pts, n_rows, n_cols, config)
+        assert got == "".join("1" if b else "0" for b in want)

@@ -3,7 +3,9 @@ import io
 import numpy as np
 import pytest
 
-from bmatrix.k2tree import K2Config, Stage, VOCAB_PLAIN
+from bmatrix import store as store_mod
+from bmatrix.k2tree import K2Config, Stage, VOCAB_COLS_RANK, VOCAB_PLAIN
+from bmatrix.ntriples import RawTriple
 from bmatrix.oracle import TripleList
 from bmatrix.store import (PredicateIndex, TripleStore, read_store,
                            write_store)
@@ -32,8 +34,8 @@ def test_build_matrices(store_e):
 
 def test_predicate_index(store_e):
     pidx = store_e.pred_index
-    assert pidx.starts == [0, 2, 4]
-    assert pidx.samples == [1, 2, 2]
+    assert list(pidx.starts) == [0, 2, 4]
+    assert list(pidx.samples) == [1, 2, 2]
     assert pidx.first_col(2) == 2
     assert pidx.predicate_of(3) == 2
     assert pidx.predicate_of(0) == 1
@@ -51,7 +53,7 @@ def test_predicate_index(store_e):
 def test_rank_select_with_unused_predicates():
     triples = [(1, 1, 1), (1, 1, 2), (2, 3, 1), (3, 3, 2)]
     pidx = PredicateIndex.from_sorted(np.array([1, 1, 3, 3]), 5, period=2)
-    assert pidx.starts == [0, 2, 2, 4, 4, 4]
+    assert list(pidx.starts) == [0, 2, 2, 4, 4, 4]
     for i, expect in enumerate([1, 1, 3, 3]):
         assert pidx.predicate_of(i) == expect
     store = TripleStore.build(triples, 3, 2, 5, config=SMALL)
@@ -221,3 +223,64 @@ def test_strategy_matches_oracle_shapes():
         assert store.by_object(o) == tl.pattern_query(o=o)
         assert store.by_predicate(p) == tl.pattern_query(p=p)
     assert store.all_triples() == tl.pattern_query()
+
+
+PACKED_CONFIGS = [
+    K2Config(),
+    K2Config(leaf_side=1),
+    K2Config(leaf_side=4, vocab_encoding=VOCAB_PLAIN, dac_chunk_bits=3),
+    K2Config(leaf_side=8, vocab_encoding=VOCAB_PLAIN, dac_chunk_bits=16),
+    K2Config(leaf_side=2, vocab_encoding=VOCAB_COLS_RANK, sample_preset="dense"),
+]
+
+
+def term_store(config, n=2500, seed=11):
+    rng = np.random.default_rng(seed)
+    raw = [RawTriple(f"<http://x/n{s}>", f"<http://x/p{p}>", f"<http://x/n{o}>")
+           for s, p, o in zip(rng.integers(0, 300, n), rng.integers(0, 40, n),
+                              rng.integers(0, 300, n))]
+    dictionary, ids = Dictionary.from_triples(raw)
+    store = TripleStore.build(ids, dictionary.subject_count,
+                              dictionary.object_count,
+                              dictionary.predicate_count, config=config, period=64)
+    return store, dictionary
+
+
+@pytest.mark.parametrize("config", PACKED_CONFIGS)
+def test_save_load_save_is_byte_identical(tmp_path, config):
+    store, dictionary = term_store(config)
+    first, second = tmp_path / "a.bmx", tmp_path / "b.bmx"
+    store_mod.save(str(first), store, dictionary)
+    back, dict_back = store_mod.load(str(first))
+    store_mod.save(str(second), back, dict_back)
+    assert first.read_bytes() == second.read_bytes()
+    assert back.all_triples() == store.all_triples()
+
+
+# per-level tables: one entry per tree level, not per element
+PER_LEVEL = {"ks", "_arity", "_block", "_level_start", "_ones_before"}
+
+
+def int_lists(obj, path):
+    """Paths of the non-empty lists of ints reachable through slots and sequences."""
+    if isinstance(obj, list) and obj and all(isinstance(x, int) for x in obj):
+        yield path
+    if isinstance(obj, (list, tuple)):
+        for i, x in enumerate(obj):
+            yield from int_lists(x, f"{path}[{i}]")
+    for cls in type(obj).__mro__:
+        for name in getattr(cls, "__slots__", ()):
+            if hasattr(obj, name):
+                yield from int_lists(getattr(obj, name), f"{path}.{name}")
+
+
+@pytest.mark.parametrize("config", PACKED_CONFIGS)
+def test_loaded_store_holds_no_int_lists(tmp_path, config):
+    store, dictionary = term_store(config)
+    path = tmp_path / "s.bmx"
+    store_mod.save(str(path), store, dictionary)
+    for st in (store, store_mod.load(str(path))[0]):
+        found = [p for p in int_lists(st, "store")
+                 if p.rsplit(".", 1)[-1] not in PER_LEVEL]
+        assert found == []
+        assert isinstance(st.subject_tree.tree_bits.data, bytes)
