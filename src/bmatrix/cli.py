@@ -46,8 +46,7 @@ def parse_pattern_tokens(text: str, line_no: int = 0) -> list:
     tokens = []
     i = 0
     while len(tokens) < 3:
-        while i < len(text) and text[i] in " \t":
-            i += 1
+        i = ntriples._skip_ws(text, i)
         if i >= len(text):
             raise ntriples.ParseError("pattern needs three slots", line_no, text)
         c = text[i]
@@ -65,9 +64,7 @@ def parse_pattern_tokens(text: str, line_no: int = 0) -> list:
         else:
             term, _, i = ntriples._scan_term(text, i, line_no)
             tokens.append(term)
-    while i < len(text) and text[i] in " \t":
-        i += 1
-    if i < len(text):
+    if ntriples._skip_ws(text, i) < len(text):
         raise ntriples.ParseError("trailing junk after pattern", line_no, text)
     return tokens
 

@@ -11,10 +11,23 @@ deterministic and lookups a binary search.
 from __future__ import annotations
 
 import struct
+from array import array
 from bisect import bisect_left
+from itertools import accumulate
 from typing import Iterable
 
+import numpy as np
+
+from ._binio import read_exact
 from .ntriples import RawTriple
+
+
+def _pool_ids(provisional: dict[str, int], pool: list[str]) -> np.ndarray:
+    """Provisional id -> 1-based position in `pool`, which holds every term."""
+    seen_at = np.fromiter(map(provisional.__getitem__, pool), np.int64, len(pool))
+    out = np.empty(len(pool), dtype=np.int64)
+    out[seen_at] = np.arange(1, len(pool) + 1)
+    return out
 
 
 def _index(pool: list[str], term: str) -> int:
@@ -42,31 +55,33 @@ class Dictionary:
 
     @classmethod
     def from_triples(cls, triples: Iterable[RawTriple]):
-        """Classify terms and encode; returns (dictionary, sorted unique id triples)."""
-        subjects: set[str] = set()
-        objects: set[str] = set()
-        preds: set[str] = set()
-        raw: set[tuple[str, str, str]] = set()
-        for t in triples:
-            raw.add((t.subject, t.predicate, t.object))
-            subjects.add(t.subject)
-            preds.add(t.predicate)
-            objects.add(t.object)
-        shared = sorted(subjects & objects)
-        subject_only = sorted(subjects - objects)
-        object_only = sorted(objects - subjects)
-        predicates = sorted(preds)
-        d = cls(shared, subject_only, object_only, predicates)
+        """Classify terms and encode; returns (dictionary, sorted unique id triples).
 
-        n_so = len(shared)
-        s_map = {term: i + 1 for i, term in enumerate(shared)}
-        o_map = dict(s_map)
-        s_map.update({term: n_so + 1 + i for i, term in enumerate(subject_only)})
-        o_map.update({term: n_so + 1 + i for i, term in enumerate(object_only)})
-        p_map = {term: i + 1 for i, term in enumerate(predicates)}
-        ids = sorted(((s_map[s], p_map[p], o_map[o]) for s, p, o in raw),
-                     key=lambda t: (t[1], t[2], t[0]))
-        return d, ids
+        The triples are sorted by (p, o, s), as the store orders its columns.
+        """
+        # terms get provisional ids in order of first sight, remapped to
+        # their pool ids once the pools are known
+        s_ids: dict[str, int] = {}
+        p_ids: dict[str, int] = {}
+        o_ids: dict[str, int] = {}
+        s_col, p_col, o_col = array("q"), array("q"), array("q")
+        for t in triples:
+            s_col.append(s_ids.setdefault(t.subject, len(s_ids)))
+            p_col.append(p_ids.setdefault(t.predicate, len(p_ids)))
+            o_col.append(o_ids.setdefault(t.object, len(o_ids)))
+        shared = sorted(s_ids.keys() & o_ids.keys())
+        subject_only = sorted(s_ids.keys() - o_ids.keys())
+        object_only = sorted(o_ids.keys() - s_ids.keys())
+        predicates = sorted(p_ids)
+        s = _pool_ids(s_ids, shared + subject_only)[np.frombuffer(s_col, np.int64)]
+        p = _pool_ids(p_ids, predicates)[np.frombuffer(p_col, np.int64)]
+        o = _pool_ids(o_ids, shared + object_only)[np.frombuffer(o_col, np.int64)]
+        order = np.lexsort((s, o, p))
+        s, p, o = s[order], p[order], o[order]
+        keep = np.ones(len(order), dtype=bool)
+        keep[1:] = (s[1:] != s[:-1]) | (p[1:] != p[:-1]) | (o[1:] != o[:-1])
+        ids = list(zip(s[keep].tolist(), p[keep].tolist(), o[keep].tolist()))
+        return cls(shared, subject_only, object_only, predicates), ids
 
     # -- counts ------------------------------------------------------------
 
@@ -138,21 +153,20 @@ class Dictionary:
     def write(self, out) -> None:
         for pool in (self.shared, self.subject_only, self.object_only,
                      self.predicates):
-            blob = b"".join(term.encode("utf-8") for term in pool)
-            offsets = [0]
-            for term in pool:
-                offsets.append(offsets[-1] + len(term.encode("utf-8")))
+            encoded = [term.encode("utf-8") for term in pool]
             out.write(struct.pack("<Q", len(pool)))
-            out.write(struct.pack(f"<{len(offsets)}Q", *offsets))
-            out.write(blob)
+            out.write(struct.pack(f"<{len(pool) + 1}Q", 0,
+                                  *accumulate(map(len, encoded))))
+            out.write(b"".join(encoded))
 
     @classmethod
     def read(cls, src) -> "Dictionary":
         pools = []
         for _ in range(4):
-            (count,) = struct.unpack("<Q", src.read(8))
-            offsets = struct.unpack(f"<{count + 1}Q", src.read(8 * (count + 1)))
-            blob = src.read(offsets[-1])
+            (count,) = struct.unpack("<Q", read_exact(src, 8))
+            offsets = struct.unpack(f"<{count + 1}Q",
+                                    read_exact(src, 8 * (count + 1)))
+            blob = read_exact(src, offsets[-1])
             pools.append([blob[offsets[i]:offsets[i + 1]].decode("utf-8")
                           for i in range(count)])
         return cls(*pools)

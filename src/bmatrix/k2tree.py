@@ -809,22 +809,22 @@ class K2Tree:
 
     @classmethod
     def read(cls, src) -> "K2Tree":
-        (n_stages,) = struct.unpack("<B", src.read(1))
+        (n_stages,) = struct.unpack("<B", read_exact(src, 1))
         stages = []
         for _ in range(n_stages):
-            k, levels = struct.unpack("<Bh", src.read(3))
+            k, levels = struct.unpack("<Bh", read_exact(src, 3))
             stages.append(Stage(k, None if levels < 0 else levels))
-        leaf_side, enc, preset, chunk_bits = struct.unpack("<BBBB", src.read(4))
+        leaf_side, enc, preset, chunk_bits = struct.unpack("<BBBB", read_exact(src, 4))
         config = K2Config(
             stages=tuple(stages), leaf_side=leaf_side,
             vocab_encoding=VOCAB_ENCODINGS[enc] if enc != 255 else VOCAB_COLS_FULL,
             sample_preset="default" if preset == 0 else "dense",
             dac_chunk_bits=chunk_bits)
-        n_rows, n_cols, side = struct.unpack("<QQQ", src.read(24))
-        (depth,) = struct.unpack("<H", src.read(2))
-        ks = list(src.read(depth))
+        n_rows, n_cols, side = struct.unpack("<QQQ", read_exact(src, 24))
+        (depth,) = struct.unpack("<H", read_exact(src, 2))
+        ks = list(read_exact(src, depth))
         tree = BitVector.read(src, config.sample_rate)
-        (mode,) = struct.unpack("<B", src.read(1))
+        (mode,) = struct.unpack("<B", read_exact(src, 1))
         if mode == 2:
             return cls(config, n_rows, n_cols, side, ks, tree)
         if mode == 1:

@@ -193,3 +193,36 @@ def test_query_store_without_dictionary(tmp_path, capsys):
     assert "--ids" in capsys.readouterr().err
     assert cli.main(["query", str(path), "#1", "?", "?", "--ids"]) == 0
     assert capsys.readouterr().out.split() == ["#1", "#1", "#2"]
+
+
+@pytest.mark.parametrize("bad", [
+    "<a> <p>",                      # truncated statement
+    '<a> <p> "\\uD800" .',          # a surrogate cannot be saved as UTF-8
+    '<a> <p> "\\UFFFFFFFF" .',      # beyond what chr() takes
+])
+def test_build_skips_unparsable_statement(tmp_path, capsys, bad):
+    src = tmp_path / "bad.nt"
+    src.write_text(f"<a> <p> <b> .\n{bad}\n<a> <p> <c> .\n")
+    out = tmp_path / "bad.bmx"
+    assert cli.main(["build", str(src), "-o", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert "2 statements, 1 bad lines" in captured.err
+    assert "line 2" in captured.err
+    assert "triples            2" in captured.out
+
+
+def test_truncated_store_is_a_clean_error(tmp_path, capsys):
+    src = tmp_path / "long.nt"
+    src.write_text("".join(
+        f"<http://example.org/resource/entity-{i}> <http://x/p{i % 3}> "
+        f"<http://example.org/resource/entity-{i * 7 % 200}> .\n"
+        for i in range(200)))
+    full = tmp_path / "long.bmx"
+    assert cli.main(["build", str(src), "-o", str(full)]) == 0
+    data = full.read_bytes()
+    cut = tmp_path / "cut.bmx"
+    for size in (80, 100, 2000, len(data) // 2):
+        capsys.readouterr()
+        cut.write_bytes(data[:size])
+        assert cli.main(["stats", str(cut)]) == 1
+        assert "truncated input" in capsys.readouterr().err
