@@ -15,8 +15,21 @@ import numpy as np
 _TYPECODES = "BHIQ"
 
 
+# reads larger than this go in pieces, so a corrupt length read from a
+# file asks for no more memory than the file holds
+_READ_CHUNK = 1 << 24
+
+
 def read_exact(src, n: int) -> bytes:
-    data = src.read(n)
+    if n <= _READ_CHUNK:
+        data = src.read(n)
+    else:
+        parts = []
+        left = n
+        while left and (part := src.read(min(left, _READ_CHUNK))):
+            parts.append(part)
+            left -= len(part)
+        data = b"".join(parts)
     if len(data) != n:
         raise ValueError(f"truncated input: wanted {n} bytes, got {len(data)}")
     return data

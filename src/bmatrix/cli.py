@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import random
+import re
 import sys
 import time
 from dataclasses import dataclass
@@ -40,6 +41,9 @@ class TermNotFound(LookupError):
 
 # -- pattern parsing ----------------------------------------------------------
 
+# ASCII digits only: str.isdigit also takes "²", which int() refuses
+_ID_TOKEN = re.compile(r"#([0-9]+)")
+
 
 def parse_pattern_tokens(text: str, line_no: int = 0) -> list:
     """Three slots from a pattern line: None (?), int (#id) or a term string."""
@@ -54,13 +58,11 @@ def parse_pattern_tokens(text: str, line_no: int = 0) -> list:
             tokens.append(None)
             i += 1
         elif c == "#":
-            j = i + 1
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            if j == i + 1:
+            m = _ID_TOKEN.match(text, i)
+            if m is None:
                 raise ntriples.ParseError("bad #id token", line_no, text)
-            tokens.append(int(text[i + 1:j]))
-            i = j
+            tokens.append(int(m[1]))
+            i = m.end()
         else:
             term, _, i = ntriples._scan_term(text, i, line_no)
             tokens.append(term)

@@ -3,8 +3,10 @@ r"""Streaming line-oriented N-Triples reader and writer.
 Terms are kept in a compact canonical form: IRIs without the angle
 brackets, blank nodes with their ``_:`` prefix, literals with their
 surrounding quotes plus any language tag or ``^^<datatype>`` suffix.
-Escape sequences are decoded on input and re-escaped on output, so
-parse -> format -> parse is the identity.
+An IRI whose text starts with ``_:``, ``"`` or ``<`` (which escapes can
+spell) keeps its brackets, so it is told apart from a blank node, a
+literal or another bracketed IRI. Escape sequences are decoded on input
+and re-escaped on output, so parse -> format -> parse is the identity.
 
 The statement grammar is W3C RDF 1.1 N-Triples (2014), compiled once
 into regular expressions below; a statement line is one ``fullmatch``.
@@ -125,6 +127,17 @@ def _unescape(text: str, line_no: int, line: str) -> str:
         raise ParseError(err.message, line_no, line) from None
 
 
+# an IRI whose text starts like another kind of term keeps its brackets
+_BRACKETED = ("_:", '"', "<")
+
+
+def _iri_term(body: str, line_no: int, line: str) -> str:
+    """The stored form of the IRI written as `<body>`."""
+    if "\\" in body:
+        body = _unescape(body, line_no, line)
+    return f"<{body}>" if body.startswith(_BRACKETED) else body
+
+
 def _literal_term(whole: str, lexical: str, lang: str | None,
                   dtype: str | None, line_no: int, line: str) -> str:
     if lang is not None and not lang[0].isalpha():
@@ -145,14 +158,14 @@ def parse_line(line: str, line_no: int = 0) -> RawTriple | None:
     if m is None:
         return _explain(line, line_no)
     s_iri, s_bnode, pred, o_iri, o_bnode, *literal = m.groups()
-    subject = s_bnode if s_iri is None else _unescape(s_iri, line_no, line)
+    subject = s_bnode if s_iri is None else _iri_term(s_iri, line_no, line)
     if o_iri is not None:
-        obj = _unescape(o_iri, line_no, line)
+        obj = _iri_term(o_iri, line_no, line)
     elif o_bnode is not None:
         obj = o_bnode
     else:
         obj = _literal_term(*literal, line_no, line)
-    return RawTriple(subject, _unescape(pred, line_no, line), obj)
+    return RawTriple(subject, _iri_term(pred, line_no, line), obj)
 
 
 # -- naming the error ------------------------------------------------------------
@@ -209,7 +222,7 @@ def _scan_term(s: str, i: int, line_no: int):
         m = _IRI_RE.match(s, i)
         if m is None:
             raise _iri_error(s, i, line_no)
-        return _unescape(m[1], line_no, s), IRI, m.end()
+        return _iri_term(m[1], line_no, s), IRI, m.end()
     if s.startswith('"', i):
         m = _LITERAL_RE.match(s, i)
         if m is None:
@@ -317,6 +330,8 @@ def format_term(term: str) -> str:
         return f'"{_escape_literal(lexical)}"{suffix}'
     if term.startswith("_:"):
         return term
+    if term.startswith("<"):
+        term = term[1:-1]
     return f"<{_escape_iri(term)}>"
 
 

@@ -23,7 +23,7 @@ from bisect import bisect_right
 import numpy as np
 
 from ._binio import pack_fixed, packed_array, read_exact, unpack_fixed
-from .dictionary import Dictionary
+from .dictionary import Dictionary, sort_unique
 from .k2tree import K2Config, K2Tree
 
 MAGIC = b"BMX1"
@@ -174,10 +174,7 @@ class TripleStore:
                     or p.min() < 1 or p.max() > n_predicates
                     or o.min() < 1 or o.max() > n_objects):
                 raise ValueError("triple id outside the declared dimensions")
-            order = np.lexsort((s, o, p))
-            arr = arr[order]
-            keep = np.r_[True, (arr[1:] != arr[:-1]).any(axis=1)]
-            arr = arr[keep]
+            arr = sort_unique(arr)
         n = arr.shape[0]
         cols = np.arange(n, dtype=np.int64)
         subject_tree = K2Tree.build(

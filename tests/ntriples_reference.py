@@ -4,8 +4,8 @@ that `bmatrix.ntriples` used before its compiled grammar.
 Tests compare `bmatrix.ntriples.parse_line` with it, as `oracle.TripleList`
 is compared with the store for queries. With `conform=False` it is the
 old scanner as it was, faults included. With `conform=True` it also
-applies the three fixes the compiled grammar made, each marked
-"conform" below:
+applies the fixes the compiled grammar and the term form made, each
+marked "conform" below:
 
 - a statement that ends where a term should start is a ParseError (the
   old scanner raised IndexError);
@@ -13,7 +13,9 @@ applies the three fixes the compiled grammar made, each marked
   scalar value (`int(hexpart, 16)` allowed a sign, "0x", underscores and
   spaces, surrogates decoded, and `chr` raised OverflowError from
   \\U80000000 up);
-- "<" is not allowed inside an IRI.
+- "<" is not allowed inside an IRI;
+- an IRI whose text starts with "_:", '"' or "<" is kept with its
+  brackets, so it is not the same term as a blank node or a literal.
 """
 
 from __future__ import annotations
@@ -133,6 +135,8 @@ def _scan_term(s: str, i: int, line_no: int, conform: bool):
     c = s[i]
     if c == "<":
         text, j = _scan_iri(s, i, line_no, conform)
+        if conform and text.startswith(("_:", '"', "<")):
+            text = f"<{text}>"
         return text, IRI, j
     if c == '"':
         text, j = _scan_literal(s, i, line_no, conform)

@@ -226,3 +226,91 @@ def test_truncated_store_is_a_clean_error(tmp_path, capsys):
         cut.write_bytes(data[:size])
         assert cli.main(["stats", str(cut)]) == 1
         assert "truncated input" in capsys.readouterr().err
+
+
+def test_iri_that_reads_like_a_blank_node_is_its_own_term(tmp_path, capsys):
+    src = tmp_path / "clash.nt"
+    src.write_text('<http://a> <http://p> <_:b> .\n_:b <http://p> "x" .\n')
+    out = tmp_path / "clash.bmx"
+    assert cli.main(["build", str(src), "-o", str(out)]) == 0
+    assert "subject-objects    0" in capsys.readouterr().out
+    assert cli.main(["query", str(out), "?", "?", "?"]) == 0
+    assert sorted(capsys.readouterr().out.splitlines()) == [
+        '<http://a> <http://p> <_:b> .', '_:b <http://p> "x" .']
+    assert cli.main(["query", str(out), "?", "?", "<_:b>", "--count-only"]) == 0
+    assert capsys.readouterr().out.strip() == "1"
+    assert cli.main(["query", str(out), "_:b", "?", "?", "--count-only"]) == 0
+    assert capsys.readouterr().out.strip() == "1"
+
+
+def test_non_ascii_digit_id_is_a_bad_pattern(built, capsys):
+    _, out = built
+    assert cli.main(["query", str(out), "#²", "?", "?"]) == 1
+    assert "bad pattern" in capsys.readouterr().err
+
+
+def test_bench_skips_non_ascii_digit_id(built, tmp_path, capsys):
+    _, out = built
+    qfile = tmp_path / "queries.txt"
+    qfile.write_text("#² ? ?\n#1 ? ?\n")
+    assert cli.main(["bench", str(out), str(qfile), "--min-reps", "1",
+                     "--min-time", "0"]) == 0
+    captured = capsys.readouterr()
+    assert ":1: skipped" in captured.err
+    assert "s??" in captured.out
+
+
+def _pool_store(tmp_path):
+    """A built store and the file positions of its shared pool:
+    (bytes, offsets position, blob position, offsets)."""
+    src = tmp_path / "pool.nt"
+    terms = ["http://x/café", "http://x/snow☃", "http://x/z"]
+    src.write_text("".join(f"<{a}> <http://x/p> <{b}> .\n"
+                           for a, b in zip(terms, terms[1:] + terms[:1])))
+    path = tmp_path / "pool.bmx"
+    assert cli.main(["build", str(src), "-o", str(path)]) == 0
+    data = bytearray(path.read_bytes())
+    at = 4 + 2 + 2 + 64            # magic, version, widths, header counts
+    count = int.from_bytes(data[at:at + 8], "little")
+    assert count == 3
+    offsets = [int.from_bytes(data[at + 8 + 8 * i:at + 16 + 8 * i], "little")
+               for i in range(count + 1)]
+    return data, at + 8, at + 8 + 8 * (count + 1), offsets
+
+
+def _set_offset(data, offsets_at, i, value):
+    data[offsets_at + 8 * i:offsets_at + 8 * i + 8] = value.to_bytes(8, "little")
+
+
+def _corrupt_pool(data, offsets_at, blob_at, offsets, fault):
+    if fault == "offsets decrease":
+        _set_offset(data, offsets_at, 1, offsets[2] + 1)
+    elif fault == "offset past the blob":
+        _set_offset(data, offsets_at, 2, offsets[3] + 1)
+    elif fault == "offsets do not start at 0":
+        _set_offset(data, offsets_at, 0, 1)
+    elif fault == "blob length past the file":
+        _set_offset(data, offsets_at, 3, 1 << 62)
+    elif fault == "invalid UTF-8":
+        data[blob_at + 2] = 0xFF
+    else:  # the first term ends in the middle of its "é"
+        _set_offset(data, offsets_at, 1, offsets[1] - 1)
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("offsets decrease", "not ascending"),
+    ("offset past the blob", "not ascending"),
+    ("offsets do not start at 0", "not ascending"),
+    ("blob length past the file", "truncated input"),
+    ("invalid UTF-8", "not valid UTF-8"),
+    ("boundary inside a character", "starts inside a character")])
+def test_corrupt_dictionary_pool_is_a_clean_error(tmp_path, capsys, fault,
+                                                   message):
+    data, offsets_at, blob_at, offsets = _pool_store(tmp_path)
+    _corrupt_pool(data, offsets_at, blob_at, offsets, fault)
+    bad = tmp_path / "bad.bmx"
+    bad.write_bytes(bytes(data))
+    capsys.readouterr()
+    assert cli.main(["stats", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err

@@ -1,8 +1,9 @@
 import io
 
+import numpy as np
 import pytest
 
-from bmatrix.dictionary import Dictionary
+from bmatrix.dictionary import Dictionary, sort_unique
 from bmatrix.ntriples import RawTriple
 
 
@@ -12,26 +13,27 @@ def T(s, p, o):
 
 def test_shared_terms_get_one_id():
     d, ids = Dictionary.from_triples([T("a", "p", "b"), T("b", "p", "a")])
-    assert d.shared == ["a", "b"]
-    assert d.subject_only == [] and d.object_only == []
-    assert d.predicates == ["p"]
+    assert list(d.shared) == ["a", "b"]
+    assert list(d.subject_only) == [] and list(d.object_only) == []
+    assert list(d.predicates) == ["p"]
     assert d.subject_id("a") == d.object_id("a") == 1
     assert d.subject_id("b") == d.object_id("b") == 2
     assert d.predicate_id("p") == 1
-    assert sorted(ids) == [(1, 1, 2), (2, 1, 1)]
+    assert sorted(map(tuple, ids.tolist())) == [(1, 1, 2), (2, 1, 1)]
 
 
 def test_disjoint_id_spaces_overlap_numerically():
     d, ids = Dictionary.from_triples([T("a", "p", "b")])
-    assert d.shared == [] and d.subject_only == ["a"] and d.object_only == ["b"]
+    assert list(d.shared) == [] and list(d.subject_only) == ["a"]
+    assert list(d.object_only) == ["b"]
     assert d.subject_id("a") == 1
     assert d.object_id("b") == 1
-    assert ids == [(1, 1, 1)]
+    assert ids.tolist() == [[1, 1, 1]]
 
 
 def test_empty_input():
     d, ids = Dictionary.from_triples([])
-    assert ids == []
+    assert ids.tolist() == []
     assert d.subject_count == d.object_count == d.predicate_count == 0
 
 
@@ -49,9 +51,9 @@ def test_id_ranges_and_round_trip_lookup():
     for term in d.shared:
         assert d.subject_id(term) == d.object_id(term) <= n_so
     # ids exactly cover [1, count]
-    subjects = {s for s, _, _ in ids}
+    subjects = {s for s, _, _ in ids.tolist()}
     assert max(subjects) <= d.subject_count
-    assert {p for _, p, _ in ids} == set(range(1, d.predicate_count + 1))
+    assert {p for _, p, _ in ids.tolist()} == set(range(1, d.predicate_count + 1))
 
 
 def test_dedup_set_semantics():
@@ -76,9 +78,9 @@ def test_not_found():
 def test_lexicographic_order():
     d, _ = Dictionary.from_triples(
         [T("zz", "q", "aa"), T("aa", "p", "zz"), T("mm", "p", "nn")])
-    assert d.shared == ["aa", "zz"]
-    assert d.subject_only == ["mm"] and d.object_only == ["nn"]
-    assert d.predicates == ["p", "q"]
+    assert list(d.shared) == ["aa", "zz"]
+    assert list(d.subject_only) == ["mm"] and list(d.object_only) == ["nn"]
+    assert list(d.predicates) == ["p", "q"]
 
 
 def test_serialization_round_trip():
@@ -89,12 +91,83 @@ def test_serialization_round_trip():
     d.write(buf)
     buf.seek(0)
     back = Dictionary.read(buf)
-    assert back.shared == d.shared
-    assert back.subject_only == d.subject_only
-    assert back.object_only == d.object_only
-    assert back.predicates == d.predicates
+    assert list(back.shared) == list(d.shared)
+    assert list(back.subject_only) == list(d.subject_only)
+    assert list(back.object_only) == list(d.object_only)
+    assert list(back.predicates) == list(d.predicates)
     empty = Dictionary.empty()
     buf = io.BytesIO()
     empty.write(buf)
     buf.seek(0)
     assert Dictionary.read(buf).subject_count == 0
+
+
+
+MIXED = ["", "a", "ab", "b", "caf\u00e9", "cafe\u0301", "z☃", "☃", "\U0001F600",
+         "\U0001F600x", "\x7f", "߿", "ࠀ", "￿", "\U00010000"]
+OBJECT_ONLY = ["o", "o☃", "o\U0001F600"]
+
+
+def mixed_dictionary():
+    # shared: MIXED[:8]; subject-only: MIXED[8:]; all of MIXED are predicates
+    objects = MIXED[:8] + OBJECT_ONLY
+    triples = [T(t, t, objects[i % len(objects)]) for i, t in enumerate(MIXED)]
+    return Dictionary.from_triples(triples)[0]
+
+
+def test_packed_pool_lookup_and_decode_round_trip():
+    d = mixed_dictionary()
+    assert (d.so_count, d.subject_count, d.object_count) == (8, 15, 11)
+    buf = io.BytesIO()
+    d.write(buf)
+    buf.seek(0)
+    for dd in (d, Dictionary.read(buf)):
+        assert list(dd.predicates) == sorted(MIXED)
+        assert list(dd.object_only) == sorted(OBJECT_ONLY)
+        for i in range(1, dd.subject_count + 1):
+            assert dd.subject_id(dd.subject_term(i)) == i
+        for i in range(1, dd.object_count + 1):
+            assert dd.object_id(dd.object_term(i)) == i
+        for i in range(1, dd.predicate_count + 1):
+            assert dd.predicate_id(dd.predicate_term(i)) == i
+        assert dd.subject_id("") == dd.object_id("") == dd.predicate_id("") == 1
+        assert {dd.subject_term(dd.subject_id(t)) for t in MIXED} == set(MIXED)
+
+
+def test_packed_pool_write_read_write_is_byte_identical():
+    first = io.BytesIO()
+    mixed_dictionary().write(first)
+    first.seek(0)
+    second = io.BytesIO()
+    Dictionary.read(first).write(second)
+    assert second.getvalue() == first.getvalue()
+    assert len(first.getvalue()) == mixed_dictionary().serialized_bytes()
+
+
+@pytest.mark.parametrize("term", ["c", "caf", "cafés", "☃☃", "\U0001F601",
+                                  "\ud800", "a\udfff", "\udfff", "oé"])
+def test_absent_and_surrogate_terms_are_not_found(term):
+    d = mixed_dictionary()
+    for lookup in (d.subject_id, d.object_id, d.predicate_id):
+        with pytest.raises(KeyError):
+            lookup(term)
+
+
+def test_terms_are_found_only_in_their_roles():
+    d = mixed_dictionary()
+    with pytest.raises(KeyError):
+        d.subject_id("o☃")
+    with pytest.raises(KeyError):
+        d.object_id(MIXED[9])
+    with pytest.raises(KeyError):
+        d.predicate_id("o")
+
+
+def test_sort_unique_matches_np_unique():
+    rng = np.random.default_rng(3)
+    for n in (0, 1, 2, 50, 3000):
+        ids = rng.integers(1, 6, (n, 3))
+        got = sort_unique(ids)
+        want = np.unique(ids[:, [1, 2, 0]], axis=0)[:, [2, 0, 1]]
+        assert got.tolist() == want.reshape(-1, 3).tolist()
+        assert sort_unique(got) is got

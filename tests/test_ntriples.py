@@ -1,5 +1,6 @@
 import gzip
 import random
+from dataclasses import astuple
 
 import pytest
 
@@ -147,6 +148,14 @@ def test_blank_node_label_cannot_be_shortened():
     assert parse_line("_:a.b.c <p> _:d.").subject == "_:a.b.c"
 
 
+def test_iri_that_reads_like_another_term_keeps_its_brackets():
+    t = parse_line(r'<_:b> <\u0022p> <\u003Cx\u003E> .')
+    assert t == RawTriple("<_:b>", '<"p>', "<<x>>")
+    assert parse_line("_:b <p> _:c .") == RawTriple("_:b", "p", "_:c")
+    assert format_triple(t) == r"<_:b> <\u0022p> <\u003Cx\u003E> ."
+    assert parse_line(format_triple(t)) == t
+
+
 def test_language_tags_are_unicode_letters_and_digits():
     assert parse_line('<a> <p> "x"@été-2 .').object == '"x"@été-2'
     assert parse_line('<a> <p> "x"@日本語 .').object == '"x"@日本語'
@@ -207,7 +216,8 @@ def _outcome(parse, line):
 def test_parse_line_matches_reference_scanner_on_mutated_lines():
     rng = random.Random(20261018)
     lines = list(_VALID) + [_mutate(rng, rng.choice(_VALID)) for _ in range(120_000)]
-    kinds = {"same": 0, "crash fixed": 0, "lax accept fixed": 0}
+    kinds = {"same": 0, "crash fixed": 0, "lax accept fixed": 0,
+             "iri kept bracketed": 0}
     accepted = 0
     for line in lines:
         got = _outcome(parse_line, line)
@@ -216,6 +226,13 @@ def test_parse_line_matches_reference_scanner_on_mutated_lines():
         lax = _outcome(reference.parse_line, line)
         if lax == want:
             kinds["same"] += 1
+        elif isinstance(want, RawTriple):
+            # an IRI that reads like a blank node or a literal now keeps
+            # its brackets; nothing else about the triple differs
+            assert isinstance(lax, RawTriple), line
+            for w, old in zip(astuple(want), astuple(lax)):
+                assert w == old or w == f"<{old}>", line
+            kinds["iri kept bracketed"] += 1
         else:
             # the only differences: the old scanner crashed, or accepted
             # what the grammar excludes, and the parser now rejects
@@ -224,8 +241,10 @@ def test_parse_line_matches_reference_scanner_on_mutated_lines():
             kinds["crash fixed" if lax == "crash" else "lax accept fixed"] += 1
         if isinstance(got, RawTriple):
             accepted += 1
+            assert parse_line(format_triple(got)) == got, line
             for term in (got.subject, got.predicate, got.object):
                 if not term.startswith(('"', "_:")):
                     assert ntriples._escape_iri(term) == reference.escape_iri(term)
     assert accepted > len(lines) // 10
     assert kinds["crash fixed"] > 0 and kinds["lax accept fixed"] > 0
+    assert kinds["iri kept bracketed"] > 0

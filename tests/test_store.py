@@ -1,4 +1,5 @@
 import io
+from array import array
 
 import numpy as np
 import pytest
@@ -284,3 +285,26 @@ def test_loaded_store_holds_no_int_lists(tmp_path, config):
                  if p.rsplit(".", 1)[-1] not in PER_LEVEL]
         assert found == []
         assert isinstance(st.subject_tree.tree_bits.data, bytes)
+
+
+def lists_and_strs(obj, path):
+    """Paths of the lists and strs reachable through slots."""
+    if isinstance(obj, (list, str)):
+        yield path
+    for cls in type(obj).__mro__:
+        for name in getattr(cls, "__slots__", ()):
+            if hasattr(obj, name):
+                yield from lists_and_strs(getattr(obj, name), f"{path}.{name}")
+
+
+def test_loaded_dictionary_pools_hold_no_lists_or_strs(tmp_path):
+    store, dictionary = term_store(K2Config())
+    path = tmp_path / "s.bmx"
+    store_mod.save(str(path), store, dictionary)
+    loaded = store_mod.load(str(path))[1]
+    for d in (dictionary, loaded):
+        assert list(lists_and_strs(d, "dictionary")) == []
+        for pool in (d.shared, d.subject_only, d.object_only, d.predicates):
+            assert isinstance(pool.blob, bytes)
+            assert isinstance(pool.offsets, array)
+    assert list(loaded.shared) == list(dictionary.shared)
