@@ -67,6 +67,9 @@ def pack_fixed(values, width: int) -> bytes:
 def unpack_fixed(data: bytes, width: int, count: int):
     """Inverse of pack_fixed: `count` ints, as `data` itself at width 8,
     else as a packed_array."""
+    if width < 1 or count * width > 8 * len(data):
+        raise ValueError(f"{count} values of {width} bits do not fit in"
+                         f" {len(data)} bytes")
     if width == 8:
         return bytes(data[:count])
     if width in (16, 32, 64):

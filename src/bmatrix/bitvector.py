@@ -196,10 +196,5 @@ class BitVector:
     @classmethod
     def read(cls, src, sample_rate: int = SAMPLE_RATE_DEFAULT) -> "BitVector":
         (length,) = struct.unpack("<Q", read_exact(src, 8))
-        # read here, not through read_exact, so the bits are counted as
-        # this module's allocation by tracemalloc-based memory reports
-        size = _padded_size(length)
-        data = src.read(size)
-        if len(data) != size:
-            raise ValueError("truncated bit vector")
-        return cls.from_bytes(data, length, sample_rate)
+        return cls.from_bytes(read_exact(src, _padded_size(length)), length,
+                              sample_rate)

@@ -114,6 +114,12 @@ def _print_space_report(store: TripleStore, dictionary: Dictionary, out) -> None
         r = report[name]
         print(f"  {name:<13} {r['serialized']:>12}  {r['total']:>12}"
               f"  {r['total'] / n:8.3f} B/triple", file=out)
+    for name in ("shared", "subject_only", "object_only", "predicates"):
+        pool = getattr(dictionary, name)
+        size = pool.serialized_bytes()
+        print(f"    {name.replace('_', '-') + ' pool':<17} {pool.count:>9} terms"
+              f" {size:>12} bytes  {size / max(pool.count, 1):8.3f} B/term",
+              file=out)
     core = ["subject_tree", "object_tree", "pred_index"]
     ser = sum(report[k]["serialized"] for k in core)
     tot = sum(report[k]["total"] for k in core)

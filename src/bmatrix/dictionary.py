@@ -7,25 +7,45 @@ subject and object id spaces overlap numerically but denote different
 pools above n_so. Pools are sorted lexicographically, which makes builds
 deterministic and lookups a binary search.
 
-Each pool is packed as the store file lays it out: one `bytes` blob of
-the terms' UTF-8 encodings back to back, plus count + 1 offsets into it
-(an `array.array` of the smallest unsigned typecode), so term i is
-blob[offsets[i]:offsets[i + 1]]. A loaded pool is the blob slice read
-from the file; no term exists as a Python `str` until it is decoded.
+Each pool is front-coded (plain front coding, as in HDT), in the layout
+the store file keeps it (format v2):
 
-Lookups bisect the encoded term over the encoded pool. That agrees with
-the `str` order the pools are sorted by, because UTF-8 byte order is
-code-point order for Unicode scalar values, and terms hold no
-surrogates (the N-Triples reader rejects them, and a pool that holds
-one cannot be encoded or loaded).
+    count                          u64
+    bucket offsets                 u64 x (buckets + 1), from 0 up to the
+                                   blob length; buckets = ceil(count / 16)
+    blob                           the buckets back to back
+
+The sorted UTF-8 terms are cut into buckets of BUCKET = 16. A bucket
+starts with its header term whole, as a vbyte length and the bytes.
+Each later term is a vbyte shared-prefix length with the term before
+it, a vbyte suffix length and the suffix. A vbyte is 7 bits per byte,
+least significant group first, high bit set on every byte but the last.
+
+In memory a pool is the blob, the bucket offsets (an `array.array` of
+the smallest unsigned typecode) and a tuple of the header terms as
+`bytes`. A lookup bisects the headers and scans one bucket; an id->term
+decode walks one bucket up to the term. No other term exists as a
+Python object until it is decoded.
+
+Loading walks every bucket once and refuses a pool unless the bucket
+offsets ascend strictly from 0, every vbyte and suffix stays inside its
+bucket, no shared prefix is longer than the term before it, each bucket
+but the last holds BUCKET terms and the last the rest, the terms are
+UTF-8 cut at character boundaries, and they ascend strictly.
+
+Lookups compare UTF-8 bytes. That agrees with the `str` order the pools
+are sorted by, because UTF-8 byte order is code-point order for Unicode
+scalar values, and terms hold no surrogates (the N-Triples reader
+rejects them, and a pool that holds one cannot be encoded or loaded).
 """
 
 from __future__ import annotations
 
+import operator
 import struct
 from array import array
-from bisect import bisect_left
-from itertools import accumulate
+from bisect import bisect_right
+from itertools import accumulate, islice
 from typing import Iterable
 
 import numpy as np
@@ -33,53 +53,157 @@ import numpy as np
 from ._binio import pack_fixed, packed_array, read_exact
 from .ntriples import RawTriple
 
+BUCKET = 16
 
-class _Encoded:
-    """A pool's terms as UTF-8 bytes, indexable for `bisect`."""
+_ONE_BYTE = [bytes((value,)) for value in range(0x80)]
 
-    __slots__ = ("blob", "offsets")
 
-    def __init__(self, blob: bytes, offsets: array):
-        self.blob = blob
-        self.offsets = offsets
+def _shared_prefixes(blob: bytes, starts: np.ndarray,
+                     lengths: np.ndarray) -> np.ndarray:
+    """For each term, the length of its common prefix with the term before
+    it (0 for the first); term i is blob[starts[i]:starts[i] + lengths[i]].
 
-    def __getitem__(self, i: int) -> bytes:
-        offsets = self.offsets
-        return self.blob[offsets[i]:offsets[i + 1]]
+    Compares all pairs still matching at once, 8 bytes to a word, in
+    windows that double in width while fewer than 2^17 words are compared
+    per round, so a pair costs at most about twice its prefix length and
+    the loop runs about log2(longest prefix) times.
+    """
+    out = np.zeros(len(lengths), dtype=np.int64)
+    # words[x] is the 8 bytes from blob[x], zero-padded past the end
+    words = np.ndarray((len(blob) + 1,), dtype="<u8", buffer=blob + bytes(8),
+                       strides=(1,))
+    limit = np.minimum(lengths[1:], lengths[:-1])
+    pairs = np.flatnonzero(limit)        # pair j compares terms j and j + 1
+    done, width = 0, 1                   # in words
+    while pairs.size:
+        width = max(1, min(2 * width, (1 << 17) // pairs.size))
+        at = 8 * np.arange(done, done + width)
+        a = words[np.minimum(starts[pairs, None] + at, len(blob))]
+        b = words[np.minimum(starts[pairs + 1, None] + at, len(blob))]
+        same = ((a ^ b).view(np.uint8).reshape(len(pairs), 8 * width) == 0) & (
+            np.arange(8 * done, 8 * (done + width)) < limit[pairs, None])
+        run = np.where(same.all(axis=1), 8 * width, same.argmin(axis=1))
+        out[pairs + 1] += run
+        pairs = pairs[run == 8 * width]
+        done += width
+    return out
+
+
+def _front_code(encoded: list[bytes]) -> tuple[bytes, list[int]]:
+    """Sorted UTF-8 terms as a front-coded blob and its bucket offsets."""
+    plain = np.fromiter(accumulate(map(len, encoded), initial=0), np.int64,
+                        len(encoded) + 1)
+    shared = _shared_prefixes(b"".join(encoded), plain[:-1], np.diff(plain))
+    blob = bytearray()
+    offsets = []
+    for i, (term, n) in enumerate(zip(encoded, shared.tolist())):
+        if i % BUCKET == 0:
+            offsets.append(len(blob))
+            blob += _vbyte(len(term))
+            blob += term
+        else:
+            blob += _vbyte(n)
+            blob += _vbyte(len(term) - n)
+            blob += term[n:]
+    offsets.append(len(blob))
+    return bytes(blob), offsets
+
+
+def _vbyte(value: int) -> bytes:
+    if value < 0x80:
+        return _ONE_BYTE[value]
+    out = bytearray()
+    while value >= 0x80:
+        out.append(value & 0x7F | 0x80)
+        value >>= 7
+    out.append(value)
+    return bytes(out)
+
+
+def _read_vbyte(blob: bytes, pos: int, end: int) -> tuple[int, int]:
+    value = shift = 0
+    while True:
+        if pos >= end:
+            raise ValueError("dictionary pool vbyte runs past its bucket")
+        byte = blob[pos]
+        pos += 1
+        value |= (byte & 0x7F) << shift
+        if byte < 0x80:
+            return value, pos
+        shift += 7
+
+
+def _bucket_terms(blob: bytes, pos: int, end: int):
+    """The terms of the bucket blob[pos:end], rebuilt as bytes, in order."""
+    size, pos = _read_vbyte(blob, pos, end)
+    term = blob[pos:pos + size]
+    pos += size
+    if pos > end:
+        raise ValueError("dictionary pool term runs past its bucket")
+    yield term
+    while pos < end:
+        shared = blob[pos]
+        if shared < 0x80 and pos + 1 < end and (size := blob[pos + 1]) < 0x80:
+            pos += 2
+        else:
+            shared, pos = _read_vbyte(blob, pos, end)
+            size, pos = _read_vbyte(blob, pos, end)
+        if shared > len(term):
+            raise ValueError("dictionary pool shared prefix is longer than the"
+                             " previous term")
+        term = term[:shared] + blob[pos:pos + size]
+        pos += size
+        if pos > end:
+            raise ValueError("dictionary pool term runs past its bucket")
+        yield term
 
 
 class TermPool:
-    """Sorted terms as one UTF-8 blob plus count + 1 offsets into it."""
+    """Sorted terms, front-coded in buckets of BUCKET (see the module notes)."""
 
-    __slots__ = ("blob", "offsets", "count")
+    __slots__ = ("blob", "offsets", "headers", "count")
 
-    def __init__(self, blob: bytes, offsets: array):
+    def __init__(self, blob: bytes, offsets: array, headers: tuple[bytes, ...],
+                 count: int):
         self.blob = blob
         self.offsets = offsets
-        self.count = len(offsets) - 1
+        self.headers = headers
+        self.count = count
 
     @classmethod
     def from_terms(cls, terms: list[str]) -> "TermPool":
         encoded = [term.encode("utf-8") for term in terms]
-        return cls(b"".join(encoded),
-                   packed_array(list(accumulate(map(len, encoded), initial=0))))
+        blob, offsets = _front_code(encoded)
+        return cls(blob, packed_array(offsets), tuple(encoded[::BUCKET]),
+                   len(encoded))
+
+    def _bucket(self, b: int):
+        offsets = self.offsets
+        return _bucket_terms(self.blob, offsets[b], offsets[b + 1])
 
     def __iter__(self):
         """The terms in order, decoded."""
-        blob, offsets = self.blob, self.offsets
-        return (blob[offsets[i]:offsets[i + 1]].decode("utf-8")
-                for i in range(self.count))
+        for b in range(len(self.headers)):
+            for term in self._bucket(b):
+                yield term.decode("utf-8")
 
     def index(self, key: bytes) -> int:
         """0-based position of the UTF-8 encoded term `key`, or -1."""
-        encoded = _Encoded(self.blob, self.offsets)
-        i = bisect_left(encoded, key, 0, self.count)
-        if i < self.count and encoded[i] == key:
-            return i
+        b = bisect_right(self.headers, key) - 1
+        if b < 0:
+            return -1
+        for i, term in enumerate(self._bucket(b), BUCKET * b):
+            if term >= key:
+                return i if term == key else -1
         return -1
 
+    def term(self, i: int) -> str:
+        """The term at 0-based position i, which must be in range."""
+        b, r = divmod(i, BUCKET)
+        return next(islice(self._bucket(b), r, None)).decode("utf-8")
+
     def serialized_bytes(self) -> int:
-        return 8 * (self.count + 2) + len(self.blob)
+        return 8 * (len(self.offsets) + 1) + len(self.blob)
 
     def write(self, out) -> None:
         out.write(struct.pack("<Q", self.count))
@@ -88,22 +212,41 @@ class TermPool:
 
     @classmethod
     def read(cls, src) -> "TermPool":
-        """One pool as the file holds it; refuses offsets that do not cut
-        valid UTF-8 into whole characters."""
+        """One pool as the file holds it, refused unless every check in the
+        module notes holds."""
         (count,) = struct.unpack("<Q", read_exact(src, 8))
-        offsets = np.frombuffer(read_exact(src, 8 * (count + 1)), dtype="<u8")
-        if offsets[0] != 0 or (offsets[1:] < offsets[:-1]).any():
-            raise ValueError("dictionary pool offsets are not ascending from 0")
+        n_buckets = -(-count // BUCKET)
+        offsets = np.frombuffer(read_exact(src, 8 * (n_buckets + 1)), dtype="<u8")
+        if offsets[0] != 0 or (offsets[1:] <= offsets[:-1]).any():
+            raise ValueError("dictionary pool bucket offsets are not ascending from 0")
         blob = read_exact(src, int(offsets[-1]))
-        try:
-            blob.decode("utf-8")
-        except UnicodeDecodeError as err:
-            raise ValueError(f"dictionary pool is not valid UTF-8 ({err.reason})"
-                             ) from None
-        starts = offsets[:-1][offsets[:-1] < offsets[1:]]
-        if (np.frombuffer(blob, dtype=np.uint8)[starts] & 0xC0 == 0x80).any():
-            raise ValueError("dictionary pool term starts inside a character")
-        return cls(blob, packed_array(offsets))
+        offsets = packed_array(offsets)
+        terms: list[bytes] = []
+        for b in range(n_buckets):
+            terms += islice(_bucket_terms(blob, offsets[b], offsets[b + 1]),
+                            BUCKET + 1)
+            if len(terms) != min(count, BUCKET * (b + 1)):
+                raise ValueError(f"dictionary pool bucket {b} holds the wrong"
+                                 f" number of terms")
+        _check_terms(terms)
+        return cls(blob, offsets, tuple(terms[::BUCKET]), count)
+
+
+def _check_terms(terms: list[bytes]) -> None:
+    """Refuses terms that are not UTF-8 cut at character boundaries, or
+    that do not ascend strictly."""
+    joined = b"".join(terms)
+    try:
+        joined.decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise ValueError(f"dictionary pool is not valid UTF-8 ({err.reason})"
+                         ) from None
+    lengths = np.fromiter(map(len, terms), np.int64, len(terms))
+    starts = (np.cumsum(lengths) - lengths)[lengths > 0]
+    if (np.frombuffer(joined, dtype=np.uint8)[starts] & 0xC0 == 0x80).any():
+        raise ValueError("dictionary pool term starts inside a character")
+    if not all(map(operator.lt, terms, islice(terms, 1, None))):
+        raise ValueError("dictionary pool terms are not in strictly ascending order")
 
 
 def _key(term: str) -> bytes:
@@ -197,8 +340,6 @@ class Dictionary:
         raise KeyError(f"predicate term not found: {term!r}")
 
     # -- id -> term ----------------------------------------------------------
-    #
-    # one slice and one decode, inlined: these run once per result term
 
     def subject_term(self, i: int) -> str:
         if 1 <= i <= self.so_count:
@@ -207,8 +348,7 @@ class Dictionary:
             pool, i = self.subject_only, i - self.so_count - 1
         else:
             raise KeyError(f"subject id not found: {i}")
-        offsets = pool.offsets
-        return pool.blob[offsets[i]:offsets[i + 1]].decode("utf-8")
+        return pool.term(i)
 
     def object_term(self, i: int) -> str:
         if 1 <= i <= self.so_count:
@@ -217,14 +357,12 @@ class Dictionary:
             pool, i = self.object_only, i - self.so_count - 1
         else:
             raise KeyError(f"object id not found: {i}")
-        offsets = pool.offsets
-        return pool.blob[offsets[i]:offsets[i + 1]].decode("utf-8")
+        return pool.term(i)
 
     def predicate_term(self, i: int) -> str:
         if not 1 <= i <= self.predicate_count:
             raise KeyError(f"predicate id not found: {i}")
-        offsets = self.predicates.offsets
-        return self.predicates.blob[offsets[i - 1]:offsets[i]].decode("utf-8")
+        return self.predicates.term(i - 1)
 
     # -- serialization -------------------------------------------------------
 

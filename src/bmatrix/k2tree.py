@@ -34,6 +34,13 @@ VOCAB_COLS_RANK = "cols-rank"
 VOCAB_ENCODINGS = (VOCAB_PLAIN, VOCAB_COLS_FULL, VOCAB_COLS_RANK)
 
 
+def _vocab_encoding(tag: int) -> str:
+    """The vocabulary encoding a file's tag byte names."""
+    if tag >= len(VOCAB_ENCODINGS):
+        raise ValueError(f"unknown vocabulary encoding tag byte {tag}")
+    return VOCAB_ENCODINGS[tag]
+
+
 @dataclass(frozen=True)
 class Stage:
     """A run of subdivision levels with a common branching side k.
@@ -326,7 +333,7 @@ class LeafVocabulary:
     @classmethod
     def read(cls, src, sample_rate: int) -> "LeafVocabulary":
         tag, side, count = struct.unpack("<BBQ", read_exact(src, 10))
-        encoding = VOCAB_ENCODINGS[tag]
+        encoding = _vocab_encoding(tag)
         if encoding == VOCAB_PLAIN:
             n_bytes = (count * side * side + 7) // 8
             patterns = unpack_fixed(read_exact(src, n_bytes), side * side, count)
@@ -815,16 +822,20 @@ class K2Tree:
             k, levels = struct.unpack("<Bh", read_exact(src, 3))
             stages.append(Stage(k, None if levels < 0 else levels))
         leaf_side, enc, preset, chunk_bits = struct.unpack("<BBBB", read_exact(src, 4))
+        if preset > 1:
+            raise ValueError(f"unknown sample preset byte {preset}")
         config = K2Config(
             stages=tuple(stages), leaf_side=leaf_side,
-            vocab_encoding=VOCAB_ENCODINGS[enc] if enc != 255 else VOCAB_COLS_FULL,
-            sample_preset="default" if preset == 0 else "dense",
+            vocab_encoding=_vocab_encoding(enc) if enc != 255 else VOCAB_COLS_FULL,
+            sample_preset=("default", "dense")[preset],
             dac_chunk_bits=chunk_bits)
         n_rows, n_cols, side = struct.unpack("<QQQ", read_exact(src, 24))
         (depth,) = struct.unpack("<H", read_exact(src, 2))
         ks = list(read_exact(src, depth))
         tree = BitVector.read(src, config.sample_rate)
         (mode,) = struct.unpack("<B", read_exact(src, 1))
+        if mode > 2:
+            raise ValueError(f"unknown tree leaf mode byte {mode}")
         if mode == 2:
             return cls(config, n_rows, n_cols, side, ks, tree)
         if mode == 1:

@@ -12,6 +12,21 @@ rectangle queries on the two trees plus rank/select on the predicate
 runs. The store is immutable after build and safe for unlimited
 concurrent readers; the two merge thresholds only steer query strategy
 and may be changed between queries.
+
+A store file (format version 2) is, little-endian throughout: the magic
+"BMX1", the u16 format version, the integer widths of the predicate
+index (u8 8, u8 4), eight u64 header counts (triples, shared terms,
+subjects, objects, predicates, rank period, the two merge thresholds),
+then the dictionary's four pools (shared, subject-only, object-only,
+predicates; front-coded, see `dictionary`), the predicate index, the
+subject tree and the object tree, and nothing after them. Version 1
+files, whose pools were plain UTF-8 plus per-term offsets, are refused
+with a request to rebuild them.
+
+Loading refuses a file, with a ValueError, when a read runs past its
+end, bytes follow the object tree, a pool fails the dictionary's
+checks, a count does not fit the bytes that hold it, or a tag byte
+names no known encoding, sampling preset or leaf mode.
 """
 
 from __future__ import annotations
@@ -27,7 +42,7 @@ from .dictionary import Dictionary, sort_unique
 from .k2tree import K2Config, K2Tree
 
 MAGIC = b"BMX1"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 DEFAULT_RANK_PERIOD = 1024
 DEFAULT_MERGE_THRESHOLD = 10
@@ -395,7 +410,9 @@ def read_store(src) -> tuple[TripleStore, Dictionary]:
         raise ValueError("not a store file (bad magic)")
     (version,) = struct.unpack("<H", read_exact(src, 2))
     if version != FORMAT_VERSION:
-        raise ValueError(f"unsupported store format version {version}")
+        raise ValueError(f"unsupported store format version {version} (this"
+                         f" bmx reads version {FORMAT_VERSION}); rebuild the"
+                         f" store with bmx build")
     start_w, sample_w = struct.unpack("<BB", read_exact(src, 2))
     if (start_w, sample_w) != (8, 4):
         raise ValueError("unsupported integer widths")
@@ -407,6 +424,8 @@ def read_store(src) -> tuple[TripleStore, Dictionary]:
     pidx = PredicateIndex.read(src)
     subject_tree = K2Tree.read(src)
     object_tree = K2Tree.read(src)
+    if src.read(1):
+        raise ValueError("trailing bytes after the store")
     store = TripleStore(subject_tree, object_tree, pidx, n, n_subjects,
                         n_objects, n_predicates, merge_sorted, merge_unsorted)
     return store, dictionary

@@ -2,6 +2,7 @@ import gzip
 
 import pytest
 
+import pfc_reference
 from bmatrix import cli, store as store_mod
 from bmatrix.store import TripleStore
 
@@ -32,6 +33,7 @@ def test_build_reports_counts(built, capsys):
     assert rc == 0
     assert "triples            4" in captured
     assert "B/triple" in captured
+    assert captured.count(" B/term") == 4      # one line per dictionary pool
     assert out.stat().st_size > 0
 
 
@@ -260,11 +262,16 @@ def test_bench_skips_non_ascii_digit_id(built, tmp_path, capsys):
     assert "s??" in captured.out
 
 
+POOL_TERMS = [f"http://x/t{i:02d}" for i in range(38)] + [
+    "http://x/café", "http://x/snow☃"]
+
+
 def _pool_store(tmp_path):
-    """A built store and the file positions of its shared pool:
-    (bytes, offsets position, blob position, offsets)."""
+    """A built store whose shared pool spans three buckets, and where that
+    pool sits in the file: (bytes, offsets position, blob position,
+    bucket offsets, the pool's terms as bytes)."""
     src = tmp_path / "pool.nt"
-    terms = ["http://x/café", "http://x/snow☃", "http://x/z"]
+    terms = POOL_TERMS
     src.write_text("".join(f"<{a}> <http://x/p> <{b}> .\n"
                            for a, b in zip(terms, terms[1:] + terms[:1])))
     path = tmp_path / "pool.bmx"
@@ -272,17 +279,21 @@ def _pool_store(tmp_path):
     data = bytearray(path.read_bytes())
     at = 4 + 2 + 2 + 64            # magic, version, widths, header counts
     count = int.from_bytes(data[at:at + 8], "little")
-    assert count == 3
+    assert count == len(terms)
     offsets = [int.from_bytes(data[at + 8 + 8 * i:at + 16 + 8 * i], "little")
-               for i in range(count + 1)]
-    return data, at + 8, at + 8 + 8 * (count + 1), offsets
+               for i in range(4)]
+    encoded = sorted(t.encode() for t in terms)
+    blob_at = at + 8 + 8 * len(offsets)
+    assert (bytes(data[at:blob_at + offsets[-1]])
+            == pfc_reference.pool_bytes(encoded))
+    return data, at + 8, blob_at, offsets, encoded
 
 
 def _set_offset(data, offsets_at, i, value):
     data[offsets_at + 8 * i:offsets_at + 8 * i + 8] = value.to_bytes(8, "little")
 
 
-def _corrupt_pool(data, offsets_at, blob_at, offsets, fault):
+def _corrupt_pool(data, offsets_at, blob_at, offsets, terms, fault):
     if fault == "offsets decrease":
         _set_offset(data, offsets_at, 1, offsets[2] + 1)
     elif fault == "offset past the blob":
@@ -292,9 +303,20 @@ def _corrupt_pool(data, offsets_at, blob_at, offsets, fault):
     elif fault == "blob length past the file":
         _set_offset(data, offsets_at, 3, 1 << 62)
     elif fault == "invalid UTF-8":
-        data[blob_at + 2] = 0xFF
-    else:  # the first term ends in the middle of its "é"
-        _set_offset(data, offsets_at, 1, offsets[1] - 1)
+        data[blob_at + offsets[-1] - 1] = 0xFF
+    elif fault == "shared prefix past the previous term":
+        # the second term's shared-prefix vbyte follows the header term
+        data[blob_at + 1 + len(terms[0])] = len(terms[0]) + 1
+    elif fault == "vbyte past its bucket":
+        # the first bucket ends after the second term's shared-prefix vbyte
+        _set_offset(data, offsets_at, 1, 1 + len(terms[0]) + 1)
+    else:
+        if fault == "two terms swapped":
+            terms[5], terms[6] = terms[6], terms[5]
+        else:  # a term ends inside its "é", and the next term starts there
+            terms[-2:] = [terms[-2] + b"caf\xc3", b"\xa9!"]
+        pool_at = offsets_at - 8
+        data[pool_at:blob_at + offsets[-1]] = pfc_reference.pool_bytes(terms)
 
 
 @pytest.mark.parametrize("fault, message", [
@@ -303,14 +325,51 @@ def _corrupt_pool(data, offsets_at, blob_at, offsets, fault):
     ("offsets do not start at 0", "not ascending"),
     ("blob length past the file", "truncated input"),
     ("invalid UTF-8", "not valid UTF-8"),
-    ("boundary inside a character", "starts inside a character")])
+    ("boundary inside a character", "starts inside a character"),
+    ("shared prefix past the previous term", "longer than the previous term"),
+    ("vbyte past its bucket", "vbyte runs past its bucket"),
+    ("two terms swapped", "not in strictly ascending order")])
 def test_corrupt_dictionary_pool_is_a_clean_error(tmp_path, capsys, fault,
                                                    message):
-    data, offsets_at, blob_at, offsets = _pool_store(tmp_path)
-    _corrupt_pool(data, offsets_at, blob_at, offsets, fault)
+    data, offsets_at, blob_at, offsets, terms = _pool_store(tmp_path)
+    _corrupt_pool(data, offsets_at, blob_at, offsets, terms, fault)
     bad = tmp_path / "bad.bmx"
     bad.write_bytes(bytes(data))
     capsys.readouterr()
     assert cli.main(["stats", str(bad)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("with_dictionary", [True, False])
+def test_store_survives_every_cut_and_huge_count(built, capsys, with_dictionary):
+    """Every truncation is refused, and 2^62 written at any offset gives a
+    clean error or a store that loads; no exception escapes."""
+    _, out = built
+    if not with_dictionary:
+        store_mod.save(str(out), TripleStore.build([(1, 1, 2), (2, 1, 1)], 2, 2, 1))
+    data = out.read_bytes()
+    for size in range(len(data)):
+        out.write_bytes(data[:size])
+        assert cli.main(["stats", str(out)]) == 1, size
+    huge = (1 << 62).to_bytes(8, "little")
+    for at in range(len(data) - 7):
+        out.write_bytes(data[:at] + huge + data[at + 8:])
+        assert cli.main(["stats", str(out)]) in (0, 1), at
+    capsys.readouterr()
+
+
+def test_version_1_store_asks_for_a_rebuild(built, capsys):
+    _, out = built
+    data = bytearray(out.read_bytes())
+    data[4:6] = (1).to_bytes(2, "little")
+    out.write_bytes(bytes(data))
+    assert cli.main(["stats", str(out)]) == 1
+    assert "rebuild" in capsys.readouterr().err
+
+
+def test_trailing_bytes_are_an_error(built, capsys):
+    _, out = built
+    out.write_bytes(out.read_bytes() + b"junk")
+    assert cli.main(["stats", str(out)]) == 1
+    assert "trailing bytes" in capsys.readouterr().err

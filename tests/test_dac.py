@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from bmatrix._binio import pack_fixed, unpack_fixed
 from bmatrix.dac import Dac
 
 
@@ -83,3 +84,11 @@ def test_serialization_round_trip():
         back = Dac.read(buf)
         assert back.chunk_bits == b and len(back) == len(values)
         assert [back.access(i) for i in range(len(values))] == values
+
+
+@pytest.mark.parametrize("width", [0, 3, 16])
+def test_unpack_fixed_refuses_a_count_its_bytes_cannot_hold(width):
+    data = pack_fixed([1, 2, 3], 16)
+    with pytest.raises(ValueError, match="do not fit"):
+        unpack_fixed(data, width, 1 << 60)
+    assert list(unpack_fixed(data, 16, 3)) == [1, 2, 3]

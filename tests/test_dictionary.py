@@ -3,7 +3,8 @@ import io
 import numpy as np
 import pytest
 
-from bmatrix.dictionary import Dictionary, sort_unique
+import pfc_reference
+from bmatrix.dictionary import Dictionary, TermPool, sort_unique
 from bmatrix.ntriples import RawTriple
 
 
@@ -161,6 +162,36 @@ def test_terms_are_found_only_in_their_roles():
         d.object_id(MIXED[9])
     with pytest.raises(KeyError):
         d.predicate_id("o")
+
+
+# adjacent once sorted, "é"/"ê", "caf\u00e9"/"caf\u00ea" and "☃"/"☄" share a
+# prefix that ends inside a multi-byte character; the 200-byte terms take
+# two-byte vbytes
+FRONT_CODED = ["", "é", "ê", "☃", "☄", "\U0001F600", "\U0001F600x", "caf\u00e9",
+               "caf\u00ea", "é" * 100, "é" * 100 + "x"] + [f"x{i:02d}" for i in range(22)]
+
+
+@pytest.mark.parametrize("n", [0, 1, 15, 16, 17, 33])
+def test_front_coded_pool_round_trip(n):
+    terms = sorted(FRONT_CODED[:n])
+    encoded = [t.encode() for t in terms]
+    pool = TermPool.from_terms(terms)
+    assert (pool.blob, list(pool.offsets)) == pfc_reference.front_code(encoded)
+    first = io.BytesIO()
+    pool.write(first)
+    assert first.getvalue() == pfc_reference.pool_bytes(encoded)
+    assert len(first.getvalue()) == pool.serialized_bytes()
+    first.seek(0)
+    back = TermPool.read(first)
+    second = io.BytesIO()
+    back.write(second)
+    assert second.getvalue() == first.getvalue()
+    for p in (pool, back):
+        assert list(p) == terms
+        for i, (term, key) in enumerate(zip(terms, encoded)):
+            assert p.index(key) == i and p.term(i) == term
+        for absent in ("\x00", "caf", "cafe", "é\x00", "\U0001F600y", "\uffff"):
+            assert p.index(absent.encode()) == -1
 
 
 def test_sort_unique_matches_np_unique():

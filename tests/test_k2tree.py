@@ -297,6 +297,30 @@ def test_serialization_round_trip():
         assert_matches_dense(back, dense(pts, 50, nc), rng, probes=20)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("encoding", 3, "vocabulary encoding tag byte 3"),
+    ("preset", 2, "sample preset byte 2"),
+    ("mode", 3, "leaf mode byte 3"),
+    ("vocab tag", 9, "vocabulary encoding tag byte 9")])
+def test_unknown_tag_byte_is_named(field, value, message):
+    nc = 120
+    pts = np.column_stack((np.arange(nc) % 50, np.arange(nc)))
+    t = K2Tree.build(pts, 50, nc, K2Config())
+    buf = io.BytesIO()
+    t.write(buf)
+    data = bytearray(buf.getvalue())
+    header = 1 + 3 * len(t.config.stages)
+    mode_at = header + 4 + 24 + 2 + len(t.ks) + 8 + len(t.tree_bits.data)
+    dac = io.BytesIO()
+    t.leaf_ids.write(dac)
+    at = {"encoding": header + 1, "preset": header + 2, "mode": mode_at,
+          "vocab tag": mode_at + 1 + len(dac.getvalue())}[field]
+    assert data[at] in (0, 1)          # the byte holds a known value before
+    data[at] = value
+    with pytest.raises(ValueError, match=message):
+        K2Tree.read(io.BytesIO(bytes(data)))
+
+
 def test_leaf_side_limit():
     with pytest.raises(ValueError):
         K2Config(stages=(Stage(2, None),), leaf_side=16)

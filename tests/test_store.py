@@ -10,7 +10,7 @@ from bmatrix.ntriples import RawTriple
 from bmatrix.oracle import TripleList
 from bmatrix.store import (PredicateIndex, TripleStore, read_store,
                            write_store)
-from bmatrix.dictionary import Dictionary
+from bmatrix.dictionary import BUCKET, Dictionary
 
 # running example: triples {(1,1,1),(2,1,2),(1,2,2),(2,2,1)} as (s,p,o);
 # (p,o,s) order puts them in columns 0..3 as (1,1,1),(2,1,2),(2,2,1),(1,2,2)
@@ -307,4 +307,6 @@ def test_loaded_dictionary_pools_hold_no_lists_or_strs(tmp_path):
         for pool in (d.shared, d.subject_only, d.object_only, d.predicates):
             assert isinstance(pool.blob, bytes)
             assert isinstance(pool.offsets, array)
+            # one header term per bucket, not one object per term
+            assert len(pool.headers) == -(-pool.count // BUCKET)
     assert list(loaded.shared) == list(dictionary.shared)
