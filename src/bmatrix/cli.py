@@ -22,12 +22,10 @@ from .dictionary import Dictionary
 from .k2tree import (K2Config, Stage, VOCAB_COLS_FULL, VOCAB_COLS_RANK,
                      VOCAB_PLAIN)
 from .oracle import TripleList
-from .store import TripleStore
+from .store import SHAPES, TripleStore, shape_of
 
-SHAPE_ORDER = ["spo", "sp?", "?po", "?p?", "s?o", "s??", "??o", "???"]
-SHAPE_FAMILY = {"spo": "bound-p", "sp?": "bound-p", "?po": "bound-p",
-                "?p?": "bound-p", "s?o": "unbound-p", "s??": "unbound-p",
-                "??o": "unbound-p", "???": "scan"}
+SHAPE_FAMILY = {shape: "scan" if shape == "???" else
+                "bound-p" if shape[1] == "p" else "unbound-p" for shape in SHAPES}
 
 ROLES = ("subject", "predicate", "object")
 
@@ -89,11 +87,6 @@ def resolve_pattern(tokens, store: TripleStore, dictionary: Dictionary):
             except KeyError:
                 raise TermNotFound(token, role) from None
     return tuple(out)
-
-
-def shape_name(s, p, o) -> str:
-    return ("s" if s is not None else "?") + ("p" if p is not None else "?") \
-        + ("o" if o is not None else "?")
 
 
 def pattern_text(s, p, o) -> str:
@@ -289,7 +282,7 @@ def load_query_file(path: str, store: TripleStore, dictionary: Dictionary):
                 print(f"{path}:{line_no}: skipped ({err})", file=sys.stderr)
                 skipped += 1
                 continue
-            by_shape.setdefault(shape_name(s, p, o), []).append((s, p, o))
+            by_shape.setdefault(shape_of(s, p, o), []).append((s, p, o))
     if skipped:
         print(f"{path}: skipped {skipped} unusable patterns", file=sys.stderr)
     return by_shape
@@ -304,7 +297,7 @@ def run_benchmark(store: TripleStore, by_shape: dict, min_reps: int,
     """
     rows = []
     query = store.pattern_query
-    for shape in SHAPE_ORDER:
+    for shape in SHAPES:
         batch = by_shape.get(shape)
         if not batch:
             continue
@@ -366,7 +359,7 @@ def _sample_patterns(rng, tl: TripleList, dims, count: int):
     """Per shape, `count` patterns biased toward stored values."""
     n = len(tl)
     out = []
-    for shape in SHAPE_ORDER:
+    for shape in SHAPES:
         seen = set()
         for _ in range(count if shape != "???" else 1):
             if n and rng.random() < 0.8:

@@ -18,6 +18,7 @@ import struct
 from bisect import bisect_right
 from dataclasses import dataclass
 from io import BytesIO
+from itertools import repeat
 from math import prod
 
 import numpy as np
@@ -350,7 +351,7 @@ class K2Tree:
 
     __slots__ = ("config", "n_rows", "n_cols", "side", "ks", "tree_bits",
                  "leaf_bits", "leaf_ids", "vocab",
-                 "_arity", "_block", "_level_start", "_ones_before", "_total_bits")
+                 "_arity", "_block", "_level_start", "_ones_before")
 
     def __init__(self, config, n_rows, n_cols, side, ks, tree_bits,
                  leaf_bits=None, leaf_ids=None, vocab=None):
@@ -453,6 +454,9 @@ class K2Tree:
                    leaf_bits=leaves)
 
     def _index_levels(self) -> None:
+        """Per level: its arity, block side, start in T:L and the ones of T
+        before it. The children of a set bit at `pos` on level l start at
+        _level_start[l + 1] + (rank1(pos) - _ones_before[l] - 1) * _arity[l + 1]."""
         depth = len(self.ks)
         self._arity = [k * k for k in self.ks]
         block = [self.side]
@@ -462,19 +466,21 @@ class K2Tree:
         start = [0]
         ones_before = [0]
         nodes = 1
-        tree = self.tree_bits
         in_tree = depth if self.vocab is not None else depth - 1
         for lvl in range(depth):
-            n_bits = nodes * self._arity[lvl]
-            end = start[-1] + n_bits
+            end = start[-1] + nodes * self._arity[lvl]
             if lvl < in_tree:
-                ones = (tree.rank1(end - 1) if end else 0) - ones_before[-1]
+                if end > len(self.tree_bits):
+                    raise ValueError(f"tree bits end inside level {lvl}")
+                ones = (self.tree_bits.rank1(end - 1) if end else 0) - ones_before[-1]
                 ones_before.append(ones_before[-1] + ones)
                 nodes = ones
             start.append(end)
+        if depth and (len(self.leaf_ids) != nodes if self.vocab is not None
+                      else len(self.leaf_bits) != start[-1] - start[-2]):
+            raise ValueError("leaf count does not match the tree's last level")
         self._level_start = start
         self._ones_before = ones_before
-        self._total_bits = start[-1] if depth else 0
 
     # -- bit-level navigation ---------------------------------------------
 
@@ -489,9 +495,6 @@ class K2Tree:
             return self.tree_bits.access(pos)
         return self.leaf_bits.access(pos - t_len)
 
-    def _level_of(self, pos: int) -> int:
-        return bisect_right(self._level_start, pos) - 1
-
     def children_base(self, pos: int) -> int:
         """First child's position in T:L for the set internal bit at `pos`.
 
@@ -500,290 +503,184 @@ class K2Tree:
         """
         if not self.tree_bits.access(pos):
             raise ValueError(f"no node at position {pos}: bit is 0")
-        lvl = self._level_of(pos)
+        lvl = bisect_right(self._level_start, pos) - 1
         if lvl >= self.depth - 1 and self.vocab is not None:
             raise ValueError("node's children are vocabulary leaves, not T:L bits")
         ordinal = self.tree_bits.rank1(pos) - self._ones_before[lvl] - 1
         return self._level_start[lvl + 1] + ordinal * self._arity[lvl + 1]
 
-    def _leaf_id(self, pos: int) -> int:
-        # pos = set bit at the last level of T (vocabulary mode)
-        last = self.depth - 1
-        ordinal = self.tree_bits.rank1(pos) - self._ones_before[last] - 1
-        return self.leaf_ids.access(ordinal)
-
     # -- queries ------------------------------------------------------------
 
-    def _check_cell(self, r: int, c: int) -> None:
+    def cell(self, r: int, c: int) -> bool:
+        """True iff cell (r, c) is set."""
         if not 0 <= r < self.n_rows:
             raise IndexError(f"row {r} out of range [0, {self.n_rows})")
         if not 0 <= c < self.n_cols:
             raise IndexError(f"col {c} out of range [0, {self.n_cols})")
-
-    def cell(self, r: int, c: int) -> bool:
-        """True iff cell (r, c) is set."""
-        self._check_cell(r, c)
-        if self.depth == 0:
-            return False
         tree = self.tree_bits
         tdata = tree.data
         last = self.depth - 1
         base = 0
-        for lvl in range(self.depth):
-            k = self.ks[lvl]
+        for lvl, k in enumerate(self.ks):
             child = self._block[lvl + 1]
             pos = base + (r // child % k) * k + (c // child % k)
-            if lvl == last:
-                if self.vocab is None:
-                    return self.bit_at(pos)
-                if not (tdata[pos >> 3] >> (pos & 7)) & 1:
-                    return False
-                side = self.config.leaf_side
-                return self.vocab.bit(self._leaf_id(pos), r % side, c % side)
+            if lvl == last and self.vocab is None:
+                return self.bit_at(pos)
             if not (tdata[pos >> 3] >> (pos & 7)) & 1:
                 return False
             ordinal = tree.rank1(pos) - self._ones_before[lvl] - 1
+            if lvl == last:
+                side = self.config.leaf_side
+                return self.vocab.bit(self.leaf_ids.access(ordinal), r % side, c % side)
             base = self._level_start[lvl + 1] + ordinal * self._arity[lvl + 1]
-        raise AssertionError("unreachable")
+        return False  # depth 0: an empty matrix
 
-    def row(self, r: int, c_lo: int = 0, c_hi: int | None = None,
-            limit: int | None = None) -> list[int]:
-        """Columns c in [c_lo, c_hi] with cell (r, c) set, ascending."""
+    def _walk(self, r_lo: int, r_hi: int, c_lo: int, c_hi: int,
+              limit: int = 0) -> tuple[list[int], list[int]]:
+        """Set cells of [r_lo, r_hi] x [c_lo, c_hi] as a row list and a column
+        list, stopping at `limit` cells (0: no limit). One depth-first descent
+        clips each node to the rectangle and visits its children in row-major
+        order, so a one-row walk gives ascending columns and a one-column walk
+        ascending rows."""
+        rows, cols = [], []
+        ks = self.ks
+        if not ks:
+            return rows, cols
+        tree = self.tree_bits
+        tdata = tree.data
+        rank1 = tree.rank1
+        block = self._block
+        level_start = self._level_start
+        ones_before = self._ones_before
+        arity = self._arity
+        last = len(ks) - 1
+        vocab = self.vocab
+        if vocab is None:
+            ldata = self.leaf_bits.data
+            t_len = tree.length
+        else:
+            leaf_access = self.leaf_ids.access
+            leaf_before = ones_before[last] + 1
+        # frames: (level of the node's child bits, the node's bit one level up,
+        # node origin); a rank is taken on visiting, so `limit` skips the rest
+        stack = [(0, 0, 0, 0)]
+        while stack:
+            lvl, pos, row0, col0 = stack.pop()
+            k = ks[lvl]
+            child = block[lvl + 1]
+            node_side = block[lvl]
+            base = (level_start[lvl] + (rank1(pos) - ones_before[lvl - 1] - 1) * arity[lvl]
+                    if lvl else 0)
+            rr_lo = (r_lo - row0) // child if r_lo > row0 else 0
+            rr_hi = (r_hi - row0) // child if r_hi < row0 + node_side else k - 1
+            cc_lo = (c_lo - col0) // child if c_lo > col0 else 0
+            cc_hi = (c_hi - col0) // child if c_hi < col0 + node_side else k - 1
+            if lvl < last:
+                # push set children in reverse so they pop in row-major order
+                if cc_lo == cc_hi:  # one column: its children are k bits apart
+                    c0 = col0 + cc_lo * child
+                    for pos in range(base + rr_hi * k + cc_lo,
+                                     base + rr_lo * k + cc_lo - 1, -k):
+                        if (tdata[pos >> 3] >> (pos & 7)) & 1:
+                            stack.append((lvl + 1, pos, row0 + (pos - base) // k * child, c0))
+                    continue
+                if rr_lo == rr_hi:  # one row: its children are adjacent bits
+                    row_base = base + rr_lo * k
+                    r0 = row0 + rr_lo * child
+                    for pos in range(row_base + cc_hi, row_base + cc_lo - 1, -1):
+                        if (tdata[pos >> 3] >> (pos & 7)) & 1:
+                            stack.append((lvl + 1, pos, r0, col0 + (pos - row_base) * child))
+                    continue
+                for rr in range(rr_hi, rr_lo - 1, -1):
+                    row_base = base + rr * k
+                    r0 = row0 + rr * child
+                    for cc in range(cc_hi, cc_lo - 1, -1):
+                        pos = row_base + cc
+                        if (tdata[pos >> 3] >> (pos & 7)) & 1:
+                            stack.append((lvl + 1, pos, r0, col0 + cc * child))
+                continue
+            for rr in range(rr_lo, rr_hi + 1):
+                row_base = base + rr * k
+                r0 = row0 + rr * child
+                lr_lo = r_lo - r0 if r_lo > r0 else 0
+                lr_hi = r_hi - r0 if r_hi < r0 + child - 1 else child - 1
+                for cc in range(cc_lo, cc_hi + 1):
+                    pos = row_base + cc
+                    if vocab is None:  # the last level's bits are the cells, in L
+                        pos -= t_len
+                        if (ldata[pos >> 3] >> (pos & 7)) & 1:
+                            rows.append(r0)
+                            cols.append(col0 + cc)
+                    elif (tdata[pos >> 3] >> (pos & 7)) & 1:
+                        leaf = leaf_access(rank1(pos) - leaf_before)
+                        c0 = col0 + cc * child
+                        lc_lo = c_lo - c0 if c_lo > c0 else 0
+                        lc_hi = c_hi - c0 if c_hi < c0 + child - 1 else child - 1
+                        if lr_lo == lr_hi:
+                            found = zip(repeat(lr_lo), vocab.row_cols(leaf, lr_lo))
+                        elif lc_lo == lc_hi:
+                            found = zip(vocab.col_rows(leaf, lc_lo), repeat(lc_lo))
+                        else:
+                            found = vocab.cells(leaf)
+                        for r, c in found:
+                            if lr_lo <= r <= lr_hi and lc_lo <= c <= lc_hi:
+                                rows.append(r0 + r)
+                                cols.append(c0 + c)
+                    if 0 < limit <= len(rows):
+                        return rows[:limit], cols[:limit]
+        return rows, cols
+
+    def row(self, r: int, c_lo: int = 0, c_hi: int | None = None) -> list[int]:
+        """Columns c in [c_lo, c_hi] with cell (r, c) set, ascending.
+
+        The store relies on this order: a one-row walk visits the columns
+        left to right.
+        """
         if c_hi is None:
             c_hi = self.n_cols - 1
         if not 0 <= r < self.n_rows:
             raise IndexError(f"row {r} out of range [0, {self.n_rows})")
         if not (0 <= c_lo <= c_hi < self.n_cols):
             raise IndexError(f"column range [{c_lo}, {c_hi}] invalid for {self.n_cols} cols")
-        out: list[int] = []
-        if self.depth == 0:
-            return out
-        tree = self.tree_bits
-        tdata = tree.data
-        rank1 = tree.rank1
-        block = self._block
-        ks = self.ks
-        level_start = self._level_start
-        ones_before = self._ones_before
-        arity = self._arity
-        last = self.depth - 1
-        vocab = self.vocab
-        leaf_side = self.config.leaf_side
-        t_len = tree.length
-        ldata = self.leaf_bits.data if self.leaf_bits is not None else None
-        leaf_access = self.leaf_ids.access if self.leaf_ids is not None else None
-        # stack frames: (level of the children bits, their base, block origin)
-        stack = [(0, 0, 0, 0)]
-        while stack:
-            lvl, base, row0, col0 = stack.pop()
-            k = ks[lvl]
-            child = block[lvl + 1]
-            row_base = base + ((r - row0) // child) * k
-            cc_lo = 0 if c_lo <= col0 else (c_lo - col0) // child
-            cc_hi = k - 1 if c_hi >= col0 + k * child - 1 else (c_hi - col0) // child
-            if lvl == last:
-                if vocab is None:
-                    for cc in range(cc_lo, cc_hi + 1):
-                        pos = row_base + cc - t_len
-                        if (ldata[pos >> 3] >> (pos & 7)) & 1:
-                            out.append(col0 + cc)
-                            if limit is not None and len(out) >= limit:
-                                return out
-                else:
-                    r_loc = (r - row0) % leaf_side
-                    before = ones_before[last]
-                    for cc in range(cc_lo, cc_hi + 1):
-                        pos = row_base + cc
-                        if not (tdata[pos >> 3] >> (pos & 7)) & 1:
-                            continue
-                        leaf = leaf_access(rank1(pos) - before - 1)
-                        c_base = col0 + cc * leaf_side
-                        for c_loc in vocab.row_cols(leaf, r_loc):
-                            cg = c_base + c_loc
-                            if c_lo <= cg <= c_hi:
-                                out.append(cg)
-                                if limit is not None and len(out) >= limit:
-                                    return out
-            else:
-                next_start = level_start[lvl + 1]
-                next_arity = arity[lvl + 1]
-                before = ones_before[lvl]
-                r0 = row0 + ((r - row0) // child) * child
-                for cc in range(cc_hi, cc_lo - 1, -1):
-                    pos = row_base + cc
-                    if (tdata[pos >> 3] >> (pos & 7)) & 1:
-                        stack.append((lvl + 1,
-                                      next_start + (rank1(pos) - before - 1) * next_arity,
-                                      r0, col0 + cc * child))
-        return out
+        return self._walk(r, r, c_lo, c_hi)[1]
 
     def col(self, c: int, limit: int | None = None) -> list[int]:
-        """Rows r with cell (r, c) set, ascending; stops early at `limit`."""
+        """Rows r with cell (r, c) set, ascending; stops early at `limit`.
+
+        The store relies on this order: a one-column walk visits the rows
+        top to bottom, so `limit=1` gives the smallest row.
+        """
         if not 0 <= c < self.n_cols:
             raise IndexError(f"col {c} out of range [0, {self.n_cols})")
-        out: list[int] = []
-        if self.depth == 0:
-            return out
-        tree = self.tree_bits
-        tdata = tree.data
-        rank1 = tree.rank1
-        block = self._block
-        ks = self.ks
-        level_start = self._level_start
-        ones_before = self._ones_before
-        arity = self._arity
-        last = self.depth - 1
-        vocab = self.vocab
-        leaf_side = self.config.leaf_side
-        n_rows = self.n_rows
-        t_len = tree.length
-        ldata = self.leaf_bits.data if self.leaf_bits is not None else None
-        leaf_access = self.leaf_ids.access if self.leaf_ids is not None else None
-        stack = [(0, 0, 0, 0)]
-        while stack:
-            lvl, base, row0, col0 = stack.pop()
-            k = ks[lvl]
-            child = block[lvl + 1]
-            cc = (c - col0) // child
-            rr_hi = k - 1 if row0 + k * child <= n_rows else (n_rows - 1 - row0) // child
-            if lvl == last:
-                if vocab is None:
-                    for rr in range(rr_hi + 1):
-                        pos = base + rr * k + cc - t_len
-                        if (ldata[pos >> 3] >> (pos & 7)) & 1:
-                            out.append(row0 + rr * child)
-                            if limit is not None and len(out) >= limit:
-                                return out
-                else:
-                    c_loc = (c - col0) % leaf_side
-                    before = ones_before[last]
-                    for rr in range(rr_hi + 1):
-                        pos = base + rr * k + cc
-                        if not (tdata[pos >> 3] >> (pos & 7)) & 1:
-                            continue
-                        leaf = leaf_access(rank1(pos) - before - 1)
-                        r_base = row0 + rr * leaf_side
-                        for r_loc in vocab.col_rows(leaf, c_loc):
-                            rg = r_base + r_loc
-                            if rg < n_rows:
-                                out.append(rg)
-                                if limit is not None and len(out) >= limit:
-                                    return out
-            else:
-                next_start = level_start[lvl + 1]
-                next_arity = arity[lvl + 1]
-                before = ones_before[lvl]
-                c0 = col0 + cc * child
-                for rr in range(rr_hi, -1, -1):
-                    pos = base + rr * k + cc
-                    if (tdata[pos >> 3] >> (pos & 7)) & 1:
-                        stack.append((lvl + 1,
-                                      next_start + (rank1(pos) - before - 1) * next_arity,
-                                      row0 + rr * child, c0))
-        return out
+        return self._walk(0, self.n_rows - 1, c, c, limit or 0)[0]
 
     def rect(self, r_lo: int, r_hi: int, c_lo: int, c_hi: int) -> list[tuple[int, int]]:
-        """Set cells inside the rectangle, in submatrix DFS order.
+        """Set cells inside the rectangle as (row, col) pairs, in depth-first
+        order with each node's children in row-major order.
 
         Results are not globally sorted; callers needing column order sort
-        the returned pairs themselves.
+        the returned pairs themselves. A one-row rectangle gives the cells
+        of `row` in its order, a one-column rectangle those of `col`.
         """
         if not (0 <= r_lo <= r_hi < self.n_rows):
             raise IndexError(f"row range [{r_lo}, {r_hi}] invalid for {self.n_rows} rows")
         if not (0 <= c_lo <= c_hi < self.n_cols):
             raise IndexError(f"column range [{c_lo}, {c_hi}] invalid for {self.n_cols} cols")
-        out: list[tuple[int, int]] = []
-        if self.depth == 0:
-            return out
-        tree = self.tree_bits
-        tdata = tree.data
-        rank1 = tree.rank1
-        block = self._block
-        ks = self.ks
-        level_start = self._level_start
-        ones_before = self._ones_before
-        arity = self._arity
-        last = self.depth - 1
-        vocab = self.vocab
-        leaf_side = self.config.leaf_side
-        t_len = tree.length
-        ldata = self.leaf_bits.data if self.leaf_bits is not None else None
-        leaf_access = self.leaf_ids.access if self.leaf_ids is not None else None
-        stack = [(0, 0, 0, 0)]
-        while stack:
-            lvl, base, row0, col0 = stack.pop()
-            k = ks[lvl]
-            child = block[lvl + 1]
-            rr_lo = 0 if r_lo <= row0 else (r_lo - row0) // child
-            rr_hi = k - 1 if r_hi >= row0 + k * child - 1 else (r_hi - row0) // child
-            cc_lo = 0 if c_lo <= col0 else (c_lo - col0) // child
-            cc_hi = k - 1 if c_hi >= col0 + k * child - 1 else (c_hi - col0) // child
-            if lvl == last:
-                if vocab is None:
-                    for rr in range(rr_lo, rr_hi + 1):
-                        rbase = base + rr * k - t_len
-                        rg = row0 + rr * child
-                        for cc in range(cc_lo, cc_hi + 1):
-                            pos = rbase + cc
-                            if (ldata[pos >> 3] >> (pos & 7)) & 1:
-                                out.append((rg, col0 + cc * child))
-                else:
-                    before = ones_before[last]
-                    whole_rows = r_lo <= row0 and row0 + k * child - 1 <= r_hi
-                    whole_cols = c_lo <= col0 and col0 + k * child - 1 <= c_hi
-                    for rr in range(rr_lo, rr_hi + 1):
-                        rbase = base + rr * k
-                        r_base = row0 + rr * leaf_side
-                        for cc in range(cc_lo, cc_hi + 1):
-                            pos = rbase + cc
-                            if not (tdata[pos >> 3] >> (pos & 7)) & 1:
-                                continue
-                            leaf = leaf_access(rank1(pos) - before - 1)
-                            c_base = col0 + cc * leaf_side
-                            if whole_rows and whole_cols:
-                                for r_loc, c_loc in vocab.cells(leaf):
-                                    out.append((r_base + r_loc, c_base + c_loc))
-                            else:
-                                for r_loc, c_loc in vocab.cells(leaf):
-                                    if (r_lo <= r_base + r_loc <= r_hi
-                                            and c_lo <= c_base + c_loc <= c_hi):
-                                        out.append((r_base + r_loc, c_base + c_loc))
-            else:
-                next_start = level_start[lvl + 1]
-                next_arity = arity[lvl + 1]
-                before = ones_before[lvl]
-                for rr in range(rr_hi, rr_lo - 1, -1):
-                    for cc in range(cc_hi, cc_lo - 1, -1):
-                        pos = base + rr * k + cc
-                        if (tdata[pos >> 3] >> (pos & 7)) & 1:
-                            stack.append((lvl + 1,
-                                          next_start + (rank1(pos) - before - 1) * next_arity,
-                                          row0 + rr * child, col0 + cc * child))
-        return out
+        return list(zip(*self._walk(r_lo, r_hi, c_lo, c_hi)))
 
     # -- space accounting -----------------------------------------------
 
+    def _parts(self) -> list:
+        return [part for part in (self.tree_bits, self.leaf_bits, self.leaf_ids, self.vocab)
+                if part is not None]
+
     @property
     def data_bytes(self) -> int:
-        total = self.tree_bits.data_bytes
-        if self.leaf_bits is not None:
-            total += self.leaf_bits.data_bytes
-        if self.leaf_ids is not None:
-            total += self.leaf_ids.data_bytes
-        if self.vocab is not None:
-            total += self.vocab.data_bytes
-        return total
+        return sum(part.data_bytes for part in self._parts())
 
     @property
     def accel_bytes(self) -> int:
-        total = self.tree_bits.accel_bytes
-        if self.leaf_bits is not None:
-            total += self.leaf_bits.accel_bytes
-        if self.leaf_ids is not None:
-            total += self.leaf_ids.accel_bytes
-        if self.vocab is not None:
-            total += self.vocab.accel_bytes
-        return total
+        return sum(part.accel_bytes for part in self._parts())
 
     def serialized_bytes(self) -> int:
         buf = BytesIO()
@@ -832,15 +729,28 @@ class K2Tree:
         n_rows, n_cols, side = struct.unpack("<QQQ", read_exact(src, 24))
         (depth,) = struct.unpack("<H", read_exact(src, 2))
         ks = list(read_exact(src, depth))
+        if side:
+            fits = (min(ks, default=0) >= 2 and prod(ks) * leaf_side == side
+                    and max(n_rows, n_cols) <= side <= MAX_SIDE)
+        else:  # an empty matrix
+            fits = not ks and min(n_rows, n_cols) == 0
+        if not fits:
+            raise ValueError(f"tree geometry does not add up: side {side}, leaf side"
+                             f" {leaf_side}, {depth} levels, {n_rows}x{n_cols} matrix")
         tree = BitVector.read(src, config.sample_rate)
         (mode,) = struct.unpack("<B", read_exact(src, 1))
         if mode > 2:
             raise ValueError(f"unknown tree leaf mode byte {mode}")
+        if mode != (2 if not side else 1 if leaf_side > 1 else 0):
+            raise ValueError(f"tree leaf mode byte {mode} does not fit leaf side"
+                             f" {leaf_side} and side {side}")
         if mode == 2:
             return cls(config, n_rows, n_cols, side, ks, tree)
         if mode == 1:
             leaf_ids = Dac.read(src, config.sample_rate)
             vocab = LeafVocabulary.read(src, config.sample_rate)
+            if vocab.side != leaf_side:
+                raise ValueError(f"leaf vocabulary side {vocab.side} is not {leaf_side}")
             return cls(config, n_rows, n_cols, side, ks, tree,
                        leaf_ids=leaf_ids, vocab=vocab)
         leaves = BitVector.read(src, config.sample_rate)

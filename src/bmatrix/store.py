@@ -23,10 +23,18 @@ subject tree and the object tree, and nothing after them. Version 1
 files, whose pools were plain UTF-8 plus per-term offsets, are refused
 with a request to rebuild them.
 
-Loading refuses a file, with a ValueError, when a read runs past its
-end, bytes follow the object tree, a pool fails the dictionary's
-checks, a count does not fit the bytes that hold it, or a tag byte
-names no known encoding, sampling preset or leaf mode.
+Loading refuses a file, with a ValueError, when:
+- a read runs past its end, or bytes follow the object tree;
+- a pool fails the dictionary's checks, or a count does not fit its bytes;
+- a tag byte names no known encoding, sampling preset or leaf mode;
+- a header count (triples, shared terms, subjects, objects, predicates)
+  or the rank period differs from what the sections hold;
+- a tree's geometry does not add up: a k below 2, prod(ks) * leaf side
+  other than its side, a side below its rows or columns or above
+  MAX_SIDE, a leaf mode that does not fit its leaf side, or fewer tree
+  bits or leaves than its levels need;
+- the predicate index has a period below 1, a sample count other than
+  one per period, or run starts that do not rise from 0 to its columns.
 """
 
 from __future__ import annotations
@@ -46,6 +54,26 @@ FORMAT_VERSION = 2
 
 DEFAULT_RANK_PERIOD = 1024
 DEFAULT_MERGE_THRESHOLD = 10
+
+# The eight triple patterns: shape (the bound slots' letters, "?" for an
+# unbound slot) -> the TripleStore method that takes the bound ids in
+# s, p, o order. Each result lists the unbound slots in s, p, o order.
+SHAPES = {
+    "spo": "contains",      # -> bool
+    "sp?": "objects",       # -> [o]
+    "?po": "subjects",      # -> [s]
+    "?p?": "by_predicate",  # -> [(s, o)]
+    "s?o": "predicates",    # -> [p]
+    "s??": "by_subject",    # -> [(p, o)]
+    "??o": "by_object",     # -> [(s, p)]
+    "???": "all_triples",   # -> [(s, p, o)]
+}
+
+
+def shape_of(s, p, o) -> str:
+    """The SHAPES key of a pattern whose unbound slots are None."""
+    return ("?" if s is None else "s") + ("?" if p is None else "p") \
+        + ("?" if o is None else "o")
 
 
 class PredicateIndex:
@@ -127,6 +155,15 @@ class PredicateIndex:
         starts = unpack_fixed(read_exact(src, 8 * n_starts), 64, n_starts)
         (n_samples,) = struct.unpack("<Q", read_exact(src, 8))
         samples = unpack_fixed(read_exact(src, 4 * n_samples), 32, n_samples)
+        if period < 1:
+            raise ValueError(f"predicate index period {period} is below 1")
+        if n_samples != (n // period + 1 if n else 0):
+            raise ValueError(f"predicate index holds {n_samples} samples, not one per"
+                             f" {period} of its {n} columns")
+        if not starts or starts[0] != 0 or starts[-1] != n or any(
+                a > b for a, b in zip(starts, starts[1:])):
+            raise ValueError("predicate index run starts do not rise from 0 to its"
+                             f" {n} columns")
         return cls(starts, period, samples, n)
 
 
@@ -332,46 +369,22 @@ class TripleStore:
 
     def pattern_query(self, s: int | None = None, p: int | None = None,
                       o: int | None = None):
-        """Dispatch on the bound/unbound shape; result shape matches the pattern.
-
-        (s,p,o)->bool, (s,p,?)->[o], (?,p,o)->[s], (s,?,o)->[p],
-        (s,?,?)->[(p,o)], (?,?,o)->[(s,p)], (?,p,?)->[(s,o)],
-        (?,?,?)->[(s,p,o)].
-        """
-        if s is not None and p is not None and o is not None:
-            return self.contains(s, p, o)
-        if s is not None and p is not None:
-            return self.objects(s, p)
-        if p is not None and o is not None:
-            return self.subjects(p, o)
-        if s is not None and o is not None:
-            return self.predicates(s, o)
-        if s is not None:
-            return self.by_subject(s)
-        if o is not None:
-            return self.by_object(o)
-        if p is not None:
-            return self.by_predicate(p)
-        return self.all_triples()
+        """Answer a pattern through its SHAPES method; None marks an unbound slot."""
+        method = getattr(self, SHAPES[shape_of(s, p, o)])
+        return method(*[x for x in (s, p, o) if x is not None])
 
     def pattern_triples(self, s=None, p=None, o=None) -> list[tuple[int, int, int]]:
         """Like pattern_query but always expanded to full (s, p, o) triples."""
         result = self.pattern_query(s, p, o)
         if isinstance(result, bool):
             return [(s, p, o)] if result else []
-        if s is not None and p is not None:
-            return [(s, p, oo) for oo in result]
-        if p is not None and o is not None:
-            return [(ss, p, o) for ss in result]
-        if s is not None and o is not None:
-            return [(s, pp, o) for pp in result]
-        if s is not None:
-            return [(s, pp, oo) for pp, oo in result]
-        if o is not None:
-            return [(ss, pp, o) for ss, pp in result]
-        if p is not None:
-            return [(ss, p, oo) for ss, oo in result]
-        return result
+        pattern = (s, p, o)
+        if pattern.count(None) == 1:
+            result = [(x,) for x in result]
+        out = []
+        for unbound in map(iter, result):  # fills the None slots in s, p, o order
+            out.append(tuple(next(unbound) if x is None else x for x in pattern))
+        return out
 
     # -- space accounting ----------------------------------------------------
 
@@ -426,6 +439,15 @@ def read_store(src) -> tuple[TripleStore, Dictionary]:
     object_tree = K2Tree.read(src)
     if src.read(1):
         raise ValueError("trailing bytes after the store")
+    if not (n == pidx.n == subject_tree.n_cols == object_tree.n_cols
+            and n_subjects == subject_tree.n_rows and n_objects == object_tree.n_rows
+            and n_predicates == pidx.n_predicates and period == pidx.period):
+        raise ValueError(
+            f"store header (triples {n}, subjects {n_subjects}, objects {n_objects},"
+            f" predicates {n_predicates}, rank period {period}) does not match its"
+            f" sections (triples {pidx.n}/{subject_tree.n_cols}/{object_tree.n_cols},"
+            f" subjects {subject_tree.n_rows}, objects {object_tree.n_rows},"
+            f" predicates {pidx.n_predicates}, rank period {pidx.period})")
     store = TripleStore(subject_tree, object_tree, pidx, n, n_subjects,
                         n_objects, n_predicates, merge_sorted, merge_unsorted)
     return store, dictionary

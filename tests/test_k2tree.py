@@ -34,11 +34,14 @@ def assert_matches_dense(tree, m, rng, probes=30):
         lo = int(rng.integers(nc))
         hi = int(rng.integers(lo, nc))
         assert tree.row(r, lo, hi) == (np.flatnonzero(m[r, lo:hi + 1]) + lo).tolist()
+        # the walk's order contract: a one-row rectangle is the row, in order
+        assert tree.rect(r, r, lo, hi) == [(r, c) for c in tree.row(r, lo, hi)]
     for _ in range(8):
         c = int(rng.integers(nc))
         expect = np.flatnonzero(m[:, c]).tolist()
         assert tree.col(c) == expect
         assert tree.col(c, limit=1) == expect[:1]
+        assert tree.rect(0, nr - 1, c, c) == [(r, c) for r in tree.col(c)]
     for _ in range(8):
         r1 = int(rng.integers(nr)); r2 = int(rng.integers(r1, nr))
         c1 = int(rng.integers(nc)); c2 = int(rng.integers(c1, nc))
