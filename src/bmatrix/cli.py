@@ -166,12 +166,20 @@ def cmd_build(args) -> int:
             print(f"parsed {path}: {count} statements, {len(errors)} bad lines",
                   file=sys.stderr)
 
+    t0 = time.perf_counter()
+    # the dictionary returns its ids sorted, so the triple sort counts here
     dictionary, ids = Dictionary.from_triples(read_all())
+    t1 = time.perf_counter()
     store = TripleStore.build(
         ids, dictionary.subject_count, dictionary.object_count,
         dictionary.predicate_count, config=config, period=args.d,
         merge_sorted=merge_sorted, merge_unsorted=merge_unsorted)
+    t2 = time.perf_counter()
     store_mod.save(args.output, store, dictionary)
+    t3 = time.perf_counter()
+    print(f"phases: parse+dictionary+sort {t1 - t0:.3f} s, trees {t2 - t1:.3f} s,"
+          f" save {t3 - t2:.3f} s; {store.n / (t3 - t0):,.0f} triples/s",
+          file=sys.stderr)
     _print_counts(store, dictionary, sys.stdout)
     _print_space_report(store, dictionary, sys.stdout)
     print(f"wrote {args.output}")

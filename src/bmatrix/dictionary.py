@@ -383,14 +383,37 @@ class Dictionary:
 
 def sort_unique(ids: np.ndarray) -> np.ndarray:
     """(s, p, o) id rows sorted by (p, o, s), duplicates dropped; rows that
-    already ascend strictly in that order come back as they are."""
-    s, p, o = ids[:, 0], ids[:, 1], ids[:, 2]
-    ascending = (p[1:] > p[:-1]) | (p[1:] == p[:-1]) & (
-        (o[1:] > o[:-1]) | (o[1:] == o[:-1]) & (s[1:] > s[:-1]))
-    if ascending.all():
+    already ascend strictly in that order come back as they are.
+
+    Ids are non-negative. When the bit widths of the largest p, o and s sum
+    to at most 63, each row packs into one int64 key p << (bo + bs) | o << bs
+    | s, whose order is the (p, o, s) order: one sort and one adjacent
+    comparison of the keys then stand in for a three-key lexsort. Wider ids
+    take the lexsort.
+    """
+    if len(ids) == 0:
         return ids
-    ids = ids[np.lexsort((s, o, p))]
     s, p, o = ids[:, 0], ids[:, 1], ids[:, 2]
-    keep = np.ones(len(ids), dtype=bool)
-    keep[1:] = (s[1:] != s[:-1]) | (p[1:] != p[:-1]) | (o[1:] != o[:-1])
-    return ids[keep]
+    bs, bo, bp = (int(col.max()).bit_length() for col in (s, o, p))
+    if bp + bo + bs > 63:
+        ascending = (p[1:] > p[:-1]) | (p[1:] == p[:-1]) & (
+            (o[1:] > o[:-1]) | (o[1:] == o[:-1]) & (s[1:] > s[:-1]))
+        if ascending.all():
+            return ids
+        ids = ids[np.lexsort((s, o, p))]
+        s, p, o = ids[:, 0], ids[:, 1], ids[:, 2]
+        keep = np.ones(len(ids), dtype=bool)
+        keep[1:] = (s[1:] != s[:-1]) | (p[1:] != p[:-1]) | (o[1:] != o[:-1])
+        return ids[keep]
+    key = p.astype(np.int64) << (bo + bs)
+    key |= o.astype(np.int64) << bs
+    key |= s.astype(np.int64, copy=False)
+    if (key[1:] > key[:-1]).all():
+        return ids
+    key.sort()
+    key = key[np.r_[True, key[1:] != key[:-1]]]
+    out = np.empty((len(key), 3), dtype=ids.dtype)
+    out[:, 0] = key & ((1 << bs) - 1)
+    out[:, 1] = key >> (bo + bs)
+    out[:, 2] = key >> bs & ((1 << bo) - 1)
+    return out

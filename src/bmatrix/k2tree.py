@@ -135,6 +135,24 @@ def plan_levels(config: K2Config, max_dim: int) -> list[int]:
     return ks
 
 
+def _path_part(coords: np.ndarray, extent: int, ks: list[int],
+               weights: list[int]) -> np.ndarray:
+    """sum(digit_l * weights[l]) over the digits of each coordinate in the
+    mixed radix ks, most significant first; coords lie in [0, extent).
+
+    When extent is no larger than the number of coordinates the sum is
+    tabulated over range(extent) and gathered, so the table never outgrows
+    the coordinates.
+    """
+    tabulate = extent <= coords.size
+    x = np.arange(extent, dtype=np.int64) if tabulate else coords
+    part = np.zeros(x.size, dtype=np.int64)
+    for k, w in zip(reversed(ks), reversed(weights)):
+        x, digit = np.divmod(x, k)
+        part += digit * w
+    return part[coords] if tabulate else part
+
+
 def _level_bits(codes: np.ndarray, ks: list[int]) -> list[np.ndarray]:
     """Per-level node bits, top level first, from the ascending distinct
     path codes of the last level's set cells."""
@@ -375,6 +393,13 @@ class K2Tree:
 
         Duplicated points are tolerated (cells are idempotent); points
         outside the logical bounds are rejected.
+
+        Each point's leaf path code has the digit r_l * k_l + c_l at level l,
+        worth prod(k_m^2 for m > l), where r_l and c_l are the level-l digits
+        of row // leaf_side and col // leaf_side in the mixed radix ks. The
+        code is therefore a row part plus a column part, each a function of
+        one coordinate (`_path_part`); the points are then sorted by code and
+        the levels built bottom-up from the distinct codes.
         """
         pts = np.asarray(list(points) if not isinstance(points, np.ndarray) else points,
                          dtype=np.int64)
@@ -401,12 +426,11 @@ class K2Tree:
         leaf_side = config.leaf_side
         rate = config.sample_rate
 
-        block = side
-        leaf_code = np.zeros(pts.shape[0], dtype=np.int64)
-        for k in ks:
-            block //= k
-            digit = (rows // block % k) * k + (cols // block % k)
-            leaf_code = leaf_code * (k * k) + digit
+        col_weight = [prod(k * k for k in ks[lvl + 1:]) for lvl in range(depth)]
+        row_weight = [k * w for k, w in zip(ks, col_weight)]
+        leaf_rows, leaf_cols = -(-n_rows // leaf_side), -(-n_cols // leaf_side)
+        leaf_code = (_path_part(rows // leaf_side, leaf_rows, ks, row_weight)
+                     + _path_part(cols // leaf_side, leaf_cols, ks, col_weight))
 
         if leaf_side > 1:
             bit_idx = ((rows % leaf_side) * leaf_side + (cols % leaf_side)).astype(np.uint64)

@@ -34,7 +34,8 @@ Loading refuses a file, with a ValueError, when:
   MAX_SIDE, a leaf mode that does not fit its leaf side, or fewer tree
   bits or leaves than its levels need;
 - the predicate index has a period below 1, a sample count other than
-  one per period, or run starts that do not rise from 0 to its columns.
+  one per period, run starts that do not rise from 0 to its columns, or a
+  sample that does not name the predicate owning its column.
 """
 
 from __future__ import annotations
@@ -164,6 +165,19 @@ class PredicateIndex:
                 a > b for a, b in zip(starts, starts[1:])):
             raise ValueError("predicate index run starts do not rise from 0 to its"
                              f" {n} columns")
+        if n_samples:
+            # sample j must name the predicate whose run holds column j*period
+            run = np.asarray(starts, dtype=np.uint64)
+            got = np.asarray(samples, dtype=np.int64)
+            col = np.minimum(np.arange(n_samples, dtype=np.uint64)
+                             * np.uint64(min(period, n)), np.uint64(n - 1))
+            named = (got >= 1) & (got < len(starts))
+            p = np.where(named, got, 1)
+            bad = ~named | (run[p - 1] > col) | (col >= run[p])
+            if bad.any():
+                j = int(bad.argmax())
+                raise ValueError(f"predicate index sample {j} names predicate"
+                                 f" {got[j]}, which does not own column {col[j]}")
         return cls(starts, period, samples, n)
 
 

@@ -1,5 +1,6 @@
 import gzip
 import io
+import re
 
 import pytest
 
@@ -45,6 +46,9 @@ def test_build_skips_bad_lines(tmp_path, capsys):
     assert cli.main(["build", str(src), "-o", str(out)]) == 0
     err = capsys.readouterr().err
     assert "line 2" in err
+    assert f"parsed {src}: 1 statements, 1 bad lines" in err
+    assert re.search(r"^phases: parse\+dictionary\+sort \d+\.\d{3} s, trees \d+\.\d{3} s,"
+                     r" save \d+\.\d{3} s; [\d,]+ triples/s$", err, re.M)
     assert cli.main(["build", str(src), "-o", str(out), "--strict"]) == 1
 
 
@@ -366,7 +370,9 @@ def test_store_survives_every_cut_and_huge_count(built, capsys, with_dictionary)
 
 @pytest.mark.parametrize("field, message", [
     ("zero k", "tree geometry does not add up"),
-    ("zero period", "predicate index period 0")])
+    ("zero period", "predicate index period 0"),
+    ("zero sample", "predicate index sample 0 names predicate 0"),
+    ("wrong sample", "predicate index sample 0 names predicate 2")])
 @pytest.mark.parametrize("command", [["stats"], ["query", "?", "?", "?", "--ids"]])
 def test_zero_k_or_period_is_a_clean_error(built, capsys, field, message, command):
     _, out = built
@@ -380,11 +386,16 @@ def test_zero_k_or_period_is_a_clean_error(built, capsys, field, message, comman
     tree = store.subject_tree
     # the subject tree's ks follow its stages, leaf bytes, dims and depth
     ks_at = pred_index_at + sections[1] + 1 + 3 * len(tree.config.stages) + 4 + 24 + 2
-    at, width, value = {"zero k": (ks_at, 1, tree.ks[0]),
-                        "zero period": (pred_index_at + 8, 8, store.pred_index.period)}[field]
+    # the first sample follows n, period, the run starts and the sample count
+    sample_at = pred_index_at + 24 + 8 * len(store.pred_index.starts) + 8
+    at, width, value, new = {
+        "zero k": (ks_at, 1, tree.ks[0], 0),
+        "zero period": (pred_index_at + 8, 8, store.pred_index.period, 0),
+        "zero sample": (sample_at, 4, 1, 0),
+        "wrong sample": (sample_at, 4, 1, 2)}[field]
     data = bytearray(out.read_bytes())
     assert int.from_bytes(data[at:at + width], "little") == value
-    data[at:at + width] = bytes(width)
+    data[at:at + width] = new.to_bytes(width, "little")
     out.write_bytes(bytes(data))
     capsys.readouterr()
     assert cli.main([command[0], str(out), *command[1:]]) == 1

@@ -196,8 +196,15 @@ def test_front_coded_pool_round_trip(n):
 
 def test_sort_unique_matches_np_unique():
     rng = np.random.default_rng(3)
-    for n in (0, 1, 2, 50, 3000):
-        ids = rng.integers(1, 6, (n, 3))
+    inputs = [rng.integers(1, 6, (n, 3)) for n in (0, 1, 2, 50, 3000)]
+    # widths summing past 63 bits take the lexsort path
+    wide = rng.integers(1, 1 << 31, (3000, 3), endpoint=True)
+    wide[::3] = wide[1::3]
+    # widths of exactly 63 bits (p 21, o 21, s 21) are the edge of the packed key
+    edge = rng.integers(1 << 20, 1 << 21, (3000, 3))
+    edge[::3] = edge[2::3]
+    edge[-2:] = [[1, (1 << 21) - 1, 1], [(1 << 21) - 1, 1, (1 << 21) - 1]]
+    for ids in inputs + [wide, edge]:
         got = sort_unique(ids)
         want = np.unique(ids[:, [1, 2, 0]], axis=0)[:, [2, 0, 1]]
         assert got.tolist() == want.reshape(-1, 3).tolist()

@@ -357,8 +357,11 @@ def unique_level_bits(pts, n_rows, n_cols, config):
                                              leaf_side=4, vocab_encoding=VOCAB_PLAIN)])
 def test_level_bits_match_unique_reference(config):
     rng = np.random.default_rng(23)
-    for size in (0, 1, 2, 17, 400, 3000):
-        n_rows, n_cols = (int(x) for x in rng.integers(1, 700, 2))
+    # the last input has far more leaf rows and columns than points, so the
+    # path codes are computed without tables
+    for size, low, high in ([(n, 1, 700) for n in (0, 1, 2, 17, 400, 3000)]
+                            + [(40, 1 << 28, 1 << 30)]):
+        n_rows, n_cols = (int(x) for x in rng.integers(low, high, 2))
         pts = np.column_stack([rng.integers(0, n_rows, size),
                                rng.integers(0, n_cols, size)])
         tree = K2Tree.build(pts, n_rows, n_cols, config)
