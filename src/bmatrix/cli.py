@@ -143,6 +143,21 @@ def _parse_thresholds(text: str) -> tuple[int, int]:
     raise ValueError("thresholds must be 'N' or 'SORTED,UNSORTED'")
 
 
+def _read_terms(columns: tuple[list[str], ...], path: str, gzip_mode: str,
+                strict: bool = False) -> list:
+    """Appends the subject, predicate and object of each statement in the
+    N-Triples file `path` to the three `columns`; returns the bad lines'
+    ParseErrors, which it also prints to stderr."""
+    errors: list = []
+    for block in ntriples.iter_file(path, gzip_mode=gzip_mode, strict=strict,
+                                    errors=errors):
+        for column, terms in zip(columns, block):
+            column += terms
+    for err in errors:
+        print(f"{path}:{err}", file=sys.stderr)
+    return errors
+
+
 def cmd_build(args) -> int:
     vocab = args.vocab
     leaf = 1 if vocab == "off" else args.leaf
@@ -153,33 +168,28 @@ def cmd_build(args) -> int:
         sample_preset=args.sample)
     merge_sorted, merge_unsorted = _parse_thresholds(args.thresholds)
 
-    def read_all():
-        for path in args.inputs:
-            errors: list = []
-            count = 0
-            for t in ntriples.iter_file(path, gzip_mode=args.gzip,
-                                        strict=args.strict, errors=errors):
-                count += 1
-                yield t
-            for err in errors:
-                print(f"{path}:{err}", file=sys.stderr)
-            print(f"parsed {path}: {count} statements, {len(errors)} bad lines",
-                  file=sys.stderr)
-
     t0 = time.perf_counter()
-    # the dictionary returns its ids sorted, so the triple sort counts here
-    dictionary, ids = Dictionary.from_triples(read_all())
+    columns: tuple[list[str], ...] = ([], [], [])
+    for path in args.inputs:
+        before = len(columns[0])
+        errors = _read_terms(columns, path, args.gzip, args.strict)
+        print(f"parsed {path}: {len(columns[0]) - before} statements,"
+              f" {len(errors)} bad lines", file=sys.stderr)
     t1 = time.perf_counter()
+    # the dictionary returns its ids sorted, so the triple sort counts here
+    dictionary, ids = Dictionary.from_triples(*columns)
+    del columns
+    t2 = time.perf_counter()
     store = TripleStore.build(
         ids, dictionary.subject_count, dictionary.object_count,
         dictionary.predicate_count, config=config, period=args.d,
         merge_sorted=merge_sorted, merge_unsorted=merge_unsorted)
-    t2 = time.perf_counter()
-    store_mod.save(args.output, store, dictionary)
     t3 = time.perf_counter()
-    print(f"phases: parse+dictionary+sort {t1 - t0:.3f} s, trees {t2 - t1:.3f} s,"
-          f" save {t3 - t2:.3f} s; {store.n / (t3 - t0):,.0f} triples/s",
-          file=sys.stderr)
+    store_mod.save(args.output, store, dictionary)
+    t4 = time.perf_counter()
+    print(f"phases: parse {t1 - t0:.3f} s, dictionary+sort {t2 - t1:.3f} s,"
+          f" trees {t3 - t2:.3f} s, save {t4 - t3:.3f} s;"
+          f" {store.n / (t4 - t0):,.0f} triples/s", file=sys.stderr)
     _print_counts(store, dictionary, sys.stdout)
     _print_space_report(store, dictionary, sys.stdout)
     print(f"wrote {args.output}")
@@ -388,14 +398,12 @@ def _sample_patterns(rng, tl: TripleList, dims, count: int):
 
 def cmd_verify(args) -> int:
     store, dictionary = store_mod.load(args.store)
-    errors: list = []
-    raw = list(ntriples.iter_file(args.input, gzip_mode=args.gzip, errors=errors))
-    for err in errors:
-        print(f"{args.input}:{err}", file=sys.stderr)
+    subjects, predicates, objects = columns = ([], [], [])
+    _read_terms(columns, args.input, args.gzip)
     try:
-        ids = [(dictionary.subject_id(t.subject),
-                dictionary.predicate_id(t.predicate),
-                dictionary.object_id(t.object)) for t in raw]
+        ids = list(zip(map(dictionary.subject_id, subjects),
+                       map(dictionary.predicate_id, predicates),
+                       map(dictionary.object_id, objects)))
     except KeyError as err:
         print(f"MISMATCH: input term missing from store dictionary: {err}",
               file=sys.stderr)

@@ -7,6 +7,13 @@ subject and object id spaces overlap numerically but denote different
 pools above n_so. Pools are sorted lexicographically, which makes builds
 deterministic and lookups a binary search.
 
+A dictionary is built from the triples as three term columns, with no
+Python step per triple: the distinct terms of each column are a `set`,
+the pools are the sorted set differences and intersection, each role's
+term -> id index is ``dict(zip(pool, count(1)))``, and the id columns
+are ``np.fromiter(map(index.__getitem__, column))``. Only the distinct
+terms pass through Python code, as in HDT's dictionary build.
+
 Each pool is front-coded (plain front coding, as in HDT), in the layout
 the store file keeps it (format v2):
 
@@ -45,13 +52,12 @@ import operator
 import struct
 from array import array
 from bisect import bisect_right
-from itertools import accumulate, islice
-from typing import Iterable
+from itertools import accumulate, chain, count, islice
+from typing import Sequence
 
 import numpy as np
 
 from ._binio import pack_fixed, packed_array, read_exact
-from .ntriples import RawTriple
 
 BUCKET = 16
 
@@ -255,14 +261,6 @@ def _key(term: str) -> bytes:
     return term.encode("utf-8", "surrogatepass")
 
 
-def _pool_ids(provisional: dict[str, int], pool: list[str]) -> np.ndarray:
-    """Provisional id -> 1-based position in `pool`, which holds every term."""
-    seen_at = np.fromiter(map(provisional.__getitem__, pool), np.int64, len(pool))
-    out = np.empty(len(pool), dtype=np.int64)
-    out[seen_at] = np.arange(1, len(pool) + 1)
-    return out
-
-
 class Dictionary:
     """Immutable term<->id mapping; ids are 1-based per role."""
 
@@ -285,31 +283,30 @@ class Dictionary:
         return cls(*(TermPool.from_terms([]) for _ in range(4)))
 
     @classmethod
-    def from_triples(cls, triples: Iterable[RawTriple]):
-        """Classify terms and encode; returns (dictionary, ids), with ids the
-        sorted unique (s, p, o) id triples as an (n, 3) int64 array.
+    def from_triples(cls, subjects: Sequence[str], predicates: Sequence[str],
+                     objects: Sequence[str]):
+        """Classify terms and encode the triples given as three term columns,
+        row i being (subjects[i], predicates[i], objects[i]); returns
+        (dictionary, ids), with ids the sorted unique (s, p, o) id triples as
+        an (n, 3) int64 array.
 
         The triples are sorted by (p, o, s), as the store orders its columns.
         """
-        # terms get provisional ids in order of first sight, remapped to
-        # their pool ids once the pools are known
-        s_ids: dict[str, int] = {}
-        p_ids: dict[str, int] = {}
-        o_ids: dict[str, int] = {}
-        s_col, p_col, o_col = array("q"), array("q"), array("q")
-        for t in triples:
-            s_col.append(s_ids.setdefault(t.subject, len(s_ids)))
-            p_col.append(p_ids.setdefault(t.predicate, len(p_ids)))
-            o_col.append(o_ids.setdefault(t.object, len(o_ids)))
-        shared = sorted(s_ids.keys() & o_ids.keys())
-        subject_only = sorted(s_ids.keys() - o_ids.keys())
-        object_only = sorted(o_ids.keys() - s_ids.keys())
-        predicates = sorted(p_ids)
-        s = _pool_ids(s_ids, shared + subject_only)[np.frombuffer(s_col, np.int64)]
-        p = _pool_ids(p_ids, predicates)[np.frombuffer(p_col, np.int64)]
-        o = _pool_ids(o_ids, shared + object_only)[np.frombuffer(o_col, np.int64)]
-        pools = map(TermPool.from_terms, (shared, subject_only, object_only, predicates))
-        return cls(*pools), sort_unique(np.column_stack((s, p, o)))
+        s_terms, o_terms = set(subjects), set(objects)
+        shared = sorted(s_terms & o_terms)
+        subject_only = sorted(s_terms - o_terms)
+        object_only = sorted(o_terms - s_terms)
+        predicate_pool = sorted(set(predicates))
+        ids = np.empty((len(subjects), 3), dtype=np.int64)
+        for j, column, pool in ((0, subjects, chain(shared, subject_only)),
+                                (1, predicates, predicate_pool),
+                                (2, objects, chain(shared, object_only))):
+            index = dict(zip(pool, count(1)))
+            ids[:, j] = np.fromiter(map(index.__getitem__, column), np.int64,
+                                    len(column))
+        pools = map(TermPool.from_terms, (shared, subject_only, object_only,
+                                          predicate_pool))
+        return cls(*pools), sort_unique(ids)
 
     # -- term -> id ----------------------------------------------------------
 

@@ -435,7 +435,7 @@ class K2Tree:
         if leaf_side > 1:
             bit_idx = ((rows % leaf_side) * leaf_side + (cols % leaf_side)).astype(np.uint64)
             masks = np.uint64(1) << bit_idx
-            order = np.argsort(leaf_code, kind="stable")
+            order = np.argsort(leaf_code)
             lc = leaf_code[order]
             if lc.size:
                 starts = np.flatnonzero(np.r_[True, lc[1:] != lc[:-1]])

@@ -1,4 +1,4 @@
-r"""Streaming line-oriented N-Triples reader and writer.
+r"""Streaming N-Triples reader and writer.
 
 Terms are kept in a compact canonical form: IRIs without the angle
 brackets, blank nodes with their ``_:`` prefix, literals with their
@@ -9,33 +9,52 @@ literal or another bracketed IRI. Escape sequences are decoded on input
 and re-escaped on output, so parse -> format -> parse is the identity.
 
 The statement grammar is W3C RDF 1.1 N-Triples (2014), compiled once
-into regular expressions below; a statement line is one ``fullmatch``.
-As implemented:
+into one regular expression, `_STATEMENT`, with three groups: the raw
+source text of the subject, the predicate and the object. As
+implemented:
 
 - A statement is a subject (IRI or blank node), a predicate (IRI), an
   object (IRI, blank node or literal) and ``.``, optionally followed by
   a ``#`` comment. Spaces and tabs may separate the parts, and may be
-  left out. Lines of only spaces, tabs and a comment carry no statement.
+  left out. Lines of only spaces, tabs and a comment carry no statement;
+  they match with empty groups.
 - An IRI is ``<`` ... ``>`` over any character outside
   ``[\x00-\x20<>"{}|^`\\]``, plus the escapes ``\uXXXX`` and
   ``\UXXXXXXXX`` (UCHAR).
 - UCHAR takes exactly 4 or 8 hex digits ``[0-9A-Fa-f]`` and must name a
   Unicode scalar value: a surrogate (D800-DFFF) or a value above 10FFFF
   is an error.
-- A literal is ``"`` ... ``"`` over any character but ``"`` and ``\``,
-  plus UCHAR and the escapes ``\t \b \n \r \f \" \' \\`` (ECHAR), then
-  optionally ``@`` and a language tag, or ``^^`` and a datatype IRI.
-  A language tag is a run of letters, digits and ``-`` whose first
-  character is a letter. Letters and digits are Unicode ones
+- A literal is ``"`` ... ``"`` over any character but ``"``, ``\`` and
+  a line feed, plus UCHAR and the escapes ``\t \b \n \r \f \" \' \\``
+  (ECHAR), then optionally ``@`` and a language tag, or ``^^`` and a
+  datatype IRI. A language tag is a run of letters, digits and ``-``
+  whose first character is a letter. Letters and digits are Unicode ones
   (``str.isalpha``/``str.isalnum``), wider than BCP 47's ASCII.
-- A blank node is ``_:`` and a label of any characters but space, tab
-  and ``.``. A dot belongs to the label only when more label follows it,
-  so ``_:a.b .`` is the label ``_:a.b`` and ``_:a.`` is ``_:a`` followed
-  by the end of the statement. This is wider than N-Triples' PN_CHARS.
+- A blank node is ``_:`` and a label of any characters but space, tab,
+  line feed and ``.``. A dot belongs to the label only when more label
+  follows it, so ``_:a.b .`` is the label ``_:a.b`` and ``_:a.`` is
+  ``_:a`` followed by the end of the statement. This is wider than
+  N-Triples' PN_CHARS.
 
-A line the grammar rejects is walked term by term with the same pieces
-to name the error. Malformed statements are skipped and reported by
-default; a strict mode aborts on the first error.
+Lines end at ``\n`` only (a ``\r`` before it is dropped). No part of the
+grammar takes a ``\n``, so a match never runs on into the next line, and
+`parse_line` rejects a string with a line break inside it. Other
+characters `str.splitlines` breaks at (U+2028, U+0085, ``\x0b``,
+``\x0c``, ``\x1c``, a lone ``\r``) are ordinary characters of a literal.
+
+`iter_file` reads about BLOCK_BYTES of whole lines at a time, decodes
+the block in one call and runs one ``findall`` of the grammar over it.
+A memo maps each raw term the file has shown to its stored form, so each
+distinct raw term is unescaped once; the block comes back as three lists
+of stored terms. A block takes the line path instead, `parse_line` on
+one line at a time as `iter_triples` does, when it is not valid UTF-8,
+when it has a line the grammar does not match, or when a raw term new to
+the memo raises ParseError (a surrogate escape, or a language tag that
+does not start with a letter). The line path names each bad line's
+fault: a line the grammar rejects is walked term by term with the same
+pieces. So the triples, the errors, their line numbers and their order
+are the same on both paths. Malformed statements are skipped and
+reported by default; a strict mode aborts on the first error.
 """
 
 from __future__ import annotations
@@ -44,6 +63,7 @@ import gzip
 import io
 import re
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 
@@ -73,31 +93,31 @@ LITERAL = "literal"
 #
 # Each repetition below starts with a character its neighbours cannot
 # match (a backslash, a dot, a dash), so every piece matches in one way
-# and a failed statement match backtracks in linear time.
+# and a failed statement match backtracks in linear time. No class takes
+# "\n", so in a block of lines no match runs on into the next line.
 
 _UCHAR = r"u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8}"
 _IRI_RUN = r'[^\x00-\x20<>"{}|^`\\]*'
 _IRI_BODY = _IRI_RUN + r"(?:\\(?:" + _UCHAR + ")" + _IRI_RUN + ")*"
-_LIT_RUN = r'[^"\\]*'
+_LIT_RUN = r'[^"\\\n]*'
 _LIT_BODY = _LIT_RUN + r"""(?:\\(?:[tbnrf"'\\]|""" + _UCHAR + ")" + _LIT_RUN + ")*"
 # [^\W_] is str.isalnum; the first character must also pass str.isalpha,
 # which _literal_term checks, as no re class spells it
 _LANG = r"[^\W\d_][^\W_]*(?:-[^\W_]*)*"
 _WS = r"[ \t]*"
 
-# groups: IRI body
-_IRI = "<(" + _IRI_BODY + ")>"
-# groups: label; the lookahead pins the label's end where the dot rule
-# puts it, so no shorter label can be tried when the rest fails
-_BNODE = r"(_:[^ \t.](?:\.?[^ \t.])*)(?![^ \t.]|\.[^ \t.])"
-# groups: whole literal, lexical form, language tag, datatype IRI body
-_LITERAL = ('("(' + _LIT_BODY + ')"(?:@(' + _LANG + r")|\^\^" + _IRI
-            + r"|(?!@|\^\^)))")
+_IRI = "<" + _IRI_BODY + ">"
+# the lookahead pins the label's end where the dot rule puts it, so no
+# shorter label can be tried when the rest fails
+_BNODE = r"_:[^ \t.\n](?:\.?[^ \t.\n])*(?![^ \t.\n]|\.[^ \t.\n])"
+_LITERAL = '"' + _LIT_BODY + '"(?:@' + _LANG + r"|\^\^" + _IRI + r"|(?!@|\^\^))"
 
+# groups: the raw subject, predicate and object; all three are empty (or
+# None) on a line of only spaces, tabs and a comment
 _STATEMENT = re.compile(
-    _WS + "(?:" + _IRI + "|" + _BNODE + ")" + _WS + _IRI + _WS
-    + "(?:" + _IRI + "|" + _BNODE + "|" + _LITERAL + ")"
-    + _WS + r"\." + _WS + "(?:#.*)?", re.DOTALL)
+    "^" + _WS + "(?:(" + _IRI + "|" + _BNODE + ")" + _WS + "(" + _IRI + ")"
+    + _WS + "(" + _IRI + "|" + _BNODE + "|" + _LITERAL + ")"
+    + _WS + r"\." + _WS + ")?(?:#[^\n]*)?$", re.M)
 _IRI_RE = re.compile(_IRI)
 _BNODE_RE = re.compile(_BNODE)
 _LITERAL_RE = re.compile(_LITERAL)
@@ -131,25 +151,35 @@ def _unescape(text: str, line_no: int, line: str) -> str:
 _BRACKETED = ("_:", '"', "<")
 
 
-def _iri_term(body: str, line_no: int, line: str) -> str:
-    """The stored form of the IRI written as `<body>`."""
+def _iri_term(raw: str, line_no: int, line: str) -> str:
+    """The stored form of the IRI written as `raw`, brackets included."""
+    body = raw[1:-1]
     if "\\" in body:
         body = _unescape(body, line_no, line)
     return f"<{body}>" if body.startswith(_BRACKETED) else body
 
 
-def _literal_term(whole: str, lexical: str, lang: str | None,
-                  dtype: str | None, line_no: int, line: str) -> str:
-    if lang is not None and not lang[0].isalpha():
+def _literal_term(raw: str, line_no: int, line: str) -> str:
+    """The stored form of the literal written as `raw`, suffix included."""
+    end = raw.rindex('"')      # the closing quote: no suffix holds a '"'
+    if raw.startswith("@", end + 1) and not raw[end + 2].isalpha():
         raise ParseError("malformed language tag", line_no, line)
-    if "\\" not in whole:
-        return whole
-    lexical = _unescape(lexical, line_no, line)
-    if lang is not None:
-        return f'"{lexical}"@{lang}'
-    if dtype is not None:
-        return f'"{lexical}"^^<{_unescape(dtype, line_no, line)}>'
-    return f'"{lexical}"'
+    if "\\" not in raw:
+        return raw
+    lexical = _unescape(raw[1:end], line_no, line)
+    # only a datatype IRI can hold an escape after the quote
+    return f'"{lexical}"{_unescape(raw[end + 1:], line_no, line)}'
+
+
+def _term(raw: str, line_no: int = 0, line: str = "") -> str:
+    """The stored form of one term the grammar matched, written as `raw`;
+    raises ParseError for a non-scalar escape or a language tag that does
+    not start with a letter."""
+    if raw[0] == "<":
+        return _iri_term(raw, line_no, line)
+    if raw[0] == '"':
+        return _literal_term(raw, line_no, line)
+    return raw
 
 
 def parse_line(line: str, line_no: int = 0) -> RawTriple | None:
@@ -157,15 +187,12 @@ def parse_line(line: str, line_no: int = 0) -> RawTriple | None:
     m = _STATEMENT.fullmatch(line)
     if m is None:
         return _explain(line, line_no)
-    s_iri, s_bnode, pred, o_iri, o_bnode, *literal = m.groups()
-    subject = s_bnode if s_iri is None else _iri_term(s_iri, line_no, line)
-    if o_iri is not None:
-        obj = _iri_term(o_iri, line_no, line)
-    elif o_bnode is not None:
-        obj = o_bnode
-    else:
-        obj = _literal_term(*literal, line_no, line)
-    return RawTriple(subject, _iri_term(pred, line_no, line), obj)
+    s, p, o = m.groups()
+    if s is None:
+        return None
+    subject = _term(s, line_no, line)
+    obj = _term(o, line_no, line)
+    return RawTriple(subject, _term(p, line_no, line), obj)
 
 
 # -- naming the error ------------------------------------------------------------
@@ -204,7 +231,7 @@ def _literal_error(s: str, i: int, line_no: int) -> ParseError:
     m = _LIT_PREFIX_RE.match(s, i)
     j = m.end()
     if m[1] is None:
-        if j == len(s):
+        if j == len(s) or s[j] == "\n":
             return ParseError("unterminated literal", line_no, s)
         return _escape_error(s, j, line_no, in_iri=False)
     # closed, so the suffix after the quote, "@" or "^^", is what failed
@@ -222,17 +249,17 @@ def _scan_term(s: str, i: int, line_no: int):
         m = _IRI_RE.match(s, i)
         if m is None:
             raise _iri_error(s, i, line_no)
-        return _iri_term(m[1], line_no, s), IRI, m.end()
+        return _iri_term(m[0], line_no, s), IRI, m.end()
     if s.startswith('"', i):
         m = _LITERAL_RE.match(s, i)
         if m is None:
             raise _literal_error(s, i, line_no)
-        return _literal_term(*m.groups(), line_no, s), LITERAL, m.end()
+        return _literal_term(m[0], line_no, s), LITERAL, m.end()
     if s.startswith("_:", i):
         m = _BNODE_RE.match(s, i)
         if m is None:
             raise ParseError("empty blank node label", line_no, s)
-        return m[1], BNODE, m.end()
+        return m[0], BNODE, m.end()
     if i >= len(s):
         raise ParseError("line ends where a term should start", line_no, s)
     raise ParseError(f"unexpected character {s[i]!r} at column {i}", line_no, s)
@@ -241,6 +268,8 @@ def _scan_term(s: str, i: int, line_no: int):
 def _explain(line: str, line_no: int) -> None:
     """None for a blank or comment line; otherwise raises the ParseError
     for the first place where `line` leaves the statement grammar."""
+    if "\n" in line:
+        raise ParseError("line break inside the line", line_no, line)
     i = _skip_ws(line, 0)
     if i == len(line) or line[i] == "#":
         return None
@@ -256,14 +285,11 @@ def _explain(line: str, line_no: int) -> None:
     raise ParseError("trailing junk after '.'", line_no, line)
 
 
-def iter_triples(lines: Iterable, *, strict: bool = False,
-                 errors: list | None = None) -> Iterator[RawTriple]:
-    """Parse an iterable of text or bytes lines, skipping and reporting bad ones.
-
-    Diagnostics are appended to `errors` when given; strict mode raises on
-    the first malformed line instead.
-    """
-    for line_no, line in enumerate(lines, 1):
+def _line_triples(lines: Iterable, first: int, strict: bool,
+                  errors: list | None) -> Iterator[RawTriple]:
+    """The line path: each line decoded and parsed on its own, the first
+    one numbered `first`."""
+    for line_no, line in enumerate(lines, first):
         if isinstance(line, bytes):
             try:
                 line = line.decode("utf-8")
@@ -287,6 +313,52 @@ def iter_triples(lines: Iterable, *, strict: bool = False,
             yield triple
 
 
+def iter_triples(lines: Iterable, *, strict: bool = False,
+                 errors: list | None = None) -> Iterator[RawTriple]:
+    """Parse an iterable of text or bytes lines, skipping and reporting bad ones.
+
+    Diagnostics are appended to `errors` when given; strict mode raises on
+    the first malformed line instead.
+    """
+    yield from _line_triples(lines, 1, strict, errors)
+
+
+# about how many bytes of whole lines iter_file reads and parses at once
+BLOCK_BYTES = 1 << 20
+
+_has_subject = itemgetter(0)
+
+
+def _block_columns(lines: list[bytes], memo: dict[str, str]):
+    """The statements of a block of lines as (subjects, predicates, objects)
+    lists of stored terms, or None when the block must take the line path:
+    it is not UTF-8, a line does not match the statement grammar, or a
+    term not yet in `memo` (raw -> stored term) raises ParseError."""
+    try:
+        text = b"".join(lines).decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    if "\r" in text:
+        # the line path strips "\r" before the "\n"; a further "\r" only
+        # matches inside a comment, which is dropped either way
+        text = text.replace("\r\n", "\n")
+    if text.endswith("\n"):
+        text = text[:-1]       # else the end of the text matches as a line
+    rows = _STATEMENT.findall(text)
+    if len(rows) < len(lines):
+        return None
+    rows = list(filter(_has_subject, rows))   # blank and comment lines
+    if not rows:
+        return [], [], []
+    columns = list(zip(*rows))
+    try:
+        for raw in set().union(*columns).difference(memo):
+            memo[raw] = _term(raw)
+    except ParseError:
+        return None
+    return tuple(list(map(memo.__getitem__, column)) for column in columns)
+
+
 def open_source(path: str, gzip_mode: str = "auto") -> io.BufferedIOBase:
     """Open an N-Triples file for binary reading, transparently gunzipping.
 
@@ -299,9 +371,25 @@ def open_source(path: str, gzip_mode: str = "auto") -> io.BufferedIOBase:
 
 
 def iter_file(path: str, *, gzip_mode: str = "auto", strict: bool = False,
-              errors: list | None = None) -> Iterator[RawTriple]:
+              errors: list | None = None) -> Iterator[tuple[list, list, list]]:
+    """The statements of an N-Triples file, one (subjects, predicates,
+    objects) tuple of term lists per block of about BLOCK_BYTES.
+
+    Bad lines are skipped and appended to `errors` when given, in file
+    order, as iter_triples reports them; strict mode raises the first.
+    """
+    memo: dict[str, str] = {}
+    line_no = 1
     with open_source(path, gzip_mode) as src:
-        yield from iter_triples(src, strict=strict, errors=errors)
+        while lines := src.readlines(BLOCK_BYTES):
+            columns = _block_columns(lines, memo)
+            if columns is None:
+                triples = list(_line_triples(lines, line_no, strict, errors))
+                columns = ([t.subject for t in triples],
+                           [t.predicate for t in triples],
+                           [t.object for t in triples])
+            line_no += len(lines)
+            yield columns
 
 
 # -- formatting (canonical output) -----------------------------------------

@@ -1,10 +1,15 @@
 import gzip
 import io
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import pfc_reference
+import bmatrix
 from bmatrix import cli, store as store_mod
 from bmatrix.store import TripleStore
 
@@ -47,9 +52,27 @@ def test_build_skips_bad_lines(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "line 2" in err
     assert f"parsed {src}: 1 statements, 1 bad lines" in err
-    assert re.search(r"^phases: parse\+dictionary\+sort \d+\.\d{3} s, trees \d+\.\d{3} s,"
-                     r" save \d+\.\d{3} s; [\d,]+ triples/s$", err, re.M)
+    assert re.search(r"^phases: parse \d+\.\d{3} s, dictionary\+sort \d+\.\d{3} s,"
+                     r" trees \d+\.\d{3} s, save \d+\.\d{3} s; [\d,]+ triples/s$",
+                     err, re.M)
     assert cli.main(["build", str(src), "-o", str(out), "--strict"]) == 1
+
+
+def test_build_does_not_depend_on_the_hash_seed(tmp_path):
+    # the dictionary is built from sets, whose order follows the hash seed
+    src = tmp_path / "terms.nt"
+    src.write_text(CORPUS + "".join(
+        f'<http://x/n{i % 97}> <http://x/p{i % 7}> "v{i % 89}"@en .\n'
+        f"_:b{i % 53} <http://x/q> <http://x/n{i % 61}> .\n" for i in range(400)))
+    env = dict(os.environ, PYTHONPATH=str(Path(bmatrix.__file__).parents[1]))
+    stores = []
+    for seed in ("0", "1"):
+        out = tmp_path / f"seed{seed}.bmx"
+        subprocess.run([sys.executable, "-m", "bmatrix.cli", "build", str(src),
+                        "-o", str(out)], env=dict(env, PYTHONHASHSEED=seed),
+                       check=True, capture_output=True, timeout=120)
+        stores.append(out.read_bytes())
+    assert stores[0] == stores[1]
 
 
 def test_build_empty_file(tmp_path, capsys):

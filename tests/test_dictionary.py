@@ -5,15 +5,19 @@ import pytest
 
 import pfc_reference
 from bmatrix.dictionary import Dictionary, TermPool, sort_unique
-from bmatrix.ntriples import RawTriple
 
 
 def T(s, p, o):
-    return RawTriple(s, p, o)
+    return s, p, o
+
+
+def encode(triples):
+    """Dictionary.from_triples over the term columns of (s, p, o) triples."""
+    return Dictionary.from_triples(*([t[j] for t in triples] for j in range(3)))
 
 
 def test_shared_terms_get_one_id():
-    d, ids = Dictionary.from_triples([T("a", "p", "b"), T("b", "p", "a")])
+    d, ids = encode([T("a", "p", "b"), T("b", "p", "a")])
     assert list(d.shared) == ["a", "b"]
     assert list(d.subject_only) == [] and list(d.object_only) == []
     assert list(d.predicates) == ["p"]
@@ -24,7 +28,7 @@ def test_shared_terms_get_one_id():
 
 
 def test_disjoint_id_spaces_overlap_numerically():
-    d, ids = Dictionary.from_triples([T("a", "p", "b")])
+    d, ids = encode([T("a", "p", "b")])
     assert list(d.shared) == [] and list(d.subject_only) == ["a"]
     assert list(d.object_only) == ["b"]
     assert d.subject_id("a") == 1
@@ -33,7 +37,7 @@ def test_disjoint_id_spaces_overlap_numerically():
 
 
 def test_empty_input():
-    d, ids = Dictionary.from_triples([])
+    d, ids = encode([])
     assert ids.tolist() == []
     assert d.subject_count == d.object_count == d.predicate_count == 0
 
@@ -41,7 +45,7 @@ def test_empty_input():
 def test_id_ranges_and_round_trip_lookup():
     triples = [T(f"s{i}", f"p{i % 3}", f"o{i % 5}") for i in range(20)]
     triples += [T("x", "p0", "y"), T("y", "p1", "x")]
-    d, ids = Dictionary.from_triples(triples)
+    d, ids = encode(triples)
     n_so = d.so_count
     for i in range(1, d.subject_count + 1):
         assert d.subject_id(d.subject_term(i)) == i
@@ -57,13 +61,33 @@ def test_id_ranges_and_round_trip_lookup():
     assert {p for _, p, _ in ids.tolist()} == set(range(1, d.predicate_count + 1))
 
 
+def test_columns_match_per_triple_reference():
+    # the reference encodes one triple at a time by position in the pools
+    rng = np.random.default_rng(5)
+    vocab = [f"t{i}" for i in range(60)] + ["caf\u00e9", "☃", "\U0001F600", ""]
+    triples = [(vocab[a], vocab[b % 7], vocab[c])
+               for a, b, c in rng.integers(0, len(vocab), (3000, 3)).tolist()]
+    subjects = {t[0] for t in triples}
+    objects = {t[2] for t in triples}
+    s_pool = sorted(subjects & objects) + sorted(subjects - objects)
+    o_pool = sorted(subjects & objects) + sorted(objects - subjects)
+    p_pool = sorted({t[1] for t in triples})
+    want = sorted({(s_pool.index(s) + 1, p_pool.index(p) + 1, o_pool.index(o) + 1)
+                   for s, p, o in triples}, key=lambda t: (t[1], t[2], t[0]))
+    d, ids = encode(triples)
+    assert list(d.shared) + list(d.subject_only) == s_pool
+    assert list(d.shared) + list(d.object_only) == o_pool
+    assert list(d.predicates) == p_pool
+    assert list(map(tuple, ids.tolist())) == want
+
+
 def test_dedup_set_semantics():
-    d, ids = Dictionary.from_triples([T("a", "p", "b")] * 4)
+    d, ids = encode([T("a", "p", "b")] * 4)
     assert len(ids) == 1
 
 
 def test_not_found():
-    d, _ = Dictionary.from_triples([T("a", "p", "b")])
+    d, _ = encode([T("a", "p", "b")])
     with pytest.raises(KeyError):
         d.subject_id("b")  # object-only term is not a subject
     with pytest.raises(KeyError):
@@ -77,7 +101,7 @@ def test_not_found():
 
 
 def test_lexicographic_order():
-    d, _ = Dictionary.from_triples(
+    d, _ = encode(
         [T("zz", "q", "aa"), T("aa", "p", "zz"), T("mm", "p", "nn")])
     assert list(d.shared) == ["aa", "zz"]
     assert list(d.subject_only) == ["mm"] and list(d.object_only) == ["nn"]
@@ -85,7 +109,7 @@ def test_lexicographic_order():
 
 
 def test_serialization_round_trip():
-    d, _ = Dictionary.from_triples(
+    d, _ = encode(
         [T("a", "p", '"café"@fr'), T('"café"@fr', "p", "a"),
          T("_:b1", "q", '"x\ny"')])
     buf = io.BytesIO()
@@ -113,7 +137,7 @@ def mixed_dictionary():
     # shared: MIXED[:8]; subject-only: MIXED[8:]; all of MIXED are predicates
     objects = MIXED[:8] + OBJECT_ONLY
     triples = [T(t, t, objects[i % len(objects)]) for i, t in enumerate(MIXED)]
-    return Dictionary.from_triples(triples)[0]
+    return encode(triples)[0]
 
 
 def test_packed_pool_lookup_and_decode_round_trip():

@@ -90,26 +90,34 @@ def test_round_trip_identity():
     assert first == second
 
 
+def file_triples(path, **kwargs) -> list[RawTriple]:
+    """iter_file's term columns, flattened into triples."""
+    return [RawTriple(*row) for block in iter_file(str(path), **kwargs)
+            for row in zip(*block)]
+
+
 def test_gzip_input(tmp_path):
     plain = tmp_path / "x.nt"
     plain.write_text("<a> <p> <b> .\n")
     zipped = tmp_path / "x.nt.gz"
     zipped.write_bytes(gzip.compress(b"<a> <p> <c> .\n"))
-    assert list(iter_file(str(plain)))[0].object == "b"
-    assert list(iter_file(str(zipped)))[0].object == "c"
+    assert file_triples(plain)[0].object == "b"
+    assert file_triples(zipped)[0].object == "c"
     # forced modes
-    assert list(iter_file(str(zipped), gzip_mode="on"))[0].object == "c"
+    assert file_triples(zipped, gzip_mode="on")[0].object == "c"
     with pytest.raises(OSError):
-        list(iter_file(str(plain), gzip_mode="on"))
+        file_triples(plain, gzip_mode="on")
 
 
 def test_bad_utf8_is_a_diagnostic(tmp_path):
     path = tmp_path / "bad.nt"
     path.write_bytes(b"<a> <p> <b> .\n<a> <p> \xff\xfe .\n<a> <p> <c> .\n")
     errors = []
-    triples = list(iter_file(str(path), errors=errors))
-    assert len(triples) == 2
+    triples = file_triples(path, errors=errors)
+    # one block: the bad line is named, and the block's other lines kept
+    assert triples == [RawTriple("a", "p", "b"), RawTriple("a", "p", "c")]
     assert len(errors) == 1 and errors[0].line_no == 2
+    assert errors[0].message == "invalid UTF-8 (invalid start byte)"
 
 
 @pytest.mark.parametrize("line", [
@@ -213,9 +221,13 @@ def _outcome(parse, line):
         return "crash"
 
 
-def test_parse_line_matches_reference_scanner_on_mutated_lines():
+def _mutated_lines() -> list[str]:
     rng = random.Random(20261018)
-    lines = list(_VALID) + [_mutate(rng, rng.choice(_VALID)) for _ in range(120_000)]
+    return list(_VALID) + [_mutate(rng, rng.choice(_VALID)) for _ in range(120_000)]
+
+
+def test_parse_line_matches_reference_scanner_on_mutated_lines():
+    lines = _mutated_lines()
     kinds = {"same": 0, "crash fixed": 0, "lax accept fixed": 0,
              "iri kept bracketed": 0}
     accepted = 0
@@ -248,3 +260,95 @@ def test_parse_line_matches_reference_scanner_on_mutated_lines():
     assert accepted > len(lines) // 10
     assert kinds["crash fixed"] > 0 and kinds["lax accept fixed"] > 0
     assert kinds["iri kept bracketed"] > 0
+
+
+# -- the block reader against the line path ------------------------------------
+
+
+def _errors(errors):
+    return [(e.message, e.line_no, e.line) for e in errors]
+
+
+def test_block_reader_matches_line_path_on_mutated_lines(tmp_path, monkeypatch):
+    rng = random.Random(20261019)
+    lines = _mutated_lines()
+    data = [line.encode("utf-8") for line in lines]
+    for i in rng.sample(range(len(data)), 40):
+        data[i] = data[i][:3] + b"\xff" + data[i][3:]     # not UTF-8
+    path = tmp_path / "mutated.nt"
+    path.write_bytes(b"".join(line + rng.choice((b"\n", b"\r\n")) for line in data))
+    want_errors = []
+    with path.open("rb") as src:
+        want = list(iter_triples(src, errors=want_errors))
+    assert len(want) > len(lines) // 10 and len(want_errors) > len(lines) // 10
+
+    block_columns = ntriples._block_columns
+    took_block_path = []
+
+    def counted(lines, memo):
+        out = block_columns(lines, memo)
+        took_block_path.append(out is not None)
+        return out
+
+    monkeypatch.setattr(ntriples, "_block_columns", counted)
+    # one line, then a few lines to a block, so that many blocks take each path
+    for size, least in ((1, 10_000), (200, 10)):
+        monkeypatch.setattr(ntriples, "BLOCK_BYTES", size)
+        took_block_path.clear()
+        got_errors = []
+        assert file_triples(path, errors=got_errors) == want
+        assert _errors(got_errors) == _errors(want_errors)
+        assert least < sum(took_block_path) < len(took_block_path) - least
+
+    with pytest.raises(ParseError) as line_err, path.open("rb") as src:
+        list(iter_triples(src, strict=True))
+    got = []
+    with pytest.raises(ParseError) as block_err:
+        for block in iter_file(str(path), strict=True):
+            got += map(RawTriple, *block)
+    assert _errors([block_err.value]) == _errors([line_err.value])
+    assert got == want[:len(got)]
+
+
+@pytest.mark.parametrize("char", ["\u2028", "\u0085", "\x0b", "\x0c", "\x1c", "\r"])
+def test_line_breaks_only_at_line_feed(tmp_path, monkeypatch, char):
+    path = tmp_path / "breaks.nt"
+    path.write_bytes(f'<a> <p> "x{char}y" .\n<b> <p> "{char}"@en .\n'.encode("utf-8"))
+    want = [RawTriple("a", "p", f'"x{char}y"'), RawTriple("b", "p", f'"{char}"@en')]
+    with path.open("rb") as src:
+        assert list(iter_triples(src, strict=True)) == want
+
+    def no_line_path(line, line_no=0):
+        raise AssertionError("the block took the line path")
+
+    monkeypatch.setattr(ntriples, "parse_line", no_line_path)
+    assert file_triples(path, strict=True) == want
+
+
+def test_crlf_file_parses_like_its_lf_twin(tmp_path, monkeypatch):
+    statements = ["<a> <p> <b> .", "# comment", "", '_:x <p> "l\\u00e9"@fr . # c',
+                  "_:y <p> _:z.", '<c> <q> "5"^^<http://t/int> .']
+    bad = ["<a> <p>", r'<a> <p> "\uD800" .', '<a> <p> "x"@1a .']
+    lf, crlf = tmp_path / "lf.nt", tmp_path / "crlf.nt"
+    for path, end in ((lf, "\n"), (crlf, "\r\n")):
+        path.write_text(end.join(statements + bad + statements) + end, newline="")
+    lf_errors, crlf_errors = [], []
+    want = file_triples(lf, errors=lf_errors)
+    assert len(want) == 8 and len(lf_errors) == 3
+    assert file_triples(crlf, errors=crlf_errors) == want
+    assert _errors(crlf_errors) == _errors(lf_errors)
+
+    def no_line_path(line, line_no=0):
+        raise AssertionError("the block took the line path")
+
+    # with no bad line, a CRLF block needs no line path
+    crlf.write_text("\r\n".join(statements) + "\r\n", newline="")
+    monkeypatch.setattr(ntriples, "parse_line", no_line_path)
+    assert file_triples(crlf) == want[:4]
+
+
+def test_parse_line_rejects_a_line_break():
+    for text in ("<a> <p> <b> .\n", '<a> <p> "x\ny" .', "# c\n<a> <p> <b> .",
+                 "<a> <p> <b> .\n<c> <p> <d> ."):
+        with pytest.raises(ParseError, match="line break"):
+            parse_line(text)

@@ -6,7 +6,6 @@ import pytest
 
 from bmatrix import store as store_mod
 from bmatrix.k2tree import K2Config, Stage, VOCAB_COLS_RANK, VOCAB_PLAIN
-from bmatrix.ntriples import RawTriple
 from bmatrix.oracle import TripleList
 from bmatrix.store import (PredicateIndex, TripleStore, read_store,
                            write_store)
@@ -169,7 +168,7 @@ def test_pattern_query_dispatch(store_e):
 
 
 def test_store_file_round_trip(store_e):
-    d, _ = Dictionary.from_triples([])
+    d, _ = Dictionary.from_triples([], [], [])
     buf = io.BytesIO()
     write_store(buf, store_e, d)
     data = buf.getvalue()
@@ -237,10 +236,10 @@ PACKED_CONFIGS = [
 
 def term_store(config, n=2500, seed=11):
     rng = np.random.default_rng(seed)
-    raw = [RawTriple(f"<http://x/n{s}>", f"<http://x/p{p}>", f"<http://x/n{o}>")
-           for s, p, o in zip(rng.integers(0, 300, n), rng.integers(0, 40, n),
-                              rng.integers(0, 300, n))]
-    dictionary, ids = Dictionary.from_triples(raw)
+    s, p, o = (rng.integers(0, m, n).tolist() for m in (300, 40, 300))
+    dictionary, ids = Dictionary.from_triples([f"<http://x/n{i}>" for i in s],
+                                              [f"<http://x/p{i}>" for i in p],
+                                              [f"<http://x/n{i}>" for i in o])
     store = TripleStore.build(ids, dictionary.subject_count,
                               dictionary.object_count,
                               dictionary.predicate_count, config=config, period=64)
