@@ -35,7 +35,7 @@ def read_exact(src, n: int) -> bytes:
     return data
 
 
-def _as_uint(values) -> np.ndarray:
+def as_uint(values) -> np.ndarray:
     if isinstance(values, (bytes, array)):
         return np.asarray(memoryview(values))
     return np.asarray(values, dtype=np.uint64).ravel()
@@ -43,7 +43,7 @@ def _as_uint(values) -> np.ndarray:
 
 def packed_array(values) -> array:
     """Unsigned ints as an array of the smallest typecode that fits them all."""
-    arr = _as_uint(values)
+    arr = as_uint(values)
     top = int(arr.max()) if arr.size else 0
     out = next(array(tc) for tc in _TYPECODES
                if top >> (8 * array(tc).itemsize) == 0)
@@ -53,7 +53,7 @@ def packed_array(values) -> array:
 
 def pack_fixed(values, width: int) -> bytes:
     """Pack unsigned ints into `width`-bit slots, LSB-first bit order."""
-    arr = _as_uint(values)
+    arr = as_uint(values)
     if arr.size == 0:
         return b""
     if width in (8, 16, 32, 64):

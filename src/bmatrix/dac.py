@@ -16,7 +16,7 @@ from array import array
 import numpy as np
 
 from .bitvector import SAMPLE_RATE_DEFAULT, BitVector
-from ._binio import pack_fixed, packed_array, read_exact, unpack_fixed
+from ._binio import as_uint, pack_fixed, packed_array, read_exact, unpack_fixed
 
 
 class Dac:
@@ -65,6 +65,23 @@ class Dac:
             shift += self.chunk_bits
         return value
 
+    def values(self) -> np.ndarray:
+        """All encoded values in order, as uint64, decoded a level at a time:
+        level l+1's chunks belong to the values at level l's continuation ones."""
+        if not self.levels:
+            return np.zeros(0, dtype=np.uint64)
+        levels = self.levels
+        values = as_uint(levels[0][0]).astype(np.uint64)
+        owner = np.arange(self.length)  # the value each chunk of a level belongs to
+        for lvl in range(1, len(levels)):
+            flags = levels[lvl - 1][1]
+            more = np.unpackbits(np.frombuffer(flags.data, dtype=np.uint8),
+                                 count=flags.length, bitorder="little")
+            owner = owner[more.view(bool)]
+            values[owner] |= as_uint(levels[lvl][0]).astype(np.uint64) << np.uint64(
+                lvl * self.chunk_bits)
+        return values
+
     def __len__(self) -> int:
         return self.length
 
@@ -94,11 +111,32 @@ class Dac:
 
     @classmethod
     def read(cls, src, sample_rate: int = SAMPLE_RATE_DEFAULT) -> "Dac":
+        """Refuses, with a ValueError, levels whose sizes disagree: each level
+        holds as many chunks as the level before has continuation ones (level
+        0: `length`), as many flags as chunks, and the last level has no
+        continuation one, nor more levels than a 64-bit value needs."""
         chunk_bits, length, n_levels = struct.unpack("<BQB", read_exact(src, 10))
+        if (n_levels - 1) * chunk_bits >= 64:
+            raise ValueError(f"DAC has {n_levels} levels of {chunk_bits}-bit chunks,"
+                             " more than 64-bit values need")
         levels = []
-        for _ in range(n_levels):
+        want = length
+        for lvl in range(n_levels):
             (count,) = struct.unpack("<Q", read_exact(src, 8))
+            if count != want:
+                raise ValueError(f"DAC level {lvl} holds {count} chunks, not the {want}"
+                                 + (" values of its length" if lvl == 0 else
+                                    f" continuation ones of level {lvl - 1}"))
             n_bytes = (count * chunk_bits + 7) // 8
             chunks = unpack_fixed(read_exact(src, n_bytes), chunk_bits, count)
-            levels.append((chunks, BitVector.read(src, sample_rate)))
+            flags = BitVector.read(src, sample_rate)
+            if flags.length != count:
+                raise ValueError(f"DAC level {lvl} has {flags.length} continuation"
+                                 f" flags for {count} chunks")
+            levels.append((chunks, flags))
+            want = flags.ones
+        if want:
+            raise ValueError(f"DAC level {n_levels - 1} is the last but has {want}"
+                             " continuation ones" if n_levels else
+                             f"DAC of length {length} has no levels")
         return cls(chunk_bits, length, levels)

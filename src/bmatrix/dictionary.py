@@ -310,25 +310,22 @@ class Dictionary:
 
     # -- term -> id ----------------------------------------------------------
 
-    def subject_id(self, term: str) -> int:
+    def _role_id(self, term: str, own: TermPool, role: str) -> int:
+        """Id of a subject or object term: shared ids first, then `own`'s."""
         key = _key(term)
         i = self.shared.index(key)
         if i >= 0:
             return i + 1
-        i = self.subject_only.index(key)
+        i = own.index(key)
         if i >= 0:
             return self.so_count + i + 1
-        raise KeyError(f"subject term not found: {term!r}")
+        raise KeyError(f"{role} term not found: {term!r}")
+
+    def subject_id(self, term: str) -> int:
+        return self._role_id(term, self.subject_only, "subject")
 
     def object_id(self, term: str) -> int:
-        key = _key(term)
-        i = self.shared.index(key)
-        if i >= 0:
-            return i + 1
-        i = self.object_only.index(key)
-        if i >= 0:
-            return self.so_count + i + 1
-        raise KeyError(f"object term not found: {term!r}")
+        return self._role_id(term, self.object_only, "object")
 
     def predicate_id(self, term: str) -> int:
         i = self.predicates.index(_key(term))
@@ -338,23 +335,20 @@ class Dictionary:
 
     # -- id -> term ----------------------------------------------------------
 
-    def subject_term(self, i: int) -> str:
+    def _role_term(self, i: int, own: TermPool, count: int, role: str) -> str:
+        """Term of a subject or object id below `count`, from the shared
+        pool or from `own`."""
         if 1 <= i <= self.so_count:
-            pool, i = self.shared, i - 1
-        elif self.so_count < i <= self.subject_count:
-            pool, i = self.subject_only, i - self.so_count - 1
-        else:
-            raise KeyError(f"subject id not found: {i}")
-        return pool.term(i)
+            return self.shared.term(i - 1)
+        if self.so_count < i <= count:
+            return own.term(i - self.so_count - 1)
+        raise KeyError(f"{role} id not found: {i}")
+
+    def subject_term(self, i: int) -> str:
+        return self._role_term(i, self.subject_only, self.subject_count, "subject")
 
     def object_term(self, i: int) -> str:
-        if 1 <= i <= self.so_count:
-            pool, i = self.shared, i - 1
-        elif self.so_count < i <= self.object_count:
-            pool, i = self.object_only, i - self.so_count - 1
-        else:
-            raise KeyError(f"object id not found: {i}")
-        return pool.term(i)
+        return self._role_term(i, self.object_only, self.object_count, "object")
 
     def predicate_term(self, i: int) -> str:
         if not 1 <= i <= self.predicate_count:

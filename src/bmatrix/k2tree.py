@@ -18,7 +18,6 @@ import struct
 from bisect import bisect_right
 from dataclasses import dataclass
 from io import BytesIO
-from itertools import repeat
 from math import prod
 
 import numpy as np
@@ -176,6 +175,21 @@ def _level_bits(codes: np.ndarray, ks: list[int]) -> list[np.ndarray]:
     return level_bits
 
 
+def _set_bits(bits: int) -> list[int]:
+    """Positions of the set bits, ascending."""
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
+    return out
+
+
+def _col_mask(side: int) -> int:
+    """Bit r*side set for every row r: column 0 of a side x side leaf."""
+    return ((1 << side * side) - 1) // ((1 << side) - 1)
+
+
 class LeafVocabulary:
     """Distinct leaf matrices ranked by descending frequency.
 
@@ -188,6 +202,11 @@ class LeafVocabulary:
 
     `patterns` and `row_in_col` are `array.array`s of the smallest
     unsigned typecode that holds their values.
+
+    `cells(e)` is the one decode: it gives leaf e in the plain form, a
+    side*side-bit int with bit r*side + c set for a 1, so its set bits from
+    low to high are the cells in row-major order. `bit`, `row_cols` and
+    `col_rows` mask that int, and the tree walk masks it to its rectangle.
     """
 
     __slots__ = ("encoding", "side", "count", "patterns", "col_flags", "row_in_col")
@@ -225,99 +244,43 @@ class LeafVocabulary:
         return cls(encoding, side, m, col_flags=col_flags,
                    row_in_col=packed_array(rows.ravel()[mask]))
 
+    def cells(self, e: int) -> int:
+        """Leaf e as a side*side-bit int, bit r*side + c set for a 1: the
+        one decode, for every encoding."""
+        if self.encoding == VOCAB_PLAIN:
+            return self.patterns[e]
+        side = self.side
+        base = e * side
+        # side divides 8, so the leaf's column flags are one field of one byte
+        flags = (self.col_flags.data[base >> 3] >> (base & 7)) & ((1 << side) - 1)
+        rows = self.row_in_col
+        full = self.encoding == VOCAB_COLS_FULL
+        # cols-rank: the set columns' rows follow those of the earlier leaves
+        j = 0 if full or not base else self.col_flags.rank1(base - 1)
+        bits = 0
+        while flags:
+            low = flags & -flags
+            c = low.bit_length() - 1
+            bits |= 1 << (rows[base + c if full else j] * side + c)
+            j += 1
+            flags ^= low
+        return bits
+
     def bit(self, e: int, r: int, c: int) -> bool:
         """Cell (r, c) of the stored leaf matrix e."""
         if not 0 <= e < self.count:
             raise IndexError(f"leaf id {e} out of range [0, {self.count})")
         if not (0 <= r < self.side and 0 <= c < self.side):
             raise IndexError(f"cell ({r}, {c}) outside a {self.side}x{self.side} leaf")
-        if self.encoding == VOCAB_PLAIN:
-            return (self.patterns[e] >> (r * self.side + c)) & 1 == 1
-        i = e * self.side + c
-        if not self.col_flags.access(i):
-            return False
-        if self.encoding == VOCAB_COLS_FULL:
-            return self.row_in_col[i] == r
-        return self.row_in_col[self.col_flags.rank1(i) - 1] == r
-
-    # Bulk enumerators used by the tree traversals; local coordinates,
-    # ascending / row-major order so results come out sorted without probing
-    # every cell of a leaf.
+        return self.cells(e) >> (r * self.side + c) & 1 == 1
 
     def row_cols(self, e: int, r: int) -> list[int]:
         """Columns set in row r of leaf e, ascending."""
-        side = self.side
-        if self.encoding == VOCAB_PLAIN:
-            bits = (self.patterns[e] >> (r * side)) & ((1 << side) - 1)
-            out = []
-            while bits:
-                low = bits & -bits
-                out.append(low.bit_length() - 1)
-                bits ^= low
-            return out
-        base = e * side
-        flags = self.col_flags.data
-        rows = self.row_in_col
-        if self.encoding == VOCAB_COLS_FULL:
-            return [c for c in range(side)
-                    if (flags[(base + c) >> 3] >> ((base + c) & 7)) & 1
-                    and rows[base + c] == r]
-        j = self.col_flags.rank1(base - 1) if base else 0
-        out = []
-        for c in range(side):
-            i = base + c
-            if (flags[i >> 3] >> (i & 7)) & 1:
-                if rows[j] == r:
-                    out.append(c)
-                j += 1
-        return out
+        return _set_bits(self.cells(e) >> (r * self.side) & ((1 << self.side) - 1))
 
     def col_rows(self, e: int, c: int) -> list[int]:
         """Rows set in column c of leaf e, ascending."""
-        side = self.side
-        if self.encoding == VOCAB_PLAIN:
-            bits = self.patterns[e] >> c
-            out = []
-            for r in range(side):
-                if bits & 1:
-                    out.append(r)
-                bits >>= side
-            return out
-        i = e * side + c
-        if not self.col_flags.access(i):
-            return []
-        if self.encoding == VOCAB_COLS_FULL:
-            return [self.row_in_col[i]]
-        return [self.row_in_col[self.col_flags.rank1(i) - 1]]
-
-    def cells(self, e: int) -> list[tuple[int, int]]:
-        """Set cells of leaf e in row-major order."""
-        side = self.side
-        if self.encoding == VOCAB_PLAIN:
-            bits = self.patterns[e]
-            out = []
-            while bits:
-                low = bits & -bits
-                b = low.bit_length() - 1
-                out.append((b // side, b % side))
-                bits ^= low
-            return out
-        base = e * side
-        flags = self.col_flags.data
-        rows = self.row_in_col
-        if self.encoding == VOCAB_COLS_FULL:
-            pairs = [(rows[base + c], c) for c in range(side)
-                     if (flags[(base + c) >> 3] >> ((base + c) & 7)) & 1]
-        else:
-            j = self.col_flags.rank1(base - 1) if base else 0
-            pairs = []
-            for c in range(side):
-                i = base + c
-                if (flags[i >> 3] >> (i & 7)) & 1:
-                    pairs.append((rows[j], c))
-                    j += 1
-        pairs.sort()
-        return pairs
+        return [b // self.side for b in _set_bits(self.cells(e) & _col_mask(self.side) << c)]
 
     @property
     def row_index_bits(self) -> int:
@@ -359,6 +322,10 @@ class LeafVocabulary:
             return cls(encoding, side, count, patterns=patterns)
         col_flags = BitVector.read(src, sample_rate)
         (n_rows,) = struct.unpack("<Q", read_exact(src, 8))
+        if (col_flags.length, n_rows) != (
+                count * side, count * side if encoding == VOCAB_COLS_FULL else col_flags.ones):
+            raise ValueError(f"{encoding} vocabulary of {count} leaves holds"
+                             f" {col_flags.length} column flags and {n_rows} rows")
         width = side.bit_length() - 1
         rows = unpack_fixed(read_exact(src, (n_rows * width + 7) // 8), width, n_rows)
         return cls(encoding, side, count, col_flags=col_flags, row_in_col=rows)
@@ -433,17 +400,16 @@ class K2Tree:
                      + _path_part(cols // leaf_side, leaf_cols, ks, col_weight))
 
         if leaf_side > 1:
-            bit_idx = ((rows % leaf_side) * leaf_side + (cols % leaf_side)).astype(np.uint64)
-            masks = np.uint64(1) << bit_idx
-            order = np.argsort(leaf_code)
-            lc = leaf_code[order]
-            if lc.size:
-                starts = np.flatnonzero(np.r_[True, lc[1:] != lc[:-1]])
-                codes = lc[starts]
-                patterns = np.bitwise_or.reduceat(masks[order], starts)
-            else:
-                codes = lc
-                patterns = masks
+            # one sort of (code, bit in leaf) keys; codes are below
+            # (MAX_SIDE / leaf_side)^2, so the keys are below 2^62
+            shift = 2 * (leaf_side.bit_length() - 1)
+            key = leaf_code << shift | (rows % leaf_side) * leaf_side + cols % leaf_side
+            key.sort()
+            lc = key >> shift
+            starts = np.flatnonzero(np.diff(lc, prepend=-1))  # each code's first key
+            codes = lc[starts]
+            patterns = np.bitwise_or.reduceat(
+                np.uint64(1) << (key & ((1 << shift) - 1)).astype(np.uint64), starts)
         else:
             codes = np.unique(leaf_code)
             patterns = None
@@ -555,7 +521,8 @@ class K2Tree:
             ordinal = tree.rank1(pos) - self._ones_before[lvl] - 1
             if lvl == last:
                 side = self.config.leaf_side
-                return self.vocab.bit(self.leaf_ids.access(ordinal), r % side, c % side)
+                leaf = self.vocab.cells(self.leaf_ids.access(ordinal))
+                return leaf >> (r % side * side + c % side) & 1 == 1
             base = self._level_start[lvl + 1] + ordinal * self._arity[lvl + 1]
         return False  # depth 0: an empty matrix
 
@@ -585,6 +552,10 @@ class K2Tree:
         else:
             leaf_access = self.leaf_ids.access
             leaf_before = ones_before[last] + 1
+            cells = vocab.cells
+            side = vocab.side
+            shift = side.bit_length() - 1
+            col_mask = _col_mask(side)
         # frames: (level of the node's child bits, the node's bit one level up,
         # node origin); a rank is taken on visiting, so `limit` skips the rest
         stack = [(0, 0, 0, 0)]
@@ -628,6 +599,8 @@ class K2Tree:
                 r0 = row0 + rr * child
                 lr_lo = r_lo - r0 if r_lo > r0 else 0
                 lr_hi = r_hi - r0 if r_hi < r0 + child - 1 else child - 1
+                # leaf rows [lr_lo, lr_hi]; with a vocabulary, child is its side
+                row_band = (1 << (lr_hi + 1) * child) - (1 << lr_lo * child)
                 for cc in range(cc_lo, cc_hi + 1):
                     pos = row_base + cc
                     if vocab is None:  # the last level's bits are the cells, in L
@@ -636,20 +609,18 @@ class K2Tree:
                             rows.append(r0)
                             cols.append(col0 + cc)
                     elif (tdata[pos >> 3] >> (pos & 7)) & 1:
-                        leaf = leaf_access(rank1(pos) - leaf_before)
                         c0 = col0 + cc * child
                         lc_lo = c_lo - c0 if c_lo > c0 else 0
                         lc_hi = c_hi - c0 if c_hi < c0 + child - 1 else child - 1
-                        if lr_lo == lr_hi:
-                            found = zip(repeat(lr_lo), vocab.row_cols(leaf, lr_lo))
-                        elif lc_lo == lc_hi:
-                            found = zip(vocab.col_rows(leaf, lc_lo), repeat(lc_lo))
-                        else:
-                            found = vocab.cells(leaf)
-                        for r, c in found:
-                            if lr_lo <= r <= lr_hi and lc_lo <= c <= lc_hi:
-                                rows.append(r0 + r)
-                                cols.append(c0 + c)
+                        # the leaf's cells inside the rectangle, row-major
+                        bits = (cells(leaf_access(rank1(pos) - leaf_before)) & row_band
+                                & ((1 << lc_hi + 1) - (1 << lc_lo)) * col_mask)
+                        while bits:  # set bits, low to high
+                            low = bits & -bits
+                            b = low.bit_length() - 1
+                            rows.append(r0 + (b >> shift))
+                            cols.append(c0 + (b & side - 1))
+                            bits ^= low
                     if 0 < limit <= len(rows):
                         return rows[:limit], cols[:limit]
         return rows, cols
@@ -775,6 +746,9 @@ class K2Tree:
             vocab = LeafVocabulary.read(src, config.sample_rate)
             if vocab.side != leaf_side:
                 raise ValueError(f"leaf vocabulary side {vocab.side} is not {leaf_side}")
+            top = int(leaf_ids.values().max()) if len(leaf_ids) else -1
+            if top >= vocab.count:
+                raise ValueError(f"leaf id {top} is past the {vocab.count}-leaf vocabulary")
             return cls(config, n_rows, n_cols, side, ks, tree,
                        leaf_ids=leaf_ids, vocab=vocab)
         leaves = BitVector.read(src, config.sample_rate)

@@ -33,6 +33,12 @@ Loading refuses a file, with a ValueError, when:
   other than its side, a side below its rows or columns or above
   MAX_SIDE, a leaf mode that does not fit its leaf side, or fewer tree
   bits or leaves than its levels need;
+- a tree's leaf ids do not fit its vocabulary: an id at or past the
+  vocabulary's count, or column flags and rows other than its count needs;
+- a DAC's levels disagree: level 0 holds other than `length` chunks, a
+  level's flags are not as long as its chunks, a level holds other than
+  the continuation ones of the level before, the last level has a
+  continuation one, or there are more levels than 64-bit values need;
 - the predicate index has a period below 1, a sample count other than
   one per period, run starts that do not rise from 0 to its columns, or a
   sample that does not name the predicate owning its column.
@@ -181,22 +187,6 @@ class PredicateIndex:
         return cls(starts, period, samples, n)
 
 
-def _merge_sorted_lists(a: list[int], b: list[int]) -> list[int]:
-    out = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        x, y = a[i], b[j]
-        if x == y:
-            out.append(x)
-            i += 1
-            j += 1
-        elif x < y:
-            i += 1
-        else:
-            j += 1
-    return out
-
-
 class TripleStore:
     """Immutable id-triple store answering all eight triple patterns."""
 
@@ -314,8 +304,8 @@ class TripleStore:
         """(s, ?, o): predicate ids, ascending.
 
         Few candidate columns for the object -> cell checks in the
-        subject tree; many -> a second row query and a merge of the two
-        sorted column lists (threshold: merge_sorted).
+        subject tree; many -> a second row query and the sorted
+        intersection of the two column lists (threshold: merge_sorted).
         """
         self._check_s(s)
         self._check_o(o)
@@ -327,7 +317,7 @@ class TripleStore:
             cell = self.subject_tree.cell
             cols = [i for i in by_object if cell(s_row, i)]
         else:
-            cols = _merge_sorted_lists(by_object, self.subject_tree.row(s - 1))
+            cols = sorted(set(by_object).intersection(self.subject_tree.row(s - 1)))
         predicate_of = self.pred_index.predicate_of
         return [predicate_of(i) for i in cols]
 

@@ -426,6 +426,42 @@ def test_zero_k_or_period_is_a_clean_error(built, capsys, field, message, comman
     assert err.startswith("error: ") and message in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("fault, message", [
+    ("leaf id past the vocabulary", "leaf id 255 is past the"),
+    ("level continues past the last", "DAC level 0 is the last but has 1 continuation"),
+    ("length 2^62", "DAC level 0 holds")])
+@pytest.mark.parametrize("command", [["stats"], ["query", "?", "?", "?"]])
+def test_corrupt_leaf_ids_are_a_clean_error(built, capsys, fault, message, command):
+    _, out = built
+    store, dictionary = store_mod.load(str(out))
+    at = 4 + 2 + 2 + 64
+    for section in (dictionary, store.pred_index):
+        buf = io.BytesIO()
+        section.write(buf)
+        at += len(buf.getvalue())
+    tree = store.subject_tree
+    # the subject tree's DAC follows its stages, leaf bytes, dims, depth, ks,
+    # tree bits and leaf mode byte
+    at += 1 + 3 * len(tree.config.stages) + 4 + 24 + 2 + len(tree.ks)
+    at += 8 + len(tree.tree_bits.data) + 1
+    dac = tree.leaf_ids
+    assert (dac.chunk_bits, len(dac.levels), tree.vocab.count) == (8, 1, 1)
+    chunks_at = at + 1 + 8 + 1 + 8      # chunk bits, length, levels, count
+    flags_at = chunks_at + len(dac) + 8  # the flags' words follow their length
+    data = bytearray(out.read_bytes())
+    if fault == "leaf id past the vocabulary":
+        data[chunks_at] = 255
+    elif fault == "level continues past the last":
+        data[flags_at] |= 1
+    else:
+        data[at + 1:at + 9] = (1 << 62).to_bytes(8, "little")
+    out.write_bytes(bytes(data))
+    capsys.readouterr()
+    assert cli.main([command[0], str(out), *command[1:]]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
+
+
 def test_version_1_store_asks_for_a_rebuild(built, capsys):
     _, out = built
     data = bytearray(out.read_bytes())

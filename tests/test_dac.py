@@ -59,6 +59,42 @@ def test_round_trip_random(b):
     d = Dac.encode(values, chunk_bits=b)
     assert len(d) == len(values)
     assert [d.access(i) for i in range(len(values))] == values
+    assert d.values().tolist() == values
+
+
+def test_values_of_wide_and_empty():
+    values = [(1 << 64) - 1, 0, 1 << 63, 12345]
+    assert Dac.encode(values, chunk_bits=3).values().tolist() == values
+    assert Dac.encode([], chunk_bits=3).values().tolist() == []
+
+
+def _levels_bytes(values, chunk_bits=2):
+    buf = io.BytesIO()
+    Dac.encode(values, chunk_bits=chunk_bits).write(buf)
+    return bytearray(buf.getvalue())
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("length", "DAC level 0 holds 3 chunks, not the 4 values of its length"),
+    ("next level count", "DAC level 1 holds 3 chunks, not the 2 continuation ones"),
+    ("last level continues", "level 1 is the last but has 1 continuation ones"),
+    ("flags length", "DAC level 0 has 4 continuation flags for 3 chunks"),
+    ("too many levels", "more than 64-bit values need")])
+def test_read_refuses_disagreeing_levels(fault, message):
+    data = _levels_bytes([5, 1, 9])         # levels of 3 and 2 chunks
+    level1_count_at = 10 + 8 + 1 + 8 + 8    # header, count, chunks, flags
+    if fault == "length":
+        data[1:9] = (4).to_bytes(8, "little")
+    elif fault == "next level count":
+        data[level1_count_at:level1_count_at + 8] = (3).to_bytes(8, "little")
+    elif fault == "last level continues":
+        data[level1_count_at + 8 + 1 + 8] |= 1   # first flag of level 1
+    elif fault == "flags length":
+        data[10 + 8 + 1:10 + 8 + 9] = (4).to_bytes(8, "little")
+    else:
+        data[9] = 33                        # 33 levels of 2 bits
+    with pytest.raises(ValueError, match=message):
+        Dac.read(io.BytesIO(bytes(data)))
 
 
 def test_bounds():

@@ -237,6 +237,22 @@ def test_vocab_matches_dense_single_one_cols(encoding, leaf_side):
                    vocab_encoding=encoding)
     t = K2Tree.build(pts, nr, nc, cfg)
     assert_matches_dense(t, dense(pts, nr, nc), rng)
+    # every leaf decodes to the plain pattern, and the readers mask that decode
+    plain = K2Tree.build(pts, nr, nc, K2Config(
+        stages=cfg.stages, leaf_side=leaf_side, vocab_encoding=VOCAB_PLAIN)).vocab
+    v = t.vocab
+    assert v.count == plain.count > 1
+    for e in range(v.count):
+        leaf = v.cells(e)
+        assert leaf == plain.patterns[e]
+        cells = {(r, c) for r in range(leaf_side) for c in range(leaf_side)
+                 if leaf >> (r * leaf_side + c) & 1}
+        for r in range(leaf_side):
+            assert v.row_cols(e, r) == sorted(c for rr, c in cells if rr == r)
+            for c in range(leaf_side):
+                assert v.bit(e, r, c) == ((r, c) in cells)
+        for c in range(leaf_side):
+            assert v.col_rows(e, c) == sorted(r for r, cc in cells if cc == c)
 
 
 def test_encodings_agree_bit_for_bit():
