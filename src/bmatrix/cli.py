@@ -182,7 +182,7 @@ def cmd_build(args) -> int:
     t2 = time.perf_counter()
     store = TripleStore.build(
         ids, dictionary.subject_count, dictionary.object_count,
-        dictionary.predicate_count, config=config, period=args.d,
+        dictionary.predicate_count, config=config,
         merge_sorted=merge_sorted, merge_unsorted=merge_unsorted)
     t3 = time.perf_counter()
     store_mod.save(args.output, store, dictionary)
@@ -256,7 +256,6 @@ def cmd_stats(args) -> int:
           f" leaf {st.config.leaf_side}x{st.config.leaf_side}"
           f" vocab {st.config.vocab_encoding if st.config.leaf_side > 1 else 'off'}")
     print(f"sampling preset    {st.config.sample_preset}")
-    print(f"rank period d      {store.pred_index.period}")
     print(f"thresholds         sorted={store.merge_sorted}"
           f" unsorted={store.merge_unsorted}")
     _print_space_report(store, dictionary, sys.stdout)
@@ -457,8 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="leaf vocabulary encoding")
     b.add_argument("--sample", default="default", choices=["default", "dense"],
                    help="bitmap rank sampling preset (~5%% or 12.5%% overhead)")
-    b.add_argument("--d", type=int, default=store_mod.DEFAULT_RANK_PERIOD,
-                   help="predicate rank sampling period")
     b.add_argument("--thresholds", default="10",
                    help="merge thresholds as 'N' or 'SORTED,UNSORTED'")
     b.add_argument("--gzip", default="auto", choices=["auto", "on", "off"])

@@ -89,16 +89,6 @@ class Dac:
         return f"Dac(chunk_bits={self.chunk_bits}, length={self.length}, levels={len(self.levels)})"
 
     @property
-    def total_chunks(self) -> int:
-        return sum(len(chunks) for chunks, _ in self.levels)
-
-    @property
-    def data_bytes(self) -> int:
-        bits = sum(len(chunks) * self.chunk_bits + flags.length
-                   for chunks, flags in self.levels)
-        return (bits + 7) // 8
-
-    @property
     def accel_bytes(self) -> int:
         return sum(flags.accel_bytes for _, flags in self.levels)
 

@@ -295,10 +295,6 @@ class LeafVocabulary:
         return self.count * self.side + len(self.row_in_col) * self.row_index_bits
 
     @property
-    def data_bytes(self) -> int:
-        return (self.payload_bits() + 7) // 8
-
-    @property
     def accel_bytes(self) -> int:
         return self.col_flags.accel_bytes if self.col_flags is not None else 0
 
@@ -668,10 +664,6 @@ class K2Tree:
     def _parts(self) -> list:
         return [part for part in (self.tree_bits, self.leaf_bits, self.leaf_ids, self.vocab)
                 if part is not None]
-
-    @property
-    def data_bytes(self) -> int:
-        return sum(part.data_bytes for part in self._parts())
 
     @property
     def accel_bytes(self) -> int:

@@ -13,22 +13,22 @@ runs. The store is immutable after build and safe for unlimited
 concurrent readers; the two merge thresholds only steer query strategy
 and may be changed between queries.
 
-A store file (format version 2) is, little-endian throughout: the magic
-"BMX1", the u16 format version, the integer widths of the predicate
-index (u8 8, u8 4), eight u64 header counts (triples, shared terms,
-subjects, objects, predicates, rank period, the two merge thresholds),
-then the dictionary's four pools (shared, subject-only, object-only,
-predicates; front-coded, see `dictionary`), the predicate index, the
-subject tree and the object tree, and nothing after them. Version 1
-files, whose pools were plain UTF-8 plus per-term offsets, are refused
-with a request to rebuild them.
+A store file (format version 3) is, little-endian throughout: the magic
+"BMX1", the u16 format version, seven u64 header counts (triples, shared
+terms, subjects, objects, predicates, the two merge thresholds), then the
+dictionary's four pools (shared, subject-only, object-only, predicates;
+front-coded, see `dictionary`), the predicate index (u64 columns, u64
+start count, u64 run starts), the subject tree and the object tree, and
+nothing after them. Version 1 files (pools of plain UTF-8 plus per-term
+offsets) and version 2 files (a rank-sample table beside the run starts)
+are refused with a request to rebuild them.
 
 Loading refuses a file, with a ValueError, when:
 - a read runs past its end, or bytes follow the object tree;
 - a pool fails the dictionary's checks, or a count does not fit its bytes;
 - a tag byte names no known encoding, sampling preset or leaf mode;
 - a header count (triples, shared terms, subjects, objects, predicates)
-  or the rank period differs from what the sections hold;
+  differs from what the sections hold;
 - a tree's geometry does not add up: a k below 2, prod(ks) * leaf side
   other than its side, a side below its rows or columns or above
   MAX_SIDE, a leaf mode that does not fit its leaf side, or fewer tree
@@ -39,9 +39,9 @@ Loading refuses a file, with a ValueError, when:
   level's flags are not as long as its chunks, a level holds other than
   the continuation ones of the level before, the last level has a
   continuation one, or there are more levels than 64-bit values need;
-- the predicate index has a period below 1, a sample count other than
-  one per period, run starts that do not rise from 0 to its columns, or a
-  sample that does not name the predicate owning its column.
+- the predicate index's run starts do not rise from 0 to its columns.
+
+A query that meets a column with no 1 in a tree raises a ValueError too.
 """
 
 from __future__ import annotations
@@ -57,9 +57,8 @@ from .dictionary import Dictionary, sort_unique
 from .k2tree import K2Config, K2Tree
 
 MAGIC = b"BMX1"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
-DEFAULT_RANK_PERIOD = 1024
 DEFAULT_MERGE_THRESHOLD = 10
 
 # The eight triple patterns: shape (the bound slots' letters, "?" for an
@@ -83,108 +82,67 @@ def shape_of(s, p, o) -> str:
         + ("?" if o is None else "o")
 
 
+def _row_of(tree: K2Tree, i: int) -> int:
+    """The 1-based row of the one 1 in column i of a store tree."""
+    rows = tree.col(i, limit=1)
+    if not rows:
+        raise ValueError(f"column {i} holds no 1: the store is damaged")
+    return rows[0] + 1
+
+
 class PredicateIndex:
-    """Column runs per predicate: run starts plus a sampled rank table.
+    """Column runs per predicate, kept as their starts.
 
     starts[p-1] is the first column of predicate p (0-based), with a
     final sentinel equal to the triple count; unused predicate ids own
-    empty runs. samples[j] holds the predicate of column j*period
-    (clamped to the last column), which narrows the binary search that
-    maps a column back to its predicate. Both are `array.array`s of the
-    smallest unsigned typecode that holds their values; the file keeps
-    starts as u64 and samples as u32.
+    empty runs, which start where the next run starts. Select is a lookup
+    in starts and rank a binary search over it. starts is an
+    `array.array` of the smallest unsigned typecode that holds its
+    values; the file keeps it as u64.
     """
 
-    __slots__ = ("starts", "period", "samples", "n", "n_predicates")
+    __slots__ = ("starts", "n", "n_predicates")
 
-    def __init__(self, starts: array, period: int, samples: array, n: int):
+    def __init__(self, starts: array, n: int):
         self.starts = starts
-        self.period = period
-        self.samples = samples
         self.n = n
         self.n_predicates = len(starts) - 1
 
     @classmethod
-    def from_sorted(cls, preds_sorted: np.ndarray, n_predicates: int,
-                    period: int = DEFAULT_RANK_PERIOD) -> "PredicateIndex":
-        if period < 1:
-            raise ValueError("sampling period must be >= 1")
-        n = int(preds_sorted.size)
+    def from_sorted(cls, preds_sorted: np.ndarray, n_predicates: int) -> "PredicateIndex":
         starts = np.searchsorted(preds_sorted, np.arange(1, n_predicates + 2),
                                  side="left")
-        if n:
-            cols = np.minimum(np.arange(0, n // period + 1) * period, n - 1)
-            samples = preds_sorted[cols]
-        else:
-            samples = ()
-        return cls(packed_array(starts), period, packed_array(samples), n)
-
-    def _check_predicate(self, p: int) -> None:
-        if not 1 <= p <= self.n_predicates:
-            raise IndexError(f"predicate id {p} out of range [1, {self.n_predicates}]")
-
-    def first_col(self, p: int) -> int:
-        """First column of predicate p's run (== select over the run bitmap)."""
-        self._check_predicate(p)
-        return self.starts[p - 1]
+        return cls(packed_array(starts), int(preds_sorted.size))
 
     def col_range(self, p: int) -> tuple[int, int]:
         """Inclusive column range of predicate p; empty when lo > hi."""
-        self._check_predicate(p)
+        if not 1 <= p <= self.n_predicates:
+            raise IndexError(f"predicate id {p} out of range [1, {self.n_predicates}]")
         return self.starts[p - 1], self.starts[p] - 1
 
     def predicate_of(self, i: int) -> int:
         """Predicate owning column i (== rank over the run bitmap)."""
         if not 0 <= i < self.n:
             raise IndexError(f"column {i} out of range [0, {self.n})")
-        j = i // self.period
-        lo = self.samples[j]
-        hi = self.samples[j + 1] if j + 1 < len(self.samples) else self.n_predicates
-        # rightmost start <= i within the sampled predicate window
-        idx = bisect_right(self.starts, i, lo - 1, hi) - 1
-        return idx + 1
+        return bisect_right(self.starts, i)
 
     @property
     def data_bytes(self) -> int:
-        return 8 * len(self.starts) + 4 * len(self.samples)
+        return 8 * len(self.starts)
 
     def write(self, out) -> None:
-        out.write(struct.pack("<QQ", self.n, self.period))
-        out.write(struct.pack("<Q", len(self.starts)))
+        out.write(struct.pack("<QQ", self.n, len(self.starts)))
         out.write(pack_fixed(self.starts, 64))
-        out.write(struct.pack("<Q", len(self.samples)))
-        out.write(pack_fixed(self.samples, 32))
 
     @classmethod
     def read(cls, src) -> "PredicateIndex":
-        n, period = struct.unpack("<QQ", read_exact(src, 16))
-        (n_starts,) = struct.unpack("<Q", read_exact(src, 8))
+        n, n_starts = struct.unpack("<QQ", read_exact(src, 16))
         starts = unpack_fixed(read_exact(src, 8 * n_starts), 64, n_starts)
-        (n_samples,) = struct.unpack("<Q", read_exact(src, 8))
-        samples = unpack_fixed(read_exact(src, 4 * n_samples), 32, n_samples)
-        if period < 1:
-            raise ValueError(f"predicate index period {period} is below 1")
-        if n_samples != (n // period + 1 if n else 0):
-            raise ValueError(f"predicate index holds {n_samples} samples, not one per"
-                             f" {period} of its {n} columns")
         if not starts or starts[0] != 0 or starts[-1] != n or any(
                 a > b for a, b in zip(starts, starts[1:])):
             raise ValueError("predicate index run starts do not rise from 0 to its"
                              f" {n} columns")
-        if n_samples:
-            # sample j must name the predicate whose run holds column j*period
-            run = np.asarray(starts, dtype=np.uint64)
-            got = np.asarray(samples, dtype=np.int64)
-            col = np.minimum(np.arange(n_samples, dtype=np.uint64)
-                             * np.uint64(min(period, n)), np.uint64(n - 1))
-            named = (got >= 1) & (got < len(starts))
-            p = np.where(named, got, 1)
-            bad = ~named | (run[p - 1] > col) | (col >= run[p])
-            if bad.any():
-                j = int(bad.argmax())
-                raise ValueError(f"predicate index sample {j} names predicate"
-                                 f" {got[j]}, which does not own column {col[j]}")
-        return cls(starts, period, samples, n)
+        return cls(starts, n)
 
 
 class TripleStore:
@@ -211,7 +169,7 @@ class TripleStore:
 
     @classmethod
     def build(cls, triples, n_subjects: int, n_objects: int, n_predicates: int,
-              config: K2Config = K2Config(), period: int = DEFAULT_RANK_PERIOD,
+              config: K2Config = K2Config(),
               merge_sorted: int = DEFAULT_MERGE_THRESHOLD,
               merge_unsorted: int = DEFAULT_MERGE_THRESHOLD) -> "TripleStore":
         """Build from (s, p, o) id triples, 1-based ids within the given dims.
@@ -237,7 +195,7 @@ class TripleStore:
             np.column_stack((arr[:, 0] - 1, cols)), n_subjects, n, config)
         object_tree = K2Tree.build(
             np.column_stack((arr[:, 2] - 1, cols)), n_objects, n, config)
-        pidx = PredicateIndex.from_sorted(arr[:, 1], n_predicates, period)
+        pidx = PredicateIndex.from_sorted(arr[:, 1], n_predicates)
         return cls(subject_tree, object_tree, pidx, n, n_subjects, n_objects,
                    n_predicates, merge_sorted, merge_unsorted)
 
@@ -283,9 +241,8 @@ class TripleStore:
         lo, hi = self.pred_index.col_range(p)
         if lo > hi:
             return []
-        col = self.object_tree.col
-        return [col(i, limit=1)[0] + 1
-                for i in self.subject_tree.row(s - 1, lo, hi)]
+        tree = self.object_tree
+        return [_row_of(tree, i) for i in self.subject_tree.row(s - 1, lo, hi)]
 
     def subjects(self, p: int, o: int) -> list[int]:
         """(?, p, o): subject ids, ascending."""
@@ -296,9 +253,8 @@ class TripleStore:
         lo, hi = self.pred_index.col_range(p)
         if lo > hi:
             return []
-        col = self.subject_tree.col
-        return [col(i, limit=1)[0] + 1
-                for i in self.object_tree.row(o - 1, lo, hi)]
+        tree = self.subject_tree
+        return [_row_of(tree, i) for i in self.object_tree.row(o - 1, lo, hi)]
 
     def predicates(self, s: int, o: int) -> list[int]:
         """(s, ?, o): predicate ids, ascending.
@@ -327,8 +283,8 @@ class TripleStore:
         if self.n == 0:
             return []
         predicate_of = self.pred_index.predicate_of
-        col = self.object_tree.col
-        return [(predicate_of(i), col(i, limit=1)[0] + 1)
+        tree = self.object_tree
+        return [(predicate_of(i), _row_of(tree, i))
                 for i in self.subject_tree.row(s - 1)]
 
     def by_object(self, o: int) -> list[tuple[int, int]]:
@@ -337,8 +293,8 @@ class TripleStore:
         if self.n == 0:
             return []
         predicate_of = self.pred_index.predicate_of
-        col = self.subject_tree.col
-        return [(col(i, limit=1)[0] + 1, predicate_of(i))
+        tree = self.subject_tree
+        return [(_row_of(tree, i), predicate_of(i))
                 for i in self.object_tree.row(o - 1)]
 
     def by_predicate(self, p: int) -> list[tuple[int, int]]:
@@ -357,8 +313,8 @@ class TripleStore:
         with_subject = self.subject_tree.rect(0, self.n_subjects - 1, lo, hi)
         with_subject.sort(key=lambda rc: rc[1])
         if len(with_subject) <= self.merge_unsorted:
-            col = self.object_tree.col
-            return [(r + 1, col(i, limit=1)[0] + 1) for r, i in with_subject]
+            tree = self.object_tree
+            return [(r + 1, _row_of(tree, i)) for r, i in with_subject]
         with_object = self.object_tree.rect(0, self.n_objects - 1, lo, hi)
         with_object.sort(key=lambda rc: rc[1])
         return [(sr + 1, orow + 1)
@@ -411,11 +367,10 @@ class TripleStore:
 def write_store(out, store: TripleStore, dictionary: Dictionary) -> None:
     out.write(MAGIC)
     out.write(struct.pack("<H", FORMAT_VERSION))
-    out.write(struct.pack("<BB", 8, 4))  # widths: run starts, rank samples
     out.write(struct.pack(
-        "<QQQQQQQQ", store.n, dictionary.so_count, store.n_subjects,
-        store.n_objects, store.n_predicates, store.pred_index.period,
-        store.merge_sorted, store.merge_unsorted))
+        "<QQQQQQQ", store.n, dictionary.so_count, store.n_subjects,
+        store.n_objects, store.n_predicates, store.merge_sorted,
+        store.merge_unsorted))
     dictionary.write(out)
     store.pred_index.write(out)
     store.subject_tree.write(out)
@@ -430,11 +385,8 @@ def read_store(src) -> tuple[TripleStore, Dictionary]:
         raise ValueError(f"unsupported store format version {version} (this"
                          f" bmx reads version {FORMAT_VERSION}); rebuild the"
                          f" store with bmx build")
-    start_w, sample_w = struct.unpack("<BB", read_exact(src, 2))
-    if (start_w, sample_w) != (8, 4):
-        raise ValueError("unsupported integer widths")
-    (n, n_so, n_subjects, n_objects, n_predicates, period,
-     merge_sorted, merge_unsorted) = struct.unpack("<QQQQQQQQ", read_exact(src, 64))
+    (n, n_so, n_subjects, n_objects, n_predicates,
+     merge_sorted, merge_unsorted) = struct.unpack("<QQQQQQQ", read_exact(src, 56))
     dictionary = Dictionary.read(src)
     if dictionary.so_count != n_so:
         raise ValueError("dictionary does not match store header")
@@ -445,13 +397,13 @@ def read_store(src) -> tuple[TripleStore, Dictionary]:
         raise ValueError("trailing bytes after the store")
     if not (n == pidx.n == subject_tree.n_cols == object_tree.n_cols
             and n_subjects == subject_tree.n_rows and n_objects == object_tree.n_rows
-            and n_predicates == pidx.n_predicates and period == pidx.period):
+            and n_predicates == pidx.n_predicates):
         raise ValueError(
             f"store header (triples {n}, subjects {n_subjects}, objects {n_objects},"
-            f" predicates {n_predicates}, rank period {period}) does not match its"
-            f" sections (triples {pidx.n}/{subject_tree.n_cols}/{object_tree.n_cols},"
-            f" subjects {subject_tree.n_rows}, objects {object_tree.n_rows},"
-            f" predicates {pidx.n_predicates}, rank period {pidx.period})")
+            f" predicates {n_predicates}) does not match its sections (triples"
+            f" {pidx.n}/{subject_tree.n_cols}/{object_tree.n_cols}, subjects"
+            f" {subject_tree.n_rows}, objects {object_tree.n_rows}, predicates"
+            f" {pidx.n_predicates})")
     store = TripleStore(subject_tree, object_tree, pidx, n, n_subjects,
                         n_objects, n_predicates, merge_sorted, merge_unsorted)
     return store, dictionary

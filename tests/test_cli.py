@@ -1,6 +1,7 @@
 import gzip
 import io
 import os
+import random
 import re
 import subprocess
 import sys
@@ -290,6 +291,24 @@ def test_bench_skips_non_ascii_digit_id(built, tmp_path, capsys):
     assert "s??" in captured.out
 
 
+def _section_offsets(path):
+    """Byte offset of each section of a saved store."""
+    store, dictionary = store_mod.load(str(path))
+    at = 4 + 2                    # magic, format version
+    offsets = {"header": at}
+    at += 8 * 7                   # the header counts
+    for name, section in (("dictionary", dictionary),
+                          ("pred_index", store.pred_index),
+                          ("subject_tree", store.subject_tree),
+                          ("object_tree", store.object_tree)):
+        offsets[name] = at
+        buf = io.BytesIO()
+        section.write(buf)
+        at += len(buf.getvalue())
+    assert at == path.stat().st_size
+    return offsets
+
+
 POOL_TERMS = [f"http://x/t{i:02d}" for i in range(38)] + [
     "http://x/café", "http://x/snow☃"]
 
@@ -305,7 +324,7 @@ def _pool_store(tmp_path):
     path = tmp_path / "pool.bmx"
     assert cli.main(["build", str(src), "-o", str(path)]) == 0
     data = bytearray(path.read_bytes())
-    at = 4 + 2 + 2 + 64            # magic, version, widths, header counts
+    at = _section_offsets(path)["dictionary"]
     count = int.from_bytes(data[at:at + 8], "little")
     assert count == len(terms)
     offsets = [int.from_bytes(data[at + 8 + 8 * i:at + 16 + 8 * i], "little")
@@ -376,6 +395,8 @@ def test_store_survives_every_cut_and_huge_count(built, capsys, with_dictionary)
     _, out = built
     if not with_dictionary:
         store_mod.save(str(out), TripleStore.build([(1, 1, 2), (2, 1, 1)], 2, 2, 1))
+    header_at = _section_offsets(out)["header"]
+    counts = slice(header_at, header_at + 8 * 5)
     data = out.read_bytes()
     for size in range(len(data)):
         out.write_bytes(data[:size])
@@ -384,38 +405,28 @@ def test_store_survives_every_cut_and_huge_count(built, capsys, with_dictionary)
     for at in range(len(data) - 7):
         corrupt = data[:at] + huge + data[at + 8:]
         out.write_bytes(corrupt)
-        # bytes 8-55 hold the five header counts and the rank period, which
-        # must match the sections; the merge thresholds after them may be 2^62
-        refused = (1,) if corrupt[8:56] != data[8:56] else (0, 1)
+        # the five header counts must match the sections; the merge
+        # thresholds after them may be 2^62
+        refused = (1,) if corrupt[counts] != data[counts] else (0, 1)
         assert cli.main(["stats", str(out)]) in refused, at
     capsys.readouterr()
 
 
 @pytest.mark.parametrize("field, message", [
     ("zero k", "tree geometry does not add up"),
-    ("zero period", "predicate index period 0"),
-    ("zero sample", "predicate index sample 0 names predicate 0"),
-    ("wrong sample", "predicate index sample 0 names predicate 2")])
+    ("run start past the columns", "predicate index run starts do not rise")])
 @pytest.mark.parametrize("command", [["stats"], ["query", "?", "?", "?", "--ids"]])
 def test_zero_k_or_period_is_a_clean_error(built, capsys, field, message, command):
     _, out = built
-    store, dictionary = store_mod.load(str(out))
-    sections = []
-    for section in (dictionary, store.pred_index):
-        buf = io.BytesIO()
-        section.write(buf)
-        sections.append(len(buf.getvalue()))
-    pred_index_at = 4 + 2 + 2 + 64 + sections[0]
-    tree = store.subject_tree
-    # the subject tree's ks follow its stages, leaf bytes, dims and depth
-    ks_at = pred_index_at + sections[1] + 1 + 3 * len(tree.config.stages) + 4 + 24 + 2
-    # the first sample follows n, period, the run starts and the sample count
-    sample_at = pred_index_at + 24 + 8 * len(store.pred_index.starts) + 8
+    store = store_mod.load(str(out))[0]
+    tree, offsets = store.subject_tree, _section_offsets(out)
+    # the subject tree's ks follow its stages, leaf bytes, dims and depth;
+    # the second run start follows the index's column and start counts
     at, width, value, new = {
-        "zero k": (ks_at, 1, tree.ks[0], 0),
-        "zero period": (pred_index_at + 8, 8, store.pred_index.period, 0),
-        "zero sample": (sample_at, 4, 1, 0),
-        "wrong sample": (sample_at, 4, 1, 2)}[field]
+        "zero k": (offsets["subject_tree"] + 1 + 3 * len(tree.config.stages)
+                   + 4 + 24 + 2, 1, tree.ks[0], 0),
+        "run start past the columns": (offsets["pred_index"] + 16 + 8, 8,
+                                       store.pred_index.starts[1], store.n + 1)}[field]
     data = bytearray(out.read_bytes())
     assert int.from_bytes(data[at:at + width], "little") == value
     data[at:at + width] = new.to_bytes(width, "little")
@@ -433,13 +444,8 @@ def test_zero_k_or_period_is_a_clean_error(built, capsys, field, message, comman
 @pytest.mark.parametrize("command", [["stats"], ["query", "?", "?", "?"]])
 def test_corrupt_leaf_ids_are_a_clean_error(built, capsys, fault, message, command):
     _, out = built
-    store, dictionary = store_mod.load(str(out))
-    at = 4 + 2 + 2 + 64
-    for section in (dictionary, store.pred_index):
-        buf = io.BytesIO()
-        section.write(buf)
-        at += len(buf.getvalue())
-    tree = store.subject_tree
+    tree = store_mod.load(str(out))[0].subject_tree
+    at = _section_offsets(out)["subject_tree"]
     # the subject tree's DAC follows its stages, leaf bytes, dims, depth, ks,
     # tree bits and leaf mode byte
     at += 1 + 3 * len(tree.config.stages) + 4 + 24 + 2 + len(tree.ks)
@@ -462,10 +468,11 @@ def test_corrupt_leaf_ids_are_a_clean_error(built, capsys, fault, message, comma
     assert err.startswith("error: ") and message in err and "Traceback" not in err
 
 
-def test_version_1_store_asks_for_a_rebuild(built, capsys):
+@pytest.mark.parametrize("version", [1, 2])
+def test_old_store_version_asks_for_a_rebuild(built, capsys, version):
     _, out = built
     data = bytearray(out.read_bytes())
-    data[4:6] = (1).to_bytes(2, "little")
+    data[4:6] = version.to_bytes(2, "little")
     out.write_bytes(bytes(data))
     assert cli.main(["stats", str(out)]) == 1
     assert "rebuild" in capsys.readouterr().err
@@ -476,3 +483,34 @@ def test_trailing_bytes_are_an_error(built, capsys):
     out.write_bytes(out.read_bytes() + b"junk")
     assert cli.main(["stats", str(out)]) == 1
     assert "trailing bytes" in capsys.readouterr().err
+
+
+def test_bit_flips_never_escape_main(tmp_path, capsys):
+    """1,000 seeded single-bit flips of a small store: stats and three
+    queries on each exit 0 or 1 (with a message), and never raise. An
+    exit-0 answer may still differ from the intact store's; that takes a
+    checksum to catch."""
+    rng = random.Random(1)
+    triples = set()
+    while len(triples) < 31:
+        triples.add((f"<http://x/e{rng.randrange(8)}>",
+                     f"<http://x/p{rng.randrange(4)}>",
+                     f"<http://x/e{rng.randrange(8)}>"))
+    src, out = tmp_path / "small.nt", tmp_path / "small.bmx"
+    src.write_text("".join(f"{s} {p} {o} .\n" for s, p, o in sorted(triples)))
+    assert cli.main(["build", str(src), "-o", str(out)]) == 0
+    data = out.read_bytes()
+    commands = [["stats", str(out)], ["query", str(out), "?", "?", "?"],
+                ["query", str(out), "<http://x/e1>", "?", "?"],
+                ["query", str(out), "?", "?", "<http://x/e2>"]]
+    assert [cli.main(c) for c in commands] == [0, 0, 0, 0]
+    for _ in range(1000):
+        bit = rng.randrange(8 * len(data))
+        flipped = bytearray(data)
+        flipped[bit // 8] ^= 1 << bit % 8
+        out.write_bytes(bytes(flipped))
+        for command in commands:
+            capsys.readouterr()
+            rc = cli.main(command)
+            assert rc in (0, 1), (bit, command)
+            assert rc == 0 or capsys.readouterr().err.strip(), (bit, command)

@@ -33,7 +33,7 @@ def test_two_level_example():
 def test_zero_takes_one_chunk():
     d = Dac.encode([0], chunk_bits=4)
     assert d.access(0) == 0
-    assert d.total_chunks == 1
+    assert sum(len(chunks) for chunks, _ in d.levels) == 1
 
 
 def test_top_level_never_continues():
@@ -48,7 +48,7 @@ def test_chunk_count_is_sum_of_value_chunks():
     for b in (1, 2, 4, 8):
         d = Dac.encode(values, chunk_bits=b)
         expected = sum((max(v.bit_length(), 1) + b - 1) // b for v in values)
-        assert d.total_chunks == expected
+        assert sum(len(chunks) for chunks, _ in d.levels) == expected
 
 
 @pytest.mark.parametrize("b", [1, 2, 4, 8])

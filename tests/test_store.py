@@ -19,7 +19,7 @@ SMALL = K2Config(stages=(Stage(2, None),), leaf_side=1)
 
 @pytest.fixture
 def store_e():
-    return TripleStore.build(E, 2, 2, 2, config=SMALL, period=2)
+    return TripleStore.build(E, 2, 2, 2, config=SMALL)
 
 
 def test_build_matrices(store_e):
@@ -35,24 +35,23 @@ def test_build_matrices(store_e):
 def test_predicate_index(store_e):
     pidx = store_e.pred_index
     assert list(pidx.starts) == [0, 2, 4]
-    assert list(pidx.samples) == [1, 2, 2]
-    assert pidx.first_col(2) == 2
+    assert pidx.col_range(2)[0] == 2
     assert pidx.predicate_of(3) == 2
     assert pidx.predicate_of(0) == 1
     for p in (1, 2):
         lo, hi = pidx.col_range(p)
         for i in range(lo, hi + 1):
             assert pidx.predicate_of(i) == p
-        assert pidx.predicate_of(pidx.first_col(p)) == p
+        assert pidx.predicate_of(pidx.col_range(p)[0]) == p
     with pytest.raises(IndexError):
-        pidx.first_col(3)
+        pidx.col_range(3)
     with pytest.raises(IndexError):
         pidx.predicate_of(4)
 
 
 def test_rank_select_with_unused_predicates():
     triples = [(1, 1, 1), (1, 1, 2), (2, 3, 1), (3, 3, 2)]
-    pidx = PredicateIndex.from_sorted(np.array([1, 1, 3, 3]), 5, period=2)
+    pidx = PredicateIndex.from_sorted(np.array([1, 1, 3, 3]), 5)
     assert list(pidx.starts) == [0, 2, 2, 4, 4, 4]
     for i, expect in enumerate([1, 1, 3, 3]):
         assert pidx.predicate_of(i) == expect
@@ -60,6 +59,29 @@ def test_rank_select_with_unused_predicates():
     assert store.by_predicate(2) == []
     assert store.by_predicate(5) == []
     assert store.by_predicate(3) == [(2, 1), (3, 2)]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_predicate_of_matches_searchsorted(seed):
+    """predicate_of(i) names column i's predicate, the rightmost run start at
+    or before i, with empty runs first, last and back to back, and n 0 or 1."""
+    rng = np.random.default_rng(seed)
+    n_predicates = int(rng.integers(8, 60))
+    gap = int(rng.integers(3, n_predicates - 2))
+    # predicates 1, gap, gap + 1 and n_predicates own no column
+    used = [p for p in range(2, n_predicates) if p not in (gap, gap + 1)]
+    for n in (0, 1, int(rng.integers(2, 400))):
+        preds = np.sort(rng.choice(used, size=n))
+        pidx = PredicateIndex.from_sorted(preds, n_predicates)
+        starts = np.asarray(pidx.starts)
+        assert starts[1] == 0 and starts[gap - 1] == starts[gap + 1]
+        assert starts[-2] == n
+        got = [pidx.predicate_of(i) for i in range(n)]
+        assert got == preds.tolist()
+        assert got == np.searchsorted(starts, np.arange(n), "right").tolist()
+        for i in (-1, n):
+            with pytest.raises(IndexError):
+                pidx.predicate_of(i)
 
 
 def test_spo(store_e):
@@ -242,7 +264,7 @@ def term_store(config, n=2500, seed=11):
                                               [f"<http://x/n{i}>" for i in o])
     store = TripleStore.build(ids, dictionary.subject_count,
                               dictionary.object_count,
-                              dictionary.predicate_count, config=config, period=64)
+                              dictionary.predicate_count, config=config)
     return store, dictionary
 
 
