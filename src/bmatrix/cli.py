@@ -134,13 +134,13 @@ def _print_counts(store: TripleStore, dictionary: Dictionary, out) -> None:
 
 
 def _parse_thresholds(text: str) -> tuple[int, int]:
-    parts = text.split(",")
-    if len(parts) == 1:
-        v = int(parts[0])
-        return v, v
-    if len(parts) == 2:
-        return int(parts[0]), int(parts[1])
-    raise ValueError("thresholds must be 'N' or 'SORTED,UNSORTED'")
+    parts = [int(part) for part in text.split(",")]
+    if len(parts) not in (1, 2):
+        raise ValueError("thresholds must be 'N' or 'SORTED,UNSORTED'")
+    # the store header holds each threshold in a u64
+    if not all(0 <= v < 1 << 64 for v in parts):
+        raise ValueError(f"thresholds must be 0 to 2^64 - 1, not {text}")
+    return parts[0], parts[-1]
 
 
 def _read_terms(columns: tuple[list[str], ...], path: str, gzip_mode: str,

@@ -22,7 +22,7 @@ from math import prod
 
 import numpy as np
 
-from ._binio import pack_fixed, packed_array, read_exact, unpack_fixed
+from ._binio import as_uint, pack_fixed, packed_array, read_exact, unpack_fixed
 from .bitvector import SAMPLE_PRESETS, BitVector
 from .dac import Dac
 
@@ -63,13 +63,14 @@ class K2Config:
     def __post_init__(self):
         if not self.stages:
             raise ValueError("at least one subdivision stage is required")
+        # the tree header holds each k in a u8 and each level count in an i16
         for i, st in enumerate(self.stages):
-            if st.k < 2:
-                raise ValueError("branching side k must be >= 2")
+            if not 2 <= st.k <= 255:
+                raise ValueError(f"branching side k must be 2 to 255, not {st.k}")
             if st.levels is None and i != len(self.stages) - 1:
                 raise ValueError("only the last stage may be unbounded")
-            if st.levels is not None and st.levels < 0:
-                raise ValueError("stage level count must be >= 0")
+            if st.levels is not None and not 0 <= st.levels <= 32767:
+                raise ValueError(f"stage level count must be 0 to 32767, not {st.levels}")
         if self.leaf_side != 1:
             if self.leaf_side not in (2, 4, 8):
                 raise ValueError("leaf_side must be 1 (disabled) or one of 2, 4, 8")
@@ -193,78 +194,48 @@ def _col_mask(side: int) -> int:
 class LeafVocabulary:
     """Distinct leaf matrices ranked by descending frequency.
 
-    plain      -- each matrix stored as side*side bits.
+    In memory there is one form: `patterns[e]` is leaf e as a side*side-bit
+    int, bit r*side + c set for a 1, so its set bits from low to high are
+    the cells in row-major order; `patterns` is an `array.array` of the
+    smallest unsigned typecode that holds them. `cells(e)` is that int, and
+    `bit`, `row_cols`, `col_rows` and the tree walk mask it.
+
+    The encoding names one of three file forms, written by `write` and
+    decoded back to the plain ints by `read`:
+
+    plain      -- each matrix as side*side bits.
     cols-full  -- per column: a presence bit in C plus a log2(side)-bit row
                   index in R (unset columns keep row 0).
-    cols-rank  -- like cols-full but R holds entries only for set columns,
-                  located through rank on C. Both column encodings require
-                  at most one 1 per leaf column.
-
-    `patterns` and `row_in_col` are `array.array`s of the smallest
-    unsigned typecode that holds their values.
-
-    `cells(e)` is the one decode: it gives leaf e in the plain form, a
-    side*side-bit int with bit r*side + c set for a 1, so its set bits from
-    low to high are the cells in row-major order. `bit`, `row_cols` and
-    `col_rows` mask that int, and the tree walk masks it to its rectangle.
+    cols-rank  -- like cols-full but R holds rows only for the set columns.
+                  Both column forms require at most one 1 per leaf column.
     """
 
-    __slots__ = ("encoding", "side", "count", "patterns", "col_flags", "row_in_col")
+    __slots__ = ("encoding", "side", "count", "patterns")
 
-    def __init__(self, encoding, side, count, patterns=None, col_flags=None,
-                 row_in_col=None):
+    def __init__(self, encoding, side, count, patterns):
         self.encoding = encoding
         self.side = side
         self.count = count
-        self.patterns = patterns       # plain: array of side*side-bit ints
-        self.col_flags = col_flags     # cols-*: BitVector of count*side bits
-        self.row_in_col = row_in_col   # cols-*: array of row indices
+        self.patterns = patterns
 
     @classmethod
-    def build(cls, patterns, side: int, encoding: str,
-              sample_rate: int) -> "LeafVocabulary":
+    def build(cls, patterns, side: int, encoding: str) -> "LeafVocabulary":
         """patterns[i] = bits of the matrix with id i, bit r*side+c set for a 1."""
         pats = np.asarray(patterns, dtype=np.uint64).ravel()
-        m = int(pats.size)
-        if encoding == VOCAB_PLAIN:
-            return cls(encoding, side, m, patterns=packed_array(pats))
-        shifts = np.arange(side * side, dtype=np.uint64)
-        cells = ((pats[:, None] >> shifts[None, :]) & np.uint64(1)).astype(bool)
-        cells = cells.reshape(m, side, side)          # [id, row, col]
-        per_col = cells.sum(axis=1)
-        if (per_col > 1).any():
-            raise ValueError(
-                f"{encoding} vocabulary requires at most one 1 per leaf column")
-        col_flags = BitVector(per_col.ravel() > 0, sample_rate)
-        rows = np.argmax(cells, axis=1)               # 0 for empty columns
-        if encoding == VOCAB_COLS_FULL:
-            return cls(encoding, side, m, col_flags=col_flags,
-                       row_in_col=packed_array(rows.ravel()))
-        mask = per_col.ravel() > 0
-        return cls(encoding, side, m, col_flags=col_flags,
-                   row_in_col=packed_array(rows.ravel()[mask]))
+        if encoding != VOCAB_PLAIN:
+            # no column holds two 1s iff a leaf has as many 1s as its rows' OR
+            cols = np.zeros_like(pats)
+            for r in range(side):
+                cols |= pats >> np.uint64(r * side)
+            cols &= np.uint64((1 << side) - 1)
+            if (np.bitwise_count(cols) != np.bitwise_count(pats)).any():
+                raise ValueError(
+                    f"{encoding} vocabulary requires at most one 1 per leaf column")
+        return cls(encoding, side, int(pats.size), packed_array(pats))
 
     def cells(self, e: int) -> int:
-        """Leaf e as a side*side-bit int, bit r*side + c set for a 1: the
-        one decode, for every encoding."""
-        if self.encoding == VOCAB_PLAIN:
-            return self.patterns[e]
-        side = self.side
-        base = e * side
-        # side divides 8, so the leaf's column flags are one field of one byte
-        flags = (self.col_flags.data[base >> 3] >> (base & 7)) & ((1 << side) - 1)
-        rows = self.row_in_col
-        full = self.encoding == VOCAB_COLS_FULL
-        # cols-rank: the set columns' rows follow those of the earlier leaves
-        j = 0 if full or not base else self.col_flags.rank1(base - 1)
-        bits = 0
-        while flags:
-            low = flags & -flags
-            c = low.bit_length() - 1
-            bits |= 1 << (rows[base + c if full else j] * side + c)
-            j += 1
-            flags ^= low
-        return bits
+        """Leaf e as a side*side-bit int, bit r*side + c set for a 1."""
+        return self.patterns[e]
 
     def bit(self, e: int, r: int, c: int) -> bool:
         """Cell (r, c) of the stored leaf matrix e."""
@@ -287,44 +258,70 @@ class LeafVocabulary:
         return self.side.bit_length() - 1  # side is a power of two
 
     def payload_bits(self) -> int:
-        """Semantic payload size in bits (packing padding excluded)."""
+        """Semantic payload size in bits of the file form (packing padding
+        excluded)."""
         if self.encoding == VOCAB_PLAIN:
             return self.count * self.side * self.side
         if self.encoding == VOCAB_COLS_FULL:
             return self.count * self.side * (1 + self.row_index_bits)
-        return self.count * self.side + len(self.row_in_col) * self.row_index_bits
-
-    @property
-    def accel_bytes(self) -> int:
-        return self.col_flags.accel_bytes if self.col_flags is not None else 0
+        # one row per set column, and a column holds at most one 1
+        ones = int(np.bitwise_count(as_uint(self.patterns)).sum())
+        return self.count * self.side + ones * self.row_index_bits
 
     def write(self, out) -> None:
+        side = self.side
         tag = VOCAB_ENCODINGS.index(self.encoding)
-        out.write(struct.pack("<BBQ", tag, self.side, self.count))
+        out.write(struct.pack("<BBQ", tag, side, self.count))
         if self.encoding == VOCAB_PLAIN:
-            out.write(pack_fixed(self.patterns, self.side * self.side))
-        else:
-            self.col_flags.write(out)
-            out.write(struct.pack("<Q", len(self.row_in_col)))
-            out.write(pack_fixed(self.row_in_col, self.row_index_bits))
+            out.write(pack_fixed(self.patterns, side * side))
+            return
+        leaf_bytes = as_uint(self.patterns).astype("<u8").view(np.uint8)
+        dense = np.unpackbits(leaf_bytes.reshape(self.count, 8), axis=1,
+                              count=side * side, bitorder="little")
+        dense = dense.reshape(self.count, side, side)   # [id, row, col]
+        # a column holds at most one 1, so sums over its rows give its flag
+        # and its row (0 for an unset column)
+        flags = np.ones(side, dtype=np.uint8) @ dense > 0
+        rows = np.arange(side, dtype=np.uint8) @ dense
+        BitVector(flags).write(out)
+        if self.encoding == VOCAB_COLS_RANK:
+            rows = rows[flags]
+        out.write(struct.pack("<Q", rows.size))
+        out.write(pack_fixed(rows.ravel(), self.row_index_bits))
 
     @classmethod
-    def read(cls, src, sample_rate: int) -> "LeafVocabulary":
-        tag, side, count = struct.unpack("<BBQ", read_exact(src, 10))
+    def read(cls, src, side: int) -> "LeafVocabulary":
+        """The vocabulary written next in `src`; its leaves must be side x side."""
+        tag, file_side, count = struct.unpack("<BBQ", read_exact(src, 10))
         encoding = _vocab_encoding(tag)
+        if file_side != side:
+            raise ValueError(f"leaf vocabulary side {file_side} is not {side}")
         if encoding == VOCAB_PLAIN:
             n_bytes = (count * side * side + 7) // 8
             patterns = unpack_fixed(read_exact(src, n_bytes), side * side, count)
-            return cls(encoding, side, count, patterns=patterns)
-        col_flags = BitVector.read(src, sample_rate)
+            return cls(encoding, side, count, patterns)
+        col_flags = BitVector.read(src)
         (n_rows,) = struct.unpack("<Q", read_exact(src, 8))
+        flags = np.unpackbits(np.frombuffer(col_flags.data, dtype=np.uint8),
+                              count=col_flags.length, bitorder="little").astype(bool)
         if (col_flags.length, n_rows) != (
-                count * side, count * side if encoding == VOCAB_COLS_FULL else col_flags.ones):
+                count * side, count * side if encoding == VOCAB_COLS_FULL
+                else int(flags.sum())):
             raise ValueError(f"{encoding} vocabulary of {count} leaves holds"
                              f" {col_flags.length} column flags and {n_rows} rows")
         width = side.bit_length() - 1
-        rows = unpack_fixed(read_exact(src, (n_rows * width + 7) // 8), width, n_rows)
-        return cls(encoding, side, count, col_flags=col_flags, row_in_col=rows)
+        raw = np.frombuffer(read_exact(src, (n_rows * width + 7) // 8), dtype=np.uint8)
+        rows = (np.unpackbits(raw, count=n_rows * width, bitorder="little")
+                .reshape(n_rows, width) @ (np.uint8(1) << np.arange(width, dtype=np.uint8)))
+        flags = flags.reshape(count, side)
+        if encoding == VOCAB_COLS_RANK:           # unset columns take row 0
+            rows, set_rows = np.zeros(flags.shape, dtype=np.uint8), rows
+            rows[flags] = set_rows
+        shift = rows.reshape(count, side) * np.uint8(side) + np.arange(side, dtype=np.uint8)
+        # a leaf's set columns are distinct bits, so their sum is the leaf
+        patterns = ((np.uint64(1) << shift.astype(np.uint64)) * flags).sum(
+            axis=1, dtype=np.uint64)
+        return cls(encoding, side, count, packed_array(patterns))
 
 
 class K2Tree:
@@ -427,7 +424,7 @@ class K2Tree:
                 ids = np.zeros(0, dtype=np.int64)
                 vocab_patterns = np.zeros(0, dtype=np.uint64)
             vocab = LeafVocabulary.build(vocab_patterns, leaf_side,
-                                         config.vocab_encoding, rate)
+                                         config.vocab_encoding)
             leaf_ids = Dac.encode(ids, config.dac_chunk_bits, rate)
             return cls(config, int(n_rows), int(n_cols), side, ks, tree,
                        leaf_ids=leaf_ids, vocab=vocab)
@@ -661,13 +658,10 @@ class K2Tree:
 
     # -- space accounting -----------------------------------------------
 
-    def _parts(self) -> list:
-        return [part for part in (self.tree_bits, self.leaf_bits, self.leaf_ids, self.vocab)
-                if part is not None]
-
     @property
     def accel_bytes(self) -> int:
-        return sum(part.accel_bytes for part in self._parts())
+        return sum(part.accel_bytes for part in (self.tree_bits, self.leaf_bits, self.leaf_ids)
+                   if part is not None)
 
     def serialized_bytes(self) -> int:
         buf = BytesIO()
@@ -735,9 +729,7 @@ class K2Tree:
             return cls(config, n_rows, n_cols, side, ks, tree)
         if mode == 1:
             leaf_ids = Dac.read(src, config.sample_rate)
-            vocab = LeafVocabulary.read(src, config.sample_rate)
-            if vocab.side != leaf_side:
-                raise ValueError(f"leaf vocabulary side {vocab.side} is not {leaf_side}")
+            vocab = LeafVocabulary.read(src, leaf_side)
             top = int(leaf_ids.values().max()) if len(leaf_ids) else -1
             if top >= vocab.count:
                 raise ValueError(f"leaf id {top} is past the {vocab.count}-leaf vocabulary")

@@ -34,7 +34,8 @@ Loading refuses a file, with a ValueError, when:
   MAX_SIDE, a leaf mode that does not fit its leaf side, or fewer tree
   bits or leaves than its levels need;
 - a tree's leaf ids do not fit its vocabulary: an id at or past the
-  vocabulary's count, or column flags and rows other than its count needs;
+  vocabulary's count, a vocabulary side other than the tree's leaf side,
+  or column flags and rows other than its count needs;
 - a DAC's levels disagree: level 0 holds other than `length` chunks, a
   level's flags are not as long as its chunks, a level holds other than
   the continuation ones of the level before, the last level has a

@@ -242,6 +242,19 @@ def test_build_skips_unparsable_statement(tmp_path, capsys, bad):
     assert "triples            2" in captured.out
 
 
+@pytest.mark.parametrize("options", [
+    ["--thresholds", "-1"], ["--thresholds", "1,-2"],
+    ["--thresholds", str(1 << 64)], ["--k1", "300"], ["--k2", "256"],
+    ["--k1-levels", "40000"]])
+def test_options_the_store_cannot_hold_are_a_clean_error(tmp_path, capsys, options):
+    src, out = tmp_path / "corpus.nt", tmp_path / "corpus.bmx"
+    src.write_text(CORPUS)
+    assert cli.main(["build", str(src), "-o", str(out), *options]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_truncated_store_is_a_clean_error(tmp_path, capsys):
     src = tmp_path / "long.nt"
     src.write_text("".join(
@@ -440,27 +453,45 @@ def test_zero_k_or_period_is_a_clean_error(built, capsys, field, message, comman
 @pytest.mark.parametrize("fault, message", [
     ("leaf id past the vocabulary", "leaf id 255 is past the"),
     ("level continues past the last", "DAC level 0 is the last but has 1 continuation"),
-    ("length 2^62", "DAC level 0 holds")])
+    ("length 2^62", "DAC level 0 holds"),
+    ("vocabulary side 0", "leaf vocabulary side 0 is not 8"),
+    ("vocabulary side 16", "leaf vocabulary side 16 is not 8"),
+    ("cols-rank row count", "cols-rank vocabulary of 1 leaves holds 8 column flags")])
 @pytest.mark.parametrize("command", [["stats"], ["query", "?", "?", "?"]])
 def test_corrupt_leaf_ids_are_a_clean_error(built, capsys, fault, message, command):
-    _, out = built
+    src, out = built
+    if fault.startswith("cols-rank"):
+        assert cli.main(["build", str(src), "-o", str(out), "--vocab", "cols-rank"]) == 0
     tree = store_mod.load(str(out))[0].subject_tree
     at = _section_offsets(out)["subject_tree"]
     # the subject tree's DAC follows its stages, leaf bytes, dims, depth, ks,
-    # tree bits and leaf mode byte
+    # tree bits and leaf mode byte; its vocabulary follows the DAC
     at += 1 + 3 * len(tree.config.stages) + 4 + 24 + 2 + len(tree.ks)
     at += 8 + len(tree.tree_bits.data) + 1
     dac = tree.leaf_ids
     assert (dac.chunk_bits, len(dac.levels), tree.vocab.count) == (8, 1, 1)
     chunks_at = at + 1 + 8 + 1 + 8      # chunk bits, length, levels, count
     flags_at = chunks_at + len(dac) + 8  # the flags' words follow their length
+    buf = io.BytesIO()
+    dac.write(buf)
+    vocab_at = at + len(buf.getvalue())
+    # a cols vocabulary's row count follows its tag, side and leaf count and
+    # the column flags' length and one word
+    rows_at = vocab_at + 10 + 8 + 8
     data = bytearray(out.read_bytes())
     if fault == "leaf id past the vocabulary":
         data[chunks_at] = 255
     elif fault == "level continues past the last":
         data[flags_at] |= 1
-    else:
+    elif fault == "length 2^62":
         data[at + 1:at + 9] = (1 << 62).to_bytes(8, "little")
+    elif fault.startswith("vocabulary side"):
+        assert data[vocab_at + 1] == 8
+        data[vocab_at + 1] = int(fault.rsplit(" ", 1)[1])
+    else:
+        ones = tree.vocab.cells(0).bit_count()
+        assert int.from_bytes(data[rows_at:rows_at + 8], "little") == ones
+        data[rows_at:rows_at + 8] = (ones + 1).to_bytes(8, "little")
     out.write_bytes(bytes(data))
     capsys.readouterr()
     assert cli.main([command[0], str(out), *command[1:]]) == 1
@@ -486,7 +517,8 @@ def test_trailing_bytes_are_an_error(built, capsys):
 
 
 def test_bit_flips_never_escape_main(tmp_path, capsys):
-    """1,000 seeded single-bit flips of a small store: stats and three
+    """1,000 seeded single-bit flips of a small store, built once with the
+    cols-full and once with the cols-rank vocabulary: stats and three
     queries on each exit 0 or 1 (with a message), and never raise. An
     exit-0 answer may still differ from the intact store's; that takes a
     checksum to catch."""
@@ -498,19 +530,20 @@ def test_bit_flips_never_escape_main(tmp_path, capsys):
                      f"<http://x/e{rng.randrange(8)}>"))
     src, out = tmp_path / "small.nt", tmp_path / "small.bmx"
     src.write_text("".join(f"{s} {p} {o} .\n" for s, p, o in sorted(triples)))
-    assert cli.main(["build", str(src), "-o", str(out)]) == 0
-    data = out.read_bytes()
     commands = [["stats", str(out)], ["query", str(out), "?", "?", "?"],
                 ["query", str(out), "<http://x/e1>", "?", "?"],
                 ["query", str(out), "?", "?", "<http://x/e2>"]]
-    assert [cli.main(c) for c in commands] == [0, 0, 0, 0]
-    for _ in range(1000):
-        bit = rng.randrange(8 * len(data))
-        flipped = bytearray(data)
-        flipped[bit // 8] ^= 1 << bit % 8
-        out.write_bytes(bytes(flipped))
-        for command in commands:
-            capsys.readouterr()
-            rc = cli.main(command)
-            assert rc in (0, 1), (bit, command)
-            assert rc == 0 or capsys.readouterr().err.strip(), (bit, command)
+    for vocab in ("cols-full", "cols-rank"):
+        assert cli.main(["build", str(src), "-o", str(out), "--vocab", vocab]) == 0
+        data = out.read_bytes()
+        assert [cli.main(c) for c in commands] == [0, 0, 0, 0]
+        for _ in range(1000):
+            bit = rng.randrange(8 * len(data))
+            flipped = bytearray(data)
+            flipped[bit // 8] ^= 1 << bit % 8
+            out.write_bytes(bytes(flipped))
+            for command in commands:
+                capsys.readouterr()
+                rc = cli.main(command)
+                assert rc in (0, 1), (vocab, bit, command)
+                assert rc == 0 or capsys.readouterr().err.strip(), (vocab, bit, command)

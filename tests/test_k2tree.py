@@ -1,10 +1,12 @@
 import io
+import struct
 from math import prod
 
 import numpy as np
 import pytest
 
-from bmatrix.bitvector import BitVector, SAMPLE_RATE_DEFAULT
+from bmatrix._binio import unpack_fixed
+from bmatrix.bitvector import BitVector
 from bmatrix.k2tree import (K2Config, K2Tree, LeafVocabulary, Stage,
                             VOCAB_COLS_FULL, VOCAB_COLS_RANK, VOCAB_PLAIN,
                             plan_levels)
@@ -170,13 +172,23 @@ def leaf_vocab(pattern_rows, encoding):
         for c, v in enumerate(row):
             if v:
                 bits_int |= 1 << (r * side + c)
-    return LeafVocabulary.build([bits_int], side, encoding, SAMPLE_RATE_DEFAULT)
+    return LeafVocabulary.build([bits_int], side, encoding)
+
+
+def written_cols(v):
+    """The column flags, as a bit string, and the rows of v's cols file form."""
+    buf = io.BytesIO()
+    v.write(buf)
+    buf.seek(10)                          # encoding tag, side, leaf count
+    flags = BitVector.read(buf)
+    (n_rows,) = struct.unpack("<Q", buf.read(8))
+    rows = unpack_fixed(buf.read(), v.row_index_bits, n_rows)
+    return bits(flags), list(rows)
 
 
 def test_cols_full_example():
     v = leaf_vocab([[0, 1], [0, 0]], VOCAB_COLS_FULL)
-    assert bits(v.col_flags) == "01"
-    assert list(v.row_in_col) == [0, 0]  # unset columns store 0
+    assert written_cols(v) == ("01", [0, 0])  # unset columns store 0
     assert v.bit(0, 0, 1) is True
     assert v.bit(0, 1, 1) is False
     assert v.bit(0, 0, 0) is False
@@ -184,8 +196,7 @@ def test_cols_full_example():
 
 def test_cols_rank_example():
     v = leaf_vocab([[0, 1], [0, 0]], VOCAB_COLS_RANK)
-    assert bits(v.col_flags) == "01"
-    assert list(v.row_in_col) == [0]
+    assert written_cols(v) == ("01", [0])
     assert v.bit(0, 0, 1) is True
     assert v.bit(0, 1, 1) is False
 
@@ -204,10 +215,18 @@ def test_cols_full_payload_identity():
     nc, nr = 500, 90
     rows = rng.integers(0, nr, nc)
     pts = np.column_stack((rows, np.arange(nc)))
-    t = K2Tree.build(pts, nr, nc, K2Config(stages=(Stage(2, None),), leaf_side=8,
-                                           vocab_encoding=VOCAB_COLS_FULL))
-    v = t.vocab
-    assert v.payload_bits() == v.count * 8 * (1 + 3)
+    # the distinct non-empty 8x8 leaves of the matrix padded to whole leaves
+    m = np.zeros((96, 504), dtype=bool)
+    m[rows, np.arange(nc)] = True
+    blocks = m.reshape(12, 8, 63, 8).swapaxes(1, 2).reshape(-1, 64)
+    leaves = np.unique(blocks[blocks.any(axis=1)], axis=0)
+    for encoding, payload in ((VOCAB_COLS_FULL, len(leaves) * 8 * (1 + 3)),
+                              (VOCAB_COLS_RANK, len(leaves) * 8 + int(leaves.sum()) * 3)):
+        t = K2Tree.build(pts, nr, nc, K2Config(stages=(Stage(2, None),), leaf_side=8,
+                                               vocab_encoding=encoding))
+        v = t.vocab
+        assert v.count == len(leaves)
+        assert v.payload_bits() == payload
 
 
 def test_vocab_frequency_ranked_ids():

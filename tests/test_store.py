@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from bmatrix import store as store_mod
-from bmatrix.k2tree import K2Config, Stage, VOCAB_COLS_RANK, VOCAB_PLAIN
+from bmatrix.k2tree import (K2Config, Stage, VOCAB_COLS_FULL, VOCAB_COLS_RANK,
+                            VOCAB_PLAIN)
 from bmatrix.oracle import TripleList
 from bmatrix.store import (PredicateIndex, TripleStore, read_store,
                            write_store)
@@ -253,6 +254,8 @@ PACKED_CONFIGS = [
     K2Config(leaf_side=4, vocab_encoding=VOCAB_PLAIN, dac_chunk_bits=3),
     K2Config(leaf_side=8, vocab_encoding=VOCAB_PLAIN, dac_chunk_bits=16),
     K2Config(leaf_side=2, vocab_encoding=VOCAB_COLS_RANK, sample_preset="dense"),
+    K2Config(leaf_side=8, vocab_encoding=VOCAB_COLS_RANK),
+    K2Config(leaf_side=4, vocab_encoding=VOCAB_COLS_FULL),
 ]
 
 
