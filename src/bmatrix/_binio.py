@@ -38,6 +38,8 @@ def read_exact(src, n: int) -> bytes:
 def as_uint(values) -> np.ndarray:
     if isinstance(values, (bytes, array)):
         return np.asarray(memoryview(values))
+    if isinstance(values, np.ndarray) and values.dtype.kind == "u":
+        return values.ravel()     # already unsigned: no uint64 copy
     return np.asarray(values, dtype=np.uint64).ravel()
 
 
@@ -76,5 +78,7 @@ def unpack_fixed(data: bytes, width: int, count: int):
         return packed_array(np.frombuffer(data, dtype=f"<u{width // 8}", count=count))
     bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8),
                          count=count * width, bitorder="little")
-    weights = (np.uint64(1) << np.arange(width, dtype=np.uint64))
-    return packed_array(bits.reshape(count, width).astype(np.uint64) @ weights)
+    # the smallest dtype that holds 2^width - 1, so the matmul sums no wider
+    dtype = next(np.dtype(f"u{n}") for n in (1, 2, 4, 8) if width <= 8 * n)
+    weights = dtype.type(1) << np.arange(width, dtype=dtype)
+    return packed_array(bits.reshape(count, width) @ weights)

@@ -133,16 +133,6 @@ def _print_counts(store: TripleStore, dictionary: Dictionary, out) -> None:
 # -- build ---------------------------------------------------------------------
 
 
-def _parse_thresholds(text: str) -> tuple[int, int]:
-    parts = [int(part) for part in text.split(",")]
-    if len(parts) not in (1, 2):
-        raise ValueError("thresholds must be 'N' or 'SORTED,UNSORTED'")
-    # the store header holds each threshold in a u64
-    if not all(0 <= v < 1 << 64 for v in parts):
-        raise ValueError(f"thresholds must be 0 to 2^64 - 1, not {text}")
-    return parts[0], parts[-1]
-
-
 def _read_terms(columns: tuple[list[str], ...], path: str, gzip_mode: str,
                 strict: bool = False) -> list:
     """Appends the subject, predicate and object of each statement in the
@@ -166,7 +156,6 @@ def cmd_build(args) -> int:
         leaf_side=leaf,
         vocab_encoding=vocab if vocab != "off" else VOCAB_COLS_FULL,
         sample_preset=args.sample)
-    merge_sorted, merge_unsorted = _parse_thresholds(args.thresholds)
 
     t0 = time.perf_counter()
     columns: tuple[list[str], ...] = ([], [], [])
@@ -182,8 +171,7 @@ def cmd_build(args) -> int:
     t2 = time.perf_counter()
     store = TripleStore.build(
         ids, dictionary.subject_count, dictionary.object_count,
-        dictionary.predicate_count, config=config,
-        merge_sorted=merge_sorted, merge_unsorted=merge_unsorted)
+        dictionary.predicate_count, config=config)
     t3 = time.perf_counter()
     store_mod.save(args.output, store, dictionary)
     t4 = time.perf_counter()
@@ -250,14 +238,13 @@ def cmd_query(args) -> int:
 def cmd_stats(args) -> int:
     store, dictionary = store_mod.load(args.store)
     _print_counts(store, dictionary, sys.stdout)
-    st = store.subject_tree
-    print(f"matrix side        {st.side}")
-    print(f"levels             {'x'.join(map(str, st.ks))}"
-          f" leaf {st.config.leaf_side}x{st.config.leaf_side}"
-          f" vocab {st.config.vocab_encoding if st.config.leaf_side > 1 else 'off'}")
-    print(f"sampling preset    {st.config.sample_preset}")
-    print(f"thresholds         sorted={store.merge_sorted}"
-          f" unsorted={store.merge_unsorted}")
+    for name, tree in (("subject tree", store.subject_tree),
+                       ("object tree", store.object_tree)):
+        levels = "x".join(map(str, tree.ks)) or "none"
+        vocab = tree.vocab.encoding if tree.vocab is not None else "none"
+        print(f"{name:<18} side {tree.side}, levels {levels},"
+              f" leaf {tree.leaf_side}x{tree.leaf_side}, vocab {vocab},"
+              f" sampling {tree.sample_preset}")
     _print_space_report(store, dictionary, sys.stdout)
     return 0
 
@@ -361,7 +348,10 @@ def format_bench_report(rows: list[BenchRow]) -> str:
 def cmd_bench(args) -> int:
     store, dictionary = store_mod.load(args.store)
     if args.thresholds:
-        store.merge_sorted, store.merge_unsorted = _parse_thresholds(args.thresholds)
+        parts = [int(part) for part in args.thresholds.split(",")]
+        if len(parts) not in (1, 2) or min(parts) < 0:
+            raise ValueError("thresholds must be 'N' or 'SORTED,UNSORTED', each >= 0")
+        store.merge_sorted, store.merge_unsorted = parts[0], parts[-1]
     by_shape = load_query_file(args.queries, store, dictionary)
     decode = _decoders(dictionary) if args.decode else None
     rows = run_benchmark(store, by_shape, args.min_reps, args.min_time, decode)
@@ -456,8 +446,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="leaf vocabulary encoding")
     b.add_argument("--sample", default="default", choices=["default", "dense"],
                    help="bitmap rank sampling preset (~5%% or 12.5%% overhead)")
-    b.add_argument("--thresholds", default="10",
-                   help="merge thresholds as 'N' or 'SORTED,UNSORTED'")
     b.add_argument("--gzip", default="auto", choices=["auto", "on", "off"])
     b.add_argument("--strict", action="store_true",
                    help="abort on the first malformed input line")
@@ -485,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     n.add_argument("--min-time", type=float, default=0.2,
                    help="minimum total seconds per shape")
     n.add_argument("--thresholds", default=None,
-                   help="override merge thresholds for this run")
+                   help="merge thresholds for this run, as 'N' or 'SORTED,UNSORTED'")
     n.add_argument("--decode", action="store_true",
                    help="include dictionary decode in the timed region")
     n.set_defaults(func=cmd_bench)

@@ -19,6 +19,12 @@ from .bitvector import SAMPLE_RATE_DEFAULT, BitVector
 from ._binio import as_uint, pack_fixed, packed_array, read_exact, unpack_fixed
 
 
+def _check_width(chunk_bits: int) -> None:
+    # values are 64-bit, so a wider chunk would only hold zeros
+    if not 1 <= chunk_bits <= 64:
+        raise ValueError(f"DAC chunk width must be 1 to 64, not {chunk_bits}")
+
+
 class Dac:
     """Random-access sequence of unsigned ints, immutable after encode."""
 
@@ -33,11 +39,10 @@ class Dac:
     @classmethod
     def encode(cls, values, chunk_bits: int = 8,
                sample_rate: int = SAMPLE_RATE_DEFAULT) -> "Dac":
-        if chunk_bits < 1:
-            raise ValueError("chunk width must be >= 1")
+        _check_width(chunk_bits)
         arr = np.asarray(values, dtype=np.uint64).ravel()
         b = np.uint64(chunk_bits)
-        mask = (np.uint64(1) << b) - np.uint64(1)
+        mask = np.uint64((1 << chunk_bits) - 1)
         levels = []
         cur = arr
         while cur.size:
@@ -106,6 +111,7 @@ class Dac:
         0: `length`), as many flags as chunks, and the last level has no
         continuation one, nor more levels than a 64-bit value needs."""
         chunk_bits, length, n_levels = struct.unpack("<BQB", read_exact(src, 10))
+        _check_width(chunk_bits)
         if (n_levels - 1) * chunk_bits >= 64:
             raise ValueError(f"DAC has {n_levels} levels of {chunk_bits}-bit chunks,"
                              " more than 64-bit values need")

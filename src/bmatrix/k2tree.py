@@ -33,12 +33,10 @@ VOCAB_COLS_FULL = "cols-full"
 VOCAB_COLS_RANK = "cols-rank"
 VOCAB_ENCODINGS = (VOCAB_PLAIN, VOCAB_COLS_FULL, VOCAB_COLS_RANK)
 
+LEAF_SIDES = (1, 2, 4, 8)              # 1 disables the vocabulary
 
-def _vocab_encoding(tag: int) -> str:
-    """The vocabulary encoding a file's tag byte names."""
-    if tag >= len(VOCAB_ENCODINGS):
-        raise ValueError(f"unknown vocabulary encoding tag byte {tag}")
-    return VOCAB_ENCODINGS[tag]
+# a tree file's preset byte indexes these SAMPLE_PRESETS names
+PRESET_BYTES = ("default", "dense")
 
 
 @dataclass(frozen=True)
@@ -54,6 +52,9 @@ class Stage:
 
 @dataclass(frozen=True)
 class K2Config:
+    """How `K2Tree.build` plans and encodes a tree; the tree keeps only what
+    it built (ks, leaf side, bitmaps, leaf ids, vocabulary), not this."""
+
     stages: tuple[Stage, ...] = (Stage(4, 5), Stage(2, None))
     leaf_side: int = 8              # 1 disables the vocabulary
     vocab_encoding: str = VOCAB_COLS_FULL
@@ -63,23 +64,24 @@ class K2Config:
     def __post_init__(self):
         if not self.stages:
             raise ValueError("at least one subdivision stage is required")
-        # the tree header holds each k in a u8 and each level count in an i16
         for i, st in enumerate(self.stages):
+            # a tree file holds each k in a byte
             if not 2 <= st.k <= 255:
                 raise ValueError(f"branching side k must be 2 to 255, not {st.k}")
             if st.levels is None and i != len(self.stages) - 1:
                 raise ValueError("only the last stage may be unbounded")
+            # bounds plan_levels' search over the stage budgets
             if st.levels is not None and not 0 <= st.levels <= 32767:
                 raise ValueError(f"stage level count must be 0 to 32767, not {st.levels}")
         if self.leaf_side != 1:
-            if self.leaf_side not in (2, 4, 8):
+            if self.leaf_side not in LEAF_SIDES:
                 raise ValueError("leaf_side must be 1 (disabled) or one of 2, 4, 8")
             if self.vocab_encoding not in VOCAB_ENCODINGS:
                 raise ValueError(f"unknown vocabulary encoding {self.vocab_encoding!r}")
         if self.sample_preset not in SAMPLE_PRESETS:
             raise ValueError(f"unknown sample preset {self.sample_preset!r}")
-        if self.dac_chunk_bits < 1:
-            raise ValueError("dac_chunk_bits must be >= 1")
+        if not 1 <= self.dac_chunk_bits <= 64:
+            raise ValueError(f"dac_chunk_bits must be 1 to 64, not {self.dac_chunk_bits}")
 
     @property
     def sample_rate(self) -> int:
@@ -270,8 +272,7 @@ class LeafVocabulary:
 
     def write(self, out) -> None:
         side = self.side
-        tag = VOCAB_ENCODINGS.index(self.encoding)
-        out.write(struct.pack("<BBQ", tag, side, self.count))
+        out.write(struct.pack("<BQ", VOCAB_ENCODINGS.index(self.encoding), self.count))
         if self.encoding == VOCAB_PLAIN:
             out.write(pack_fixed(self.patterns, side * side))
             return
@@ -291,11 +292,12 @@ class LeafVocabulary:
 
     @classmethod
     def read(cls, src, side: int) -> "LeafVocabulary":
-        """The vocabulary written next in `src`; its leaves must be side x side."""
-        tag, file_side, count = struct.unpack("<BBQ", read_exact(src, 10))
-        encoding = _vocab_encoding(tag)
-        if file_side != side:
-            raise ValueError(f"leaf vocabulary side {file_side} is not {side}")
+        """The vocabulary written next in `src`, of side x side leaves; the
+        file holds no side, since its tree's leaf side gives it."""
+        tag, count = struct.unpack("<BQ", read_exact(src, 9))
+        if tag >= len(VOCAB_ENCODINGS):
+            raise ValueError(f"unknown vocabulary encoding tag byte {tag}")
+        encoding = VOCAB_ENCODINGS[tag]
         if encoding == VOCAB_PLAIN:
             n_bytes = (count * side * side + 7) // 8
             patterns = unpack_fixed(read_exact(src, n_bytes), side * side, count)
@@ -310,9 +312,8 @@ class LeafVocabulary:
             raise ValueError(f"{encoding} vocabulary of {count} leaves holds"
                              f" {col_flags.length} column flags and {n_rows} rows")
         width = side.bit_length() - 1
-        raw = np.frombuffer(read_exact(src, (n_rows * width + 7) // 8), dtype=np.uint8)
-        rows = (np.unpackbits(raw, count=n_rows * width, bitorder="little")
-                .reshape(n_rows, width) @ (np.uint8(1) << np.arange(width, dtype=np.uint8)))
+        rows = as_uint(unpack_fixed(read_exact(src, (n_rows * width + 7) // 8),
+                                    width, n_rows))
         flags = flags.reshape(count, side)
         if encoding == VOCAB_COLS_RANK:           # unset columns take row 0
             rows, set_rows = np.zeros(flags.shape, dtype=np.uint8), rows
@@ -325,19 +326,24 @@ class LeafVocabulary:
 
 
 class K2Tree:
-    """k2-tree over an n_rows x n_cols binary matrix, immutable after build."""
+    """k2-tree over an n_rows x n_cols binary matrix, immutable after build.
 
-    __slots__ = ("config", "n_rows", "n_cols", "side", "ks", "tree_bits",
+    Its padded side is prod(ks) * leaf_side, or 0 for an empty matrix (no
+    levels). With leaf side 1 the last level's bits are leaf_bits (L);
+    otherwise the leaves are leaf_ids into vocab.
+    """
+
+    __slots__ = ("n_rows", "n_cols", "ks", "leaf_side", "side", "tree_bits",
                  "leaf_bits", "leaf_ids", "vocab",
                  "_arity", "_block", "_level_start", "_ones_before")
 
-    def __init__(self, config, n_rows, n_cols, side, ks, tree_bits,
+    def __init__(self, n_rows, n_cols, ks, leaf_side, tree_bits,
                  leaf_bits=None, leaf_ids=None, vocab=None):
-        self.config = config
         self.n_rows = n_rows
         self.n_cols = n_cols
-        self.side = side
         self.ks = ks
+        self.leaf_side = leaf_side
+        self.side = prod(ks) * leaf_side if ks else 0
         self.tree_bits = tree_bits
         self.leaf_bits = leaf_bits
         self.leaf_ids = leaf_ids
@@ -371,7 +377,7 @@ class K2Tree:
         if n_rows == 0 or n_cols == 0:
             if pts.shape[0]:
                 raise ValueError("points given for an empty matrix")
-            return cls(config, int(n_rows), int(n_cols), 0, [],
+            return cls(int(n_rows), int(n_cols), [], config.leaf_side,
                        BitVector((), config.sample_rate))
         if pts.shape[0] and (
                 rows.min() < 0 or rows.max() >= n_rows
@@ -426,15 +432,14 @@ class K2Tree:
             vocab = LeafVocabulary.build(vocab_patterns, leaf_side,
                                          config.vocab_encoding)
             leaf_ids = Dac.encode(ids, config.dac_chunk_bits, rate)
-            return cls(config, int(n_rows), int(n_cols), side, ks, tree,
+            return cls(int(n_rows), int(n_cols), ks, leaf_side, tree,
                        leaf_ids=leaf_ids, vocab=vocab)
 
         tree = BitVector(
             np.concatenate(level_bits[:-1]) if depth > 1 else np.zeros(0, dtype=bool),
             rate)
         leaves = BitVector(level_bits[-1], rate)
-        return cls(config, int(n_rows), int(n_cols), side, ks, tree,
-                   leaf_bits=leaves)
+        return cls(int(n_rows), int(n_cols), ks, leaf_side, tree, leaf_bits=leaves)
 
     def _index_levels(self) -> None:
         """Per level: its arity, block side, start in T:L and the ones of T
@@ -470,6 +475,12 @@ class K2Tree:
     @property
     def depth(self) -> int:
         return len(self.ks)
+
+    @property
+    def sample_preset(self) -> str:
+        """The SAMPLE_PRESETS name of the rate the tree's bitmaps sample at."""
+        rate = self.tree_bits.sample_rate
+        return next(name for name, r in SAMPLE_PRESETS.items() if r == rate)
 
     def bit_at(self, pos: int) -> bool:
         """Bit at `pos` in the T:L concatenation."""
@@ -513,7 +524,7 @@ class K2Tree:
                 return False
             ordinal = tree.rank1(pos) - self._ones_before[lvl] - 1
             if lvl == last:
-                side = self.config.leaf_side
+                side = self.leaf_side
                 leaf = self.vocab.cells(self.leaf_ids.access(ordinal))
                 return leaf >> (r % side * side + c % side) & 1 == 1
             base = self._level_start[lvl + 1] + ordinal * self._arity[lvl + 1]
@@ -671,69 +682,42 @@ class K2Tree:
     # -- serialization ----------------------------------------------------
 
     def write(self, out) -> None:
-        cfg = self.config
-        out.write(struct.pack("<B", len(cfg.stages)))
-        for st in cfg.stages:
-            out.write(struct.pack("<Bh", st.k, -1 if st.levels is None else st.levels))
-        preset = 0 if cfg.sample_preset == "default" else 1
-        enc = VOCAB_ENCODINGS.index(cfg.vocab_encoding) if cfg.leaf_side > 1 else 255
-        out.write(struct.pack("<BBBB", cfg.leaf_side, enc, preset, cfg.dac_chunk_bits))
-        out.write(struct.pack("<QQQ", self.n_rows, self.n_cols, self.side))
-        out.write(struct.pack("<H", len(self.ks)))
+        out.write(struct.pack("<BBQQH", self.leaf_side,
+                              PRESET_BYTES.index(self.sample_preset),
+                              self.n_rows, self.n_cols, len(self.ks)))
         out.write(bytes(self.ks))
         self.tree_bits.write(out)
-        if self.side == 0:
-            out.write(struct.pack("<B", 2))
-        elif self.vocab is not None:
-            out.write(struct.pack("<B", 1))
+        if self.vocab is not None:
             self.leaf_ids.write(out)
             self.vocab.write(out)
-        else:
-            out.write(struct.pack("<B", 0))
+        elif self.leaf_bits is not None:
             self.leaf_bits.write(out)
 
     @classmethod
     def read(cls, src) -> "K2Tree":
-        (n_stages,) = struct.unpack("<B", read_exact(src, 1))
-        stages = []
-        for _ in range(n_stages):
-            k, levels = struct.unpack("<Bh", read_exact(src, 3))
-            stages.append(Stage(k, None if levels < 0 else levels))
-        leaf_side, enc, preset, chunk_bits = struct.unpack("<BBBB", read_exact(src, 4))
-        if preset > 1:
+        leaf_side, preset, n_rows, n_cols, depth = struct.unpack(
+            "<BBQQH", read_exact(src, 20))
+        if preset >= len(PRESET_BYTES):
             raise ValueError(f"unknown sample preset byte {preset}")
-        config = K2Config(
-            stages=tuple(stages), leaf_side=leaf_side,
-            vocab_encoding=_vocab_encoding(enc) if enc != 255 else VOCAB_COLS_FULL,
-            sample_preset=("default", "dense")[preset],
-            dac_chunk_bits=chunk_bits)
-        n_rows, n_cols, side = struct.unpack("<QQQ", read_exact(src, 24))
-        (depth,) = struct.unpack("<H", read_exact(src, 2))
+        rate = SAMPLE_PRESETS[PRESET_BYTES[preset]]
         ks = list(read_exact(src, depth))
-        if side:
-            fits = (min(ks, default=0) >= 2 and prod(ks) * leaf_side == side
-                    and max(n_rows, n_cols) <= side <= MAX_SIDE)
-        else:  # an empty matrix
-            fits = not ks and min(n_rows, n_cols) == 0
-        if not fits:
+        side = prod(ks) * leaf_side if ks else 0
+        # a matrix has levels iff it has rows and columns
+        fits = (min(ks) >= 2 and 0 < min(n_rows, n_cols)
+                and max(n_rows, n_cols) <= side <= MAX_SIDE if ks
+                else min(n_rows, n_cols) == 0)
+        if leaf_side not in LEAF_SIDES or not fits:
             raise ValueError(f"tree geometry does not add up: side {side}, leaf side"
                              f" {leaf_side}, {depth} levels, {n_rows}x{n_cols} matrix")
-        tree = BitVector.read(src, config.sample_rate)
-        (mode,) = struct.unpack("<B", read_exact(src, 1))
-        if mode > 2:
-            raise ValueError(f"unknown tree leaf mode byte {mode}")
-        if mode != (2 if not side else 1 if leaf_side > 1 else 0):
-            raise ValueError(f"tree leaf mode byte {mode} does not fit leaf side"
-                             f" {leaf_side} and side {side}")
-        if mode == 2:
-            return cls(config, n_rows, n_cols, side, ks, tree)
-        if mode == 1:
-            leaf_ids = Dac.read(src, config.sample_rate)
-            vocab = LeafVocabulary.read(src, leaf_side)
-            top = int(leaf_ids.values().max()) if len(leaf_ids) else -1
-            if top >= vocab.count:
-                raise ValueError(f"leaf id {top} is past the {vocab.count}-leaf vocabulary")
-            return cls(config, n_rows, n_cols, side, ks, tree,
-                       leaf_ids=leaf_ids, vocab=vocab)
-        leaves = BitVector.read(src, config.sample_rate)
-        return cls(config, n_rows, n_cols, side, ks, tree, leaf_bits=leaves)
+        tree = BitVector.read(src, rate)
+        if not ks:
+            return cls(n_rows, n_cols, ks, leaf_side, tree)
+        if leaf_side == 1:
+            return cls(n_rows, n_cols, ks, leaf_side, tree,
+                       leaf_bits=BitVector.read(src, rate))
+        leaf_ids = Dac.read(src, rate)
+        vocab = LeafVocabulary.read(src, leaf_side)
+        top = int(leaf_ids.values().max()) if len(leaf_ids) else -1
+        if top >= vocab.count:
+            raise ValueError(f"leaf id {top} is past the {vocab.count}-leaf vocabulary")
+        return cls(n_rows, n_cols, ks, leaf_side, tree, leaf_ids=leaf_ids, vocab=vocab)

@@ -11,35 +11,45 @@ All eight bound/unbound triple patterns reduce to row, column, cell and
 rectangle queries on the two trees plus rank/select on the predicate
 runs. The store is immutable after build and safe for unlimited
 concurrent readers; the two merge thresholds only steer query strategy
-and may be changed between queries.
+and may be changed between queries. They start at
+DEFAULT_MERGE_THRESHOLD and are not stored, since no answer depends on
+them.
 
-A store file (format version 3) is, little-endian throughout: the magic
-"BMX1", the u16 format version, seven u64 header counts (triples, shared
-terms, subjects, objects, predicates, the two merge thresholds), then the
-dictionary's four pools (shared, subject-only, object-only, predicates;
-front-coded, see `dictionary`), the predicate index (u64 columns, u64
-start count, u64 run starts), the subject tree and the object tree, and
-nothing after them. Version 1 files (pools of plain UTF-8 plus per-term
-offsets) and version 2 files (a rank-sample table beside the run starts)
-are refused with a request to rebuild them.
+A store file (format version 4) is, little-endian throughout: the magic
+"BMX1", the u16 format version, five u64 counts (triples, shared terms,
+subjects, objects, predicates), then the dictionary's four pools
+(shared, subject-only, object-only, predicates; front-coded, see
+`dictionary`), the predicate index (u64 columns, u64 start count, u64
+run starts), the subject tree and the object tree, and nothing after
+them. Each tree is its leaf side (u8), sampling preset byte (u8), rows
+and columns (u64 each), level count (u16), one k byte per level and its
+tree bits T; a tree with levels then holds its DAC leaf ids and leaf
+vocabulary (leaf side above 1) or its leaf bits L (leaf side 1). A
+vocabulary is its encoding byte, its leaf count (u64) and its leaves in
+that encoding; it takes its side from the tree. Files of versions 1-3
+(v1: pools of plain UTF-8 plus per-term offsets; v2: a rank-sample
+table beside the run starts; v3: trees that also held the stages,
+encodings and side that built them, and stored merge thresholds) are
+refused with a request to rebuild them.
 
 Loading refuses a file, with a ValueError, when:
 - a read runs past its end, or bytes follow the object tree;
 - a pool fails the dictionary's checks, or a count does not fit its bytes;
-- a tag byte names no known encoding, sampling preset or leaf mode;
+- a tag byte names no known sampling preset or vocabulary encoding;
 - a header count (triples, shared terms, subjects, objects, predicates)
   differs from what the sections hold;
-- a tree's geometry does not add up: a k below 2, prod(ks) * leaf side
-  other than its side, a side below its rows or columns or above
-  MAX_SIDE, a leaf mode that does not fit its leaf side, or fewer tree
-  bits or leaves than its levels need;
+- a tree's geometry does not add up: a leaf side other than 1, 2, 4 or
+  8, a k below 2, a side prod(ks) * leaf side below its rows or columns
+  or above MAX_SIDE, levels for a matrix without rows or columns or none
+  for one with both, or fewer tree bits or leaves than its levels need;
 - a tree's leaf ids do not fit its vocabulary: an id at or past the
-  vocabulary's count, a vocabulary side other than the tree's leaf side,
-  or column flags and rows other than its count needs;
-- a DAC's levels disagree: level 0 holds other than `length` chunks, a
-  level's flags are not as long as its chunks, a level holds other than
-  the continuation ones of the level before, the last level has a
-  continuation one, or there are more levels than 64-bit values need;
+  vocabulary's count, or column flags and rows other than its count
+  needs;
+- a DAC's chunk width is outside 1 to 64, or its levels disagree: level
+  0 holds other than `length` chunks, a level's flags are not as long as
+  its chunks, a level holds other than the continuation ones of the
+  level before, the last level has a continuation one, or there are more
+  levels than 64-bit values need;
 - the predicate index's run starts do not rise from 0 to its columns.
 
 A query that meets a column with no 1 in a tree raises a ValueError too.
@@ -58,7 +68,7 @@ from .dictionary import Dictionary, sort_unique
 from .k2tree import K2Config, K2Tree
 
 MAGIC = b"BMX1"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 DEFAULT_MERGE_THRESHOLD = 10
 
@@ -155,9 +165,7 @@ class TripleStore:
 
     def __init__(self, subject_tree: K2Tree, object_tree: K2Tree,
                  pred_index: PredicateIndex, n: int, n_subjects: int,
-                 n_objects: int, n_predicates: int,
-                 merge_sorted: int = DEFAULT_MERGE_THRESHOLD,
-                 merge_unsorted: int = DEFAULT_MERGE_THRESHOLD):
+                 n_objects: int, n_predicates: int):
         self.subject_tree = subject_tree
         self.object_tree = object_tree
         self.pred_index = pred_index
@@ -165,14 +173,12 @@ class TripleStore:
         self.n_subjects = n_subjects
         self.n_objects = n_objects
         self.n_predicates = n_predicates
-        self.merge_sorted = merge_sorted
-        self.merge_unsorted = merge_unsorted
+        self.merge_sorted = DEFAULT_MERGE_THRESHOLD
+        self.merge_unsorted = DEFAULT_MERGE_THRESHOLD
 
     @classmethod
     def build(cls, triples, n_subjects: int, n_objects: int, n_predicates: int,
-              config: K2Config = K2Config(),
-              merge_sorted: int = DEFAULT_MERGE_THRESHOLD,
-              merge_unsorted: int = DEFAULT_MERGE_THRESHOLD) -> "TripleStore":
+              config: K2Config = K2Config()) -> "TripleStore":
         """Build from (s, p, o) id triples, 1-based ids within the given dims.
 
         Triples are sorted by (p, o, s); duplicates collapse to one column.
@@ -198,7 +204,7 @@ class TripleStore:
             np.column_stack((arr[:, 2] - 1, cols)), n_objects, n, config)
         pidx = PredicateIndex.from_sorted(arr[:, 1], n_predicates)
         return cls(subject_tree, object_tree, pidx, n, n_subjects, n_objects,
-                   n_predicates, merge_sorted, merge_unsorted)
+                   n_predicates)
 
     # -- id validation ---------------------------------------------------
 
@@ -368,10 +374,8 @@ class TripleStore:
 def write_store(out, store: TripleStore, dictionary: Dictionary) -> None:
     out.write(MAGIC)
     out.write(struct.pack("<H", FORMAT_VERSION))
-    out.write(struct.pack(
-        "<QQQQQQQ", store.n, dictionary.so_count, store.n_subjects,
-        store.n_objects, store.n_predicates, store.merge_sorted,
-        store.merge_unsorted))
+    out.write(struct.pack("<QQQQQ", store.n, dictionary.so_count, store.n_subjects,
+                          store.n_objects, store.n_predicates))
     dictionary.write(out)
     store.pred_index.write(out)
     store.subject_tree.write(out)
@@ -386,8 +390,8 @@ def read_store(src) -> tuple[TripleStore, Dictionary]:
         raise ValueError(f"unsupported store format version {version} (this"
                          f" bmx reads version {FORMAT_VERSION}); rebuild the"
                          f" store with bmx build")
-    (n, n_so, n_subjects, n_objects, n_predicates,
-     merge_sorted, merge_unsorted) = struct.unpack("<QQQQQQQ", read_exact(src, 56))
+    n, n_so, n_subjects, n_objects, n_predicates = struct.unpack(
+        "<QQQQQ", read_exact(src, 40))
     dictionary = Dictionary.read(src)
     if dictionary.so_count != n_so:
         raise ValueError("dictionary does not match store header")
@@ -406,7 +410,7 @@ def read_store(src) -> tuple[TripleStore, Dictionary]:
             f" {subject_tree.n_rows}, objects {object_tree.n_rows}, predicates"
             f" {pidx.n_predicates})")
     store = TripleStore(subject_tree, object_tree, pidx, n, n_subjects,
-                        n_objects, n_predicates, merge_sorted, merge_unsorted)
+                        n_objects, n_predicates)
     return store, dictionary
 
 

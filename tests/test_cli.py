@@ -11,6 +11,7 @@ import pytest
 
 import pfc_reference
 import bmatrix
+from tree_layout import tree_offsets
 from bmatrix import cli, store as store_mod
 from bmatrix.store import TripleStore
 
@@ -40,6 +41,8 @@ def test_build_reports_counts(built, capsys):
     captured = capsys.readouterr().out
     assert rc == 0
     assert "triples            4" in captured
+    assert ("subject tree       side 16, levels 2, leaf 8x8, vocab cols-full,"
+            " sampling default") in captured
     assert "B/triple" in captured
     assert captured.count(" B/term") == 4      # one line per dictionary pool
     assert out.stat().st_size > 0
@@ -82,6 +85,9 @@ def test_build_empty_file(tmp_path, capsys):
     out = tmp_path / "empty.bmx"
     assert cli.main(["build", str(src), "-o", str(out)]) == 0
     assert "triples            0" in capsys.readouterr().out
+    assert cli.main(["stats", str(out)]) == 0
+    assert ("object tree        side 0, levels none, leaf 8x8, vocab none,"
+            " sampling default") in capsys.readouterr().out
     assert cli.main(["query", str(out), "?", "?", "?", "--count-only"]) == 0
 
 
@@ -243,9 +249,7 @@ def test_build_skips_unparsable_statement(tmp_path, capsys, bad):
 
 
 @pytest.mark.parametrize("options", [
-    ["--thresholds", "-1"], ["--thresholds", "1,-2"],
-    ["--thresholds", str(1 << 64)], ["--k1", "300"], ["--k2", "256"],
-    ["--k1-levels", "40000"]])
+    ["--k1", "300"], ["--k2", "256"], ["--k1-levels", "40000"]])
 def test_options_the_store_cannot_hold_are_a_clean_error(tmp_path, capsys, options):
     src, out = tmp_path / "corpus.nt", tmp_path / "corpus.bmx"
     src.write_text(CORPUS)
@@ -309,7 +313,7 @@ def _section_offsets(path):
     store, dictionary = store_mod.load(str(path))
     at = 4 + 2                    # magic, format version
     offsets = {"header": at}
-    at += 8 * 7                   # the header counts
+    at += 8 * 5                   # the header counts
     for name, section in (("dictionary", dictionary),
                           ("pred_index", store.pred_index),
                           ("subject_tree", store.subject_tree),
@@ -418,8 +422,7 @@ def test_store_survives_every_cut_and_huge_count(built, capsys, with_dictionary)
     for at in range(len(data) - 7):
         corrupt = data[:at] + huge + data[at + 8:]
         out.write_bytes(corrupt)
-        # the five header counts must match the sections; the merge
-        # thresholds after them may be 2^62
+        # the five header counts must match the sections
         refused = (1,) if corrupt[counts] != data[counts] else (0, 1)
         assert cli.main(["stats", str(out)]) in refused, at
     capsys.readouterr()
@@ -433,11 +436,10 @@ def test_zero_k_or_period_is_a_clean_error(built, capsys, field, message, comman
     _, out = built
     store = store_mod.load(str(out))[0]
     tree, offsets = store.subject_tree, _section_offsets(out)
-    # the subject tree's ks follow its stages, leaf bytes, dims and depth;
     # the second run start follows the index's column and start counts
     at, width, value, new = {
-        "zero k": (offsets["subject_tree"] + 1 + 3 * len(tree.config.stages)
-                   + 4 + 24 + 2, 1, tree.ks[0], 0),
+        "zero k": (tree_offsets(tree, offsets["subject_tree"])["ks"], 1,
+                   tree.ks[0], 0),
         "run start past the columns": (offsets["pred_index"] + 16 + 8, 8,
                                        store.pred_index.starts[1], store.n + 1)}[field]
     data = bytearray(out.read_bytes())
@@ -454,8 +456,6 @@ def test_zero_k_or_period_is_a_clean_error(built, capsys, field, message, comman
     ("leaf id past the vocabulary", "leaf id 255 is past the"),
     ("level continues past the last", "DAC level 0 is the last but has 1 continuation"),
     ("length 2^62", "DAC level 0 holds"),
-    ("vocabulary side 0", "leaf vocabulary side 0 is not 8"),
-    ("vocabulary side 16", "leaf vocabulary side 16 is not 8"),
     ("cols-rank row count", "cols-rank vocabulary of 1 leaves holds 8 column flags")])
 @pytest.mark.parametrize("command", [["stats"], ["query", "?", "?", "?"]])
 def test_corrupt_leaf_ids_are_a_clean_error(built, capsys, fault, message, command):
@@ -463,21 +463,15 @@ def test_corrupt_leaf_ids_are_a_clean_error(built, capsys, fault, message, comma
     if fault.startswith("cols-rank"):
         assert cli.main(["build", str(src), "-o", str(out), "--vocab", "cols-rank"]) == 0
     tree = store_mod.load(str(out))[0].subject_tree
-    at = _section_offsets(out)["subject_tree"]
-    # the subject tree's DAC follows its stages, leaf bytes, dims, depth, ks,
-    # tree bits and leaf mode byte; its vocabulary follows the DAC
-    at += 1 + 3 * len(tree.config.stages) + 4 + 24 + 2 + len(tree.ks)
-    at += 8 + len(tree.tree_bits.data) + 1
+    fields = tree_offsets(tree, _section_offsets(out)["subject_tree"])
+    at = fields["dac"]
     dac = tree.leaf_ids
     assert (dac.chunk_bits, len(dac.levels), tree.vocab.count) == (8, 1, 1)
     chunks_at = at + 1 + 8 + 1 + 8      # chunk bits, length, levels, count
     flags_at = chunks_at + len(dac) + 8  # the flags' words follow their length
-    buf = io.BytesIO()
-    dac.write(buf)
-    vocab_at = at + len(buf.getvalue())
-    # a cols vocabulary's row count follows its tag, side and leaf count and
-    # the column flags' length and one word
-    rows_at = vocab_at + 10 + 8 + 8
+    # a cols vocabulary's row count follows its tag and leaf count and the
+    # column flags' length and one word
+    rows_at = fields["vocab"] + 9 + 8 + 8
     data = bytearray(out.read_bytes())
     if fault == "leaf id past the vocabulary":
         data[chunks_at] = 255
@@ -485,9 +479,6 @@ def test_corrupt_leaf_ids_are_a_clean_error(built, capsys, fault, message, comma
         data[flags_at] |= 1
     elif fault == "length 2^62":
         data[at + 1:at + 9] = (1 << 62).to_bytes(8, "little")
-    elif fault.startswith("vocabulary side"):
-        assert data[vocab_at + 1] == 8
-        data[vocab_at + 1] = int(fault.rsplit(" ", 1)[1])
     else:
         ones = tree.vocab.cells(0).bit_count()
         assert int.from_bytes(data[rows_at:rows_at + 8], "little") == ones
@@ -499,7 +490,7 @@ def test_corrupt_leaf_ids_are_a_clean_error(built, capsys, fault, message, comma
     assert err.startswith("error: ") and message in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("version", [1, 2, 3])
 def test_old_store_version_asks_for_a_rebuild(built, capsys, version):
     _, out = built
     data = bytearray(out.read_bytes())
@@ -547,3 +538,43 @@ def test_bit_flips_never_escape_main(tmp_path, capsys):
                 rc = cli.main(command)
                 assert rc in (0, 1), (vocab, bit, command)
                 assert rc == 0 or capsys.readouterr().err.strip(), (vocab, bit, command)
+
+
+def test_no_header_bit_is_ignored(built, capsys):
+    """Every single-bit flip of the store header, and of each tree's header
+    (its bytes before the tree bits), makes bmx stats or bmx query exit 1
+    with an error or changes what they print: no header byte is skipped by
+    the reader or only repeats another field."""
+    _, out = built
+    data = out.read_bytes()
+    commands = [["stats", str(out)], ["query", str(out), "?", "?", "?"]]
+
+    def outputs():
+        """Each command's exit code and output, or None once one is refused."""
+        got = []
+        for command in commands:
+            capsys.readouterr()
+            rc = cli.main(command)
+            captured = capsys.readouterr()
+            if rc == 1 and captured.err.startswith("error: "):
+                return None
+            got.append((rc, captured.out))
+        return got
+
+    intact = outputs()
+    assert [rc for rc, _ in intact] == [0, 0]
+    store = store_mod.load(str(out))[0]
+    offsets = _section_offsets(out)
+    headers = [(0, offsets["dictionary"])]      # magic, version, counts
+    for name in ("subject_tree", "object_tree"):
+        fields = tree_offsets(getattr(store, name), offsets[name])
+        headers.append((offsets[name], fields["tree bits"]))
+    silent = []
+    for lo, hi in headers:
+        for bit in range(8 * lo, 8 * hi):
+            flipped = bytearray(data)
+            flipped[bit // 8] ^= 1 << bit % 8
+            out.write_bytes(bytes(flipped))
+            if outputs() == intact:
+                silent.append(bit)
+    assert silent == []

@@ -1,10 +1,12 @@
 import io
 import random
+import warnings
 
 import pytest
 
 from bmatrix._binio import pack_fixed, unpack_fixed
 from bmatrix.dac import Dac
+from bmatrix.k2tree import K2Config
 
 
 def bits(bv):
@@ -79,7 +81,9 @@ def _levels_bytes(values, chunk_bits=2):
     ("next level count", "DAC level 1 holds 3 chunks, not the 2 continuation ones"),
     ("last level continues", "level 1 is the last but has 1 continuation ones"),
     ("flags length", "DAC level 0 has 4 continuation flags for 3 chunks"),
-    ("too many levels", "more than 64-bit values need")])
+    ("too many levels", "more than 64-bit values need"),
+    ("width 0", "chunk width must be 1 to 64, not 0"),
+    ("width 65", "chunk width must be 1 to 64, not 65")])
 def test_read_refuses_disagreeing_levels(fault, message):
     data = _levels_bytes([5, 1, 9])         # levels of 3 and 2 chunks
     level1_count_at = 10 + 8 + 1 + 8 + 8    # header, count, chunks, flags
@@ -91,10 +95,29 @@ def test_read_refuses_disagreeing_levels(fault, message):
         data[level1_count_at + 8 + 1 + 8] |= 1   # first flag of level 1
     elif fault == "flags length":
         data[10 + 8 + 1:10 + 8 + 9] = (4).to_bytes(8, "little")
+    elif fault.startswith("width"):
+        data[0] = int(fault.split()[1])
     else:
         data[9] = 33                        # 33 levels of 2 bits
     with pytest.raises(ValueError, match=message):
         Dac.read(io.BytesIO(bytes(data)))
+
+
+@pytest.mark.parametrize("width", [0, 65, 256])
+def test_widths_outside_1_to_64_are_refused(width):
+    with pytest.raises(ValueError, match="1 to 64"):
+        Dac.encode([1, 2], chunk_bits=width)
+    with pytest.raises(ValueError, match="1 to 64"):
+        K2Config(dac_chunk_bits=width)
+
+
+def test_width_64_holds_any_value_without_overflow():
+    values = [(1 << 64) - 1, 0, 1 << 63, 12345]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        d = Dac.encode(values, chunk_bits=64)
+    assert len(d.levels) == 1
+    assert d.values().tolist() == values == [d.access(i) for i in range(4)]
 
 
 def test_bounds():

@@ -10,6 +10,7 @@ from bmatrix.bitvector import BitVector
 from bmatrix.k2tree import (K2Config, K2Tree, LeafVocabulary, Stage,
                             VOCAB_COLS_FULL, VOCAB_COLS_RANK, VOCAB_PLAIN,
                             plan_levels)
+from tree_layout import tree_offsets
 
 K2_PLAIN = K2Config(stages=(Stage(2, None),), leaf_side=1)
 HYBRID = K2Config(stages=(Stage(4, 5), Stage(2, None)), leaf_side=1)
@@ -179,7 +180,7 @@ def written_cols(v):
     """The column flags, as a bit string, and the rows of v's cols file form."""
     buf = io.BytesIO()
     v.write(buf)
-    buf.seek(10)                          # encoding tag, side, leaf count
+    buf.seek(9)                           # encoding tag, leaf count
     flags = BitVector.read(buf)
     (n_rows,) = struct.unpack("<Q", buf.read(8))
     rows = unpack_fixed(buf.read(), v.row_index_bits, n_rows)
@@ -330,15 +331,16 @@ def test_serialization_round_trip():
         t.write(buf)
         buf.seek(0)
         back = K2Tree.read(buf)
-        assert back.config == cfg
         assert back.ks == t.ks and back.side == t.side
+        assert (back.leaf_side, back.sample_preset) == (cfg.leaf_side, cfg.sample_preset)
+        if cfg.leaf_side > 1:
+            assert back.vocab.encoding == cfg.vocab_encoding
+            assert back.leaf_ids.chunk_bits == cfg.dac_chunk_bits
         assert_matches_dense(back, dense(pts, 50, nc), rng, probes=20)
 
 
 @pytest.mark.parametrize("field, value, message", [
-    ("encoding", 3, "vocabulary encoding tag byte 3"),
     ("preset", 2, "sample preset byte 2"),
-    ("mode", 3, "leaf mode byte 3"),
     ("vocab tag", 9, "vocabulary encoding tag byte 9")])
 def test_unknown_tag_byte_is_named(field, value, message):
     nc = 120
@@ -347,15 +349,25 @@ def test_unknown_tag_byte_is_named(field, value, message):
     buf = io.BytesIO()
     t.write(buf)
     data = bytearray(buf.getvalue())
-    header = 1 + 3 * len(t.config.stages)
-    mode_at = header + 4 + 24 + 2 + len(t.ks) + 8 + len(t.tree_bits.data)
-    dac = io.BytesIO()
-    t.leaf_ids.write(dac)
-    at = {"encoding": header + 1, "preset": header + 2, "mode": mode_at,
-          "vocab tag": mode_at + 1 + len(dac.getvalue())}[field]
+    at = tree_offsets(t)[{"preset": "preset", "vocab tag": "vocab"}[field]]
     assert data[at] in (0, 1)          # the byte holds a known value before
     data[at] = value
     with pytest.raises(ValueError, match=message):
+        K2Tree.read(io.BytesIO(bytes(data)))
+
+
+@pytest.mark.parametrize("rows, cols", [(0, 120), (50, 0)])
+def test_levels_for_a_matrix_without_rows_or_columns_are_refused(rows, cols):
+    """Queries would index a row or column range the matrix lacks."""
+    nc = 120
+    t = K2Tree.build(np.column_stack((np.arange(nc) % 50, np.arange(nc))), 50, nc)
+    buf = io.BytesIO()
+    t.write(buf)
+    data = bytearray(buf.getvalue())
+    at = tree_offsets(t)
+    data[at["rows"]:at["rows"] + 8] = rows.to_bytes(8, "little")
+    data[at["cols"]:at["cols"] + 8] = cols.to_bytes(8, "little")
+    with pytest.raises(ValueError, match="tree geometry does not add up"):
         K2Tree.read(io.BytesIO(bytes(data)))
 
 

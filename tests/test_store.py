@@ -221,7 +221,7 @@ def test_vocab_store_round_trip():
         write_store(buf, store, Dictionary.empty())
         buf.seek(0)
         back, _ = read_store(buf)
-        assert back.subject_tree.config.sample_preset == preset
+        assert back.subject_tree.sample_preset == preset
         assert back.all_triples() == store.all_triples()
 
 
