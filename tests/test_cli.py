@@ -249,6 +249,7 @@ def test_build_skips_unparsable_statement(tmp_path, capsys, bad):
 
 
 @pytest.mark.parametrize("options", [
+    ["--k1", "1"], ["--k2", "1"], ["--k1-levels", "-1"],
     ["--k1", "300"], ["--k2", "256"], ["--k1-levels", "40000"]])
 def test_options_the_store_cannot_hold_are_a_clean_error(tmp_path, capsys, options):
     src, out = tmp_path / "corpus.nt", tmp_path / "corpus.bmx"
