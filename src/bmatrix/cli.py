@@ -19,8 +19,7 @@ from dataclasses import dataclass
 
 from . import ntriples, store as store_mod
 from .dictionary import Dictionary
-from .k2tree import (K2Config, Stage, VOCAB_COLS_FULL, VOCAB_COLS_RANK,
-                     VOCAB_PLAIN)
+from .k2tree import K2Config, Stage, VOCAB_COLS_FULL, VOCAB_ENCODINGS
 from .oracle import TripleList
 from .store import SHAPES, TripleStore, shape_of
 
@@ -149,13 +148,9 @@ def _read_terms(columns: tuple[list[str], ...], path: str, gzip_mode: str,
 
 
 def cmd_build(args) -> int:
-    vocab = args.vocab
-    leaf = 1 if vocab == "off" else args.leaf
     config = K2Config(
         stages=(Stage(args.k1, args.k1_levels), Stage(args.k2, None)),
-        leaf_side=leaf,
-        vocab_encoding=vocab if vocab != "off" else VOCAB_COLS_FULL,
-        sample_preset=args.sample)
+        leaf_side=args.leaf, vocab_encoding=args.vocab, sample_preset=args.sample)
 
     t0 = time.perf_counter()
     columns: tuple[list[str], ...] = ([], [], [])
@@ -440,9 +435,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="max levels of the top stage")
     b.add_argument("--k2", type=int, default=2,
                    help="branching side of the remaining levels")
-    b.add_argument("--leaf", type=int, default=8, help="leaf matrix side")
-    b.add_argument("--vocab", default="cols-full",
-                   choices=[VOCAB_PLAIN, VOCAB_COLS_FULL, VOCAB_COLS_RANK, "off"],
+    b.add_argument("--leaf", type=int, default=8,
+                   help="leaf matrix side: 2, 4 or 8, or 1 for no leaf vocabulary")
+    b.add_argument("--vocab", default=VOCAB_COLS_FULL, choices=VOCAB_ENCODINGS,
                    help="leaf vocabulary encoding")
     b.add_argument("--sample", default="default", choices=["default", "dense"],
                    help="bitmap rank sampling preset (~5%% or 12.5%% overhead)")

@@ -1,13 +1,15 @@
 """Succinct sparse binary matrix with hybrid-k subdivision.
 
 The matrix is padded to a square and recursively split into k x k blocks;
-each level stores one bit per block (1 = block contains a 1). Internal
-level bits live in T; with the leaf vocabulary disabled the last level's
-bits (the cells) live in L. With a leaf vocabulary, subdivision stops at
-leaf_side x leaf_side blocks whose contents are deduplicated into a
-frequency-ranked vocabulary, and the per-leaf ids are stored as a DAC.
+each level stores one bit per block (1 = block contains a 1), and one
+bitmap holds every level, top first: T:L, the internal levels T followed
+by the last level L. With leaf side 1 the last level's bits are the
+cells. With a leaf vocabulary, subdivision stops at leaf_side x leaf_side
+blocks whose contents are deduplicated into a frequency-ranked
+vocabulary, and the last level's set bits own per-leaf ids stored as a
+DAC.
 
-Child navigation follows rank over T: the children of the j-th set bit
+Child navigation follows rank over T:L: the children of the j-th set bit
 of a level are consecutive at the next level, so a single bitmap plus
 per-level offsets replaces all pointers.
 """
@@ -329,23 +331,23 @@ class K2Tree:
     """k2-tree over an n_rows x n_cols binary matrix, immutable after build.
 
     Its padded side is prod(ks) * leaf_side, or 0 for an empty matrix (no
-    levels). With leaf side 1 the last level's bits are leaf_bits (L);
-    otherwise the leaves are leaf_ids into vocab.
+    levels). tree_bits holds every level (T:L). With leaf side 1 the last
+    level's bits are the cells; otherwise the last level's j-th set bit is
+    the leaf whose vocab id is leaf_ids[j].
     """
 
     __slots__ = ("n_rows", "n_cols", "ks", "leaf_side", "side", "tree_bits",
-                 "leaf_bits", "leaf_ids", "vocab",
+                 "leaf_ids", "vocab",
                  "_arity", "_block", "_level_start", "_ones_before")
 
     def __init__(self, n_rows, n_cols, ks, leaf_side, tree_bits,
-                 leaf_bits=None, leaf_ids=None, vocab=None):
+                 leaf_ids=None, vocab=None):
         self.n_rows = n_rows
         self.n_cols = n_cols
         self.ks = ks
         self.leaf_side = leaf_side
         self.side = prod(ks) * leaf_side if ks else 0
         self.tree_bits = tree_bits
-        self.leaf_bits = leaf_bits
         self.leaf_ids = leaf_ids
         self.vocab = vocab
         self._index_levels()
@@ -388,11 +390,10 @@ class K2Tree:
         side = prod(ks) * config.leaf_side
         if side > MAX_SIDE:
             raise ValueError(f"padded side {side} exceeds supported maximum {MAX_SIDE}")
-        depth = len(ks)
         leaf_side = config.leaf_side
         rate = config.sample_rate
 
-        col_weight = [prod(k * k for k in ks[lvl + 1:]) for lvl in range(depth)]
+        col_weight = [prod(k * k for k in ks[lvl + 1:]) for lvl in range(len(ks))]
         row_weight = [k * w for k, w in zip(ks, col_weight)]
         leaf_rows, leaf_cols = -(-n_rows // leaf_side), -(-n_cols // leaf_side)
         leaf_code = (_path_part(rows // leaf_side, leaf_rows, ks, row_weight)
@@ -411,41 +412,32 @@ class K2Tree:
                 np.uint64(1) << (key & ((1 << shift) - 1)).astype(np.uint64), starts)
         else:
             codes = np.unique(leaf_code)
-            patterns = None
 
-        level_bits = _level_bits(codes, ks)
+        tree = BitVector(np.concatenate(_level_bits(codes, ks)), rate)
+        if leaf_side == 1:
+            return cls(int(n_rows), int(n_cols), ks, leaf_side, tree)
 
-        if leaf_side > 1:
-            tree = BitVector(np.concatenate(level_bits), rate)
-            if patterns.size:
-                uniq_pat, first, inverse, counts = np.unique(
-                    patterns, return_index=True, return_inverse=True,
-                    return_counts=True)
-                by_freq = np.lexsort((first, -counts))
-                rank_of = np.empty(len(uniq_pat), dtype=np.int64)
-                rank_of[by_freq] = np.arange(len(uniq_pat))
-                ids = rank_of[inverse]
-                vocab_patterns = uniq_pat[by_freq]
-            else:
-                ids = np.zeros(0, dtype=np.int64)
-                vocab_patterns = np.zeros(0, dtype=np.uint64)
-            vocab = LeafVocabulary.build(vocab_patterns, leaf_side,
-                                         config.vocab_encoding)
-            leaf_ids = Dac.encode(ids, config.dac_chunk_bits, rate)
-            return cls(int(n_rows), int(n_cols), ks, leaf_side, tree,
-                       leaf_ids=leaf_ids, vocab=vocab)
-
-        tree = BitVector(
-            np.concatenate(level_bits[:-1]) if depth > 1 else np.zeros(0, dtype=bool),
-            rate)
-        leaves = BitVector(level_bits[-1], rate)
-        return cls(int(n_rows), int(n_cols), ks, leaf_side, tree, leaf_bits=leaves)
+        if patterns.size:
+            uniq_pat, first, inverse, counts = np.unique(
+                patterns, return_index=True, return_inverse=True,
+                return_counts=True)
+            by_freq = np.lexsort((first, -counts))
+            rank_of = np.empty(len(uniq_pat), dtype=np.int64)
+            rank_of[by_freq] = np.arange(len(uniq_pat))
+            ids = rank_of[inverse]
+            vocab_patterns = uniq_pat[by_freq]
+        else:
+            ids = np.zeros(0, dtype=np.int64)
+            vocab_patterns = np.zeros(0, dtype=np.uint64)
+        vocab = LeafVocabulary.build(vocab_patterns, leaf_side, config.vocab_encoding)
+        leaf_ids = Dac.encode(ids, config.dac_chunk_bits, rate)
+        return cls(int(n_rows), int(n_cols), ks, leaf_side, tree,
+                   leaf_ids=leaf_ids, vocab=vocab)
 
     def _index_levels(self) -> None:
-        """Per level: its arity, block side, start in T:L and the ones of T
+        """Per level: its arity, block side, start in T:L and the ones of T:L
         before it. The children of a set bit at `pos` on level l start at
         _level_start[l + 1] + (rank1(pos) - _ones_before[l] - 1) * _arity[l + 1]."""
-        depth = len(self.ks)
         self._arity = [k * k for k in self.ks]
         block = [self.side]
         for k in self.ks:
@@ -454,18 +446,17 @@ class K2Tree:
         start = [0]
         ones_before = [0]
         nodes = 1
-        in_tree = depth if self.vocab is not None else depth - 1
-        for lvl in range(depth):
-            end = start[-1] + nodes * self._arity[lvl]
-            if lvl < in_tree:
-                if end > len(self.tree_bits):
-                    raise ValueError(f"tree bits end inside level {lvl}")
-                ones = (self.tree_bits.rank1(end - 1) if end else 0) - ones_before[-1]
-                ones_before.append(ones_before[-1] + ones)
-                nodes = ones
+        for lvl, arity in enumerate(self._arity):
+            end = start[-1] + nodes * arity
+            if end > len(self.tree_bits):
+                raise ValueError(f"tree bits end inside level {lvl}")
+            nodes = self.tree_bits.rank1(end - 1) - ones_before[-1]
+            ones_before.append(ones_before[-1] + nodes)
             start.append(end)
-        if depth and (len(self.leaf_ids) != nodes if self.vocab is not None
-                      else len(self.leaf_bits) != start[-1] - start[-2]):
+        if len(self.tree_bits) != start[-1]:
+            raise ValueError(f"{len(self.tree_bits)} tree bits, but the levels"
+                             f" take {start[-1]}")
+        if self.vocab is not None and len(self.leaf_ids) != nodes:
             raise ValueError("leaf count does not match the tree's last level")
         self._level_start = start
         self._ones_before = ones_before
@@ -484,10 +475,7 @@ class K2Tree:
 
     def bit_at(self, pos: int) -> bool:
         """Bit at `pos` in the T:L concatenation."""
-        t_len = self.tree_bits.length
-        if pos < t_len:
-            return self.tree_bits.access(pos)
-        return self.leaf_bits.access(pos - t_len)
+        return self.tree_bits.access(pos)
 
     def children_base(self, pos: int) -> int:
         """First child's position in T:L for the set internal bit at `pos`.
@@ -498,8 +486,8 @@ class K2Tree:
         if not self.tree_bits.access(pos):
             raise ValueError(f"no node at position {pos}: bit is 0")
         lvl = bisect_right(self._level_start, pos) - 1
-        if lvl >= self.depth - 1 and self.vocab is not None:
-            raise ValueError("node's children are vocabulary leaves, not T:L bits")
+        if lvl == self.depth - 1:
+            raise ValueError(f"position {pos} is on the last level: it has no children")
         ordinal = self.tree_bits.rank1(pos) - self._ones_before[lvl] - 1
         return self._level_start[lvl + 1] + ordinal * self._arity[lvl + 1]
 
@@ -518,10 +506,10 @@ class K2Tree:
         for lvl, k in enumerate(self.ks):
             child = self._block[lvl + 1]
             pos = base + (r // child % k) * k + (c // child % k)
-            if lvl == last and self.vocab is None:
-                return self.bit_at(pos)
             if not (tdata[pos >> 3] >> (pos & 7)) & 1:
                 return False
+            if lvl == last and self.vocab is None:
+                return True
             ordinal = tree.rank1(pos) - self._ones_before[lvl] - 1
             if lvl == last:
                 side = self.leaf_side
@@ -536,10 +524,10 @@ class K2Tree:
         list, stopping at `limit` cells (0: no limit). One depth-first descent
         clips each node to the rectangle and visits its children in row-major
         order, so a one-row walk gives ascending columns and a one-column walk
-        ascending rows."""
+        ascending rows. An empty range gives no cells."""
         rows, cols = [], []
         ks = self.ks
-        if not ks:
+        if not ks or r_lo > r_hi or c_lo > c_hi:
             return rows, cols
         tree = self.tree_bits
         tdata = tree.data
@@ -550,10 +538,7 @@ class K2Tree:
         arity = self._arity
         last = len(ks) - 1
         vocab = self.vocab
-        if vocab is None:
-            ldata = self.leaf_bits.data
-            t_len = tree.length
-        else:
+        if vocab is not None:
             leaf_access = self.leaf_ids.access
             leaf_before = ones_before[last] + 1
             cells = vocab.cells
@@ -607,12 +592,12 @@ class K2Tree:
                 row_band = (1 << (lr_hi + 1) * child) - (1 << lr_lo * child)
                 for cc in range(cc_lo, cc_hi + 1):
                     pos = row_base + cc
-                    if vocab is None:  # the last level's bits are the cells, in L
-                        pos -= t_len
-                        if (ldata[pos >> 3] >> (pos & 7)) & 1:
-                            rows.append(r0)
-                            cols.append(col0 + cc)
-                    elif (tdata[pos >> 3] >> (pos & 7)) & 1:
+                    if not (tdata[pos >> 3] >> (pos & 7)) & 1:
+                        continue
+                    if vocab is None:  # the last level's bits are the cells
+                        rows.append(r0)
+                        cols.append(col0 + cc)
+                    else:
                         c0 = col0 + cc * child
                         lc_lo = c_lo - c0 if c_lo > c0 else 0
                         lc_hi = c_hi - c0 if c_hi < c0 + child - 1 else child - 1
@@ -630,7 +615,8 @@ class K2Tree:
         return rows, cols
 
     def row(self, r: int, c_lo: int = 0, c_hi: int | None = None) -> list[int]:
-        """Columns c in [c_lo, c_hi] with cell (r, c) set, ascending.
+        """Columns c in [c_lo, c_hi] with cell (r, c) set, ascending; an
+        empty range (c_lo == c_hi + 1) gives [].
 
         The store relies on this order: a one-row walk visits the columns
         left to right.
@@ -639,7 +625,7 @@ class K2Tree:
             c_hi = self.n_cols - 1
         if not 0 <= r < self.n_rows:
             raise IndexError(f"row {r} out of range [0, {self.n_rows})")
-        if not (0 <= c_lo <= c_hi < self.n_cols):
+        if not 0 <= c_lo <= c_hi + 1 <= self.n_cols:
             raise IndexError(f"column range [{c_lo}, {c_hi}] invalid for {self.n_cols} cols")
         return self._walk(r, r, c_lo, c_hi)[1]
 
@@ -659,11 +645,12 @@ class K2Tree:
 
         Results are not globally sorted; callers needing column order sort
         the returned pairs themselves. A one-row rectangle gives the cells
-        of `row` in its order, a one-column rectangle those of `col`.
+        of `row` in its order, a one-column rectangle those of `col`. An
+        empty range (lo == hi + 1) gives [].
         """
-        if not (0 <= r_lo <= r_hi < self.n_rows):
+        if not 0 <= r_lo <= r_hi + 1 <= self.n_rows:
             raise IndexError(f"row range [{r_lo}, {r_hi}] invalid for {self.n_rows} rows")
-        if not (0 <= c_lo <= c_hi < self.n_cols):
+        if not 0 <= c_lo <= c_hi + 1 <= self.n_cols:
             raise IndexError(f"column range [{c_lo}, {c_hi}] invalid for {self.n_cols} cols")
         return list(zip(*self._walk(r_lo, r_hi, c_lo, c_hi)))
 
@@ -671,7 +658,7 @@ class K2Tree:
 
     @property
     def accel_bytes(self) -> int:
-        return sum(part.accel_bytes for part in (self.tree_bits, self.leaf_bits, self.leaf_ids)
+        return sum(part.accel_bytes for part in (self.tree_bits, self.leaf_ids)
                    if part is not None)
 
     def serialized_bytes(self) -> int:
@@ -690,8 +677,6 @@ class K2Tree:
         if self.vocab is not None:
             self.leaf_ids.write(out)
             self.vocab.write(out)
-        elif self.leaf_bits is not None:
-            self.leaf_bits.write(out)
 
     @classmethod
     def read(cls, src) -> "K2Tree":
@@ -710,11 +695,8 @@ class K2Tree:
             raise ValueError(f"tree geometry does not add up: side {side}, leaf side"
                              f" {leaf_side}, {depth} levels, {n_rows}x{n_cols} matrix")
         tree = BitVector.read(src, rate)
-        if not ks:
+        if not ks or leaf_side == 1:
             return cls(n_rows, n_cols, ks, leaf_side, tree)
-        if leaf_side == 1:
-            return cls(n_rows, n_cols, ks, leaf_side, tree,
-                       leaf_bits=BitVector.read(src, rate))
         leaf_ids = Dac.read(src, rate)
         vocab = LeafVocabulary.read(src, leaf_side)
         top = int(leaf_ids.values().max()) if len(leaf_ids) else -1

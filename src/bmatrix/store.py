@@ -15,7 +15,7 @@ and may be changed between queries. They start at
 DEFAULT_MERGE_THRESHOLD and are not stored, since no answer depends on
 them.
 
-A store file (format version 4) is, little-endian throughout: the magic
+A store file (format version 5) is, little-endian throughout: the magic
 "BMX1", the u16 format version, five u64 counts (triples, shared terms,
 subjects, objects, predicates), then the dictionary's four pools
 (shared, subject-only, object-only, predicates; front-coded, see
@@ -23,13 +23,14 @@ subjects, objects, predicates), then the dictionary's four pools
 run starts), the subject tree and the object tree, and nothing after
 them. Each tree is its leaf side (u8), sampling preset byte (u8), rows
 and columns (u64 each), level count (u16), one k byte per level and its
-tree bits T; a tree with levels then holds its DAC leaf ids and leaf
-vocabulary (leaf side above 1) or its leaf bits L (leaf side 1). A
+tree bits T:L, every level in one bitmap; a tree with levels and a leaf
+side above 1 then holds its DAC leaf ids and leaf vocabulary. A
 vocabulary is its encoding byte, its leaf count (u64) and its leaves in
-that encoding; it takes its side from the tree. Files of versions 1-3
+that encoding; it takes its side from the tree. Files of versions 1-4
 (v1: pools of plain UTF-8 plus per-term offsets; v2: a rank-sample
 table beside the run starts; v3: trees that also held the stages,
-encodings and side that built them, and stored merge thresholds) are
+encodings and side that built them, and stored merge thresholds; v4:
+leaf-side-1 trees that kept their last level L in a second bitmap) are
 refused with a request to rebuild them.
 
 Loading refuses a file, with a ValueError, when:
@@ -41,7 +42,7 @@ Loading refuses a file, with a ValueError, when:
 - a tree's geometry does not add up: a leaf side other than 1, 2, 4 or
   8, a k below 2, a side prod(ks) * leaf side below its rows or columns
   or above MAX_SIDE, levels for a matrix without rows or columns or none
-  for one with both, or fewer tree bits or leaves than its levels need;
+  for one with both, or a tree-bit or leaf count other than its levels need;
 - a tree's leaf ids do not fit its vocabulary: an id at or past the
   vocabulary's count, or column flags and rows other than its count
   needs;
@@ -68,7 +69,7 @@ from .dictionary import Dictionary, sort_unique
 from .k2tree import K2Config, K2Tree
 
 MAGIC = b"BMX1"
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
 DEFAULT_MERGE_THRESHOLD = 10
 
@@ -227,11 +228,7 @@ class TripleStore:
         self._check_s(s)
         self._check_p(p)
         self._check_o(o)
-        if self.n == 0:
-            return False
         lo, hi = self.pred_index.col_range(p)
-        if lo > hi:
-            return False
         obj_tree = self.object_tree
         o_row = o - 1
         for i in self.subject_tree.row(s - 1, lo, hi):
@@ -243,11 +240,7 @@ class TripleStore:
         """(s, p, ?): object ids, ascending."""
         self._check_s(s)
         self._check_p(p)
-        if self.n == 0:
-            return []
         lo, hi = self.pred_index.col_range(p)
-        if lo > hi:
-            return []
         tree = self.object_tree
         return [_row_of(tree, i) for i in self.subject_tree.row(s - 1, lo, hi)]
 
@@ -255,11 +248,7 @@ class TripleStore:
         """(?, p, o): subject ids, ascending."""
         self._check_p(p)
         self._check_o(o)
-        if self.n == 0:
-            return []
         lo, hi = self.pred_index.col_range(p)
-        if lo > hi:
-            return []
         tree = self.subject_tree
         return [_row_of(tree, i) for i in self.object_tree.row(o - 1, lo, hi)]
 
@@ -272,8 +261,6 @@ class TripleStore:
         """
         self._check_s(s)
         self._check_o(o)
-        if self.n == 0:
-            return []
         by_object = self.object_tree.row(o - 1)
         if len(by_object) <= self.merge_sorted:
             s_row = s - 1
@@ -287,8 +274,6 @@ class TripleStore:
     def by_subject(self, s: int) -> list[tuple[int, int]]:
         """(s, ?, ?): (predicate, object) pairs, ascending by column."""
         self._check_s(s)
-        if self.n == 0:
-            return []
         predicate_of = self.pred_index.predicate_of
         tree = self.object_tree
         return [(predicate_of(i), _row_of(tree, i))
@@ -297,8 +282,6 @@ class TripleStore:
     def by_object(self, o: int) -> list[tuple[int, int]]:
         """(?, ?, o): (subject, predicate) pairs, ascending by column."""
         self._check_o(o)
-        if self.n == 0:
-            return []
         predicate_of = self.pred_index.predicate_of
         tree = self.subject_tree
         return [(_row_of(tree, i), predicate_of(i))
@@ -312,11 +295,7 @@ class TripleStore:
         sorted by column before zipping (threshold: merge_unsorted).
         """
         self._check_p(p)
-        if self.n == 0:
-            return []
         lo, hi = self.pred_index.col_range(p)
-        if lo > hi:
-            return []
         with_subject = self.subject_tree.rect(0, self.n_subjects - 1, lo, hi)
         with_subject.sort(key=lambda rc: rc[1])
         if len(with_subject) <= self.merge_unsorted:

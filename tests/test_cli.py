@@ -91,6 +91,20 @@ def test_build_empty_file(tmp_path, capsys):
     assert cli.main(["query", str(out), "?", "?", "?", "--count-only"]) == 0
 
 
+def test_leaf_side_1_builds_without_a_vocabulary(built, tmp_path, capsys):
+    src, out = built
+    assert cli.main(["query", str(out), "?", "?", "?"]) == 0
+    expected = capsys.readouterr().out
+    plain = tmp_path / "plain.bmx"
+    assert cli.main(["build", str(src), "-o", str(plain), "--leaf", "1"]) == 0
+    assert cli.main(["stats", str(plain)]) == 0
+    stats = capsys.readouterr().out
+    assert ("subject tree       side 4, levels 4, leaf 1x1, vocab none,"
+            " sampling default") in stats
+    assert cli.main(["query", str(plain), "?", "?", "?"]) == 0
+    assert capsys.readouterr().out == expected
+
+
 def test_query_by_term(built, capsys):
     _, out = built
     rc = cli.main(["query", str(out), "?", "<http://x/p1>", "?"])
@@ -491,7 +505,7 @@ def test_corrupt_leaf_ids_are_a_clean_error(built, capsys, fault, message, comma
     assert err.startswith("error: ") and message in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("version", [1, 2, 3])
+@pytest.mark.parametrize("version", [1, 2, 3, 4])
 def test_old_store_version_asks_for_a_rebuild(built, capsys, version):
     _, out = built
     data = bytearray(out.read_bytes())
@@ -499,6 +513,26 @@ def test_old_store_version_asks_for_a_rebuild(built, capsys, version):
     out.write_bytes(bytes(data))
     assert cli.main(["stats", str(out)]) == 1
     assert "rebuild" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("options", [[], ["--leaf", "1"]])
+@pytest.mark.parametrize("command", [["stats"], ["query", "?", "?", "?"]])
+def test_tree_bits_past_the_levels_are_a_clean_error(built, capsys, options, command):
+    """A tree-bit length one above what the levels take is refused, not
+    read with the extra bit ignored."""
+    src, out = built
+    assert cli.main(["build", str(src), "-o", str(out), *options]) == 0
+    tree = store_mod.load(str(out))[0].subject_tree
+    at = tree_offsets(tree, _section_offsets(out)["subject_tree"])["tree bits"]
+    data = bytearray(out.read_bytes())
+    assert int.from_bytes(data[at:at + 8], "little") == len(tree.tree_bits)
+    data[at:at + 8] = (len(tree.tree_bits) + 1).to_bytes(8, "little")
+    out.write_bytes(bytes(data))
+    capsys.readouterr()
+    assert cli.main([command[0], str(out), *command[1:]]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert f"{len(tree.tree_bits) + 1} tree bits, but the levels take" in err
 
 
 def test_trailing_bytes_are_an_error(built, capsys):
@@ -509,8 +543,8 @@ def test_trailing_bytes_are_an_error(built, capsys):
 
 
 def test_bit_flips_never_escape_main(tmp_path, capsys):
-    """1,000 seeded single-bit flips of a small store, built once with the
-    cols-full and once with the cols-rank vocabulary: stats and three
+    """1,000 seeded single-bit flips of a small store, built with the
+    cols-full vocabulary, the cols-rank one and none: stats and three
     queries on each exit 0 or 1 (with a message), and never raise. An
     exit-0 answer may still differ from the intact store's; that takes a
     checksum to catch."""
@@ -525,8 +559,8 @@ def test_bit_flips_never_escape_main(tmp_path, capsys):
     commands = [["stats", str(out)], ["query", str(out), "?", "?", "?"],
                 ["query", str(out), "<http://x/e1>", "?", "?"],
                 ["query", str(out), "?", "?", "<http://x/e2>"]]
-    for vocab in ("cols-full", "cols-rank"):
-        assert cli.main(["build", str(src), "-o", str(out), "--vocab", vocab]) == 0
+    for options in (["--vocab", "cols-full"], ["--vocab", "cols-rank"], ["--leaf", "1"]):
+        assert cli.main(["build", str(src), "-o", str(out), *options]) == 0
         data = out.read_bytes()
         assert [cli.main(c) for c in commands] == [0, 0, 0, 0]
         for _ in range(1000):
@@ -537,17 +571,17 @@ def test_bit_flips_never_escape_main(tmp_path, capsys):
             for command in commands:
                 capsys.readouterr()
                 rc = cli.main(command)
-                assert rc in (0, 1), (vocab, bit, command)
-                assert rc == 0 or capsys.readouterr().err.strip(), (vocab, bit, command)
+                assert rc in (0, 1), (options, bit, command)
+                assert rc == 0 or capsys.readouterr().err.strip(), (options, bit, command)
 
 
 def test_no_header_bit_is_ignored(built, capsys):
     """Every single-bit flip of the store header, and of each tree's header
     (its bytes before the tree bits), makes bmx stats or bmx query exit 1
     with an error or changes what they print: no header byte is skipped by
-    the reader or only repeats another field."""
-    _, out = built
-    data = out.read_bytes()
+    the reader or only repeats another field. The store is built once with
+    the default leaf vocabulary and once without one (leaf side 1)."""
+    src, out = built
     commands = [["stats", str(out)], ["query", str(out), "?", "?", "?"]]
 
     def outputs():
@@ -562,20 +596,23 @@ def test_no_header_bit_is_ignored(built, capsys):
             got.append((rc, captured.out))
         return got
 
-    intact = outputs()
-    assert [rc for rc, _ in intact] == [0, 0]
-    store = store_mod.load(str(out))[0]
-    offsets = _section_offsets(out)
-    headers = [(0, offsets["dictionary"])]      # magic, version, counts
-    for name in ("subject_tree", "object_tree"):
-        fields = tree_offsets(getattr(store, name), offsets[name])
-        headers.append((offsets[name], fields["tree bits"]))
     silent = []
-    for lo, hi in headers:
-        for bit in range(8 * lo, 8 * hi):
-            flipped = bytearray(data)
-            flipped[bit // 8] ^= 1 << bit % 8
-            out.write_bytes(bytes(flipped))
-            if outputs() == intact:
-                silent.append(bit)
+    for options in ([], ["--leaf", "1"]):
+        assert cli.main(["build", str(src), "-o", str(out), *options]) == 0
+        data = out.read_bytes()
+        intact = outputs()
+        assert [rc for rc, _ in intact] == [0, 0]
+        store = store_mod.load(str(out))[0]
+        offsets = _section_offsets(out)
+        headers = [(0, offsets["dictionary"])]      # magic, version, counts
+        for name in ("subject_tree", "object_tree"):
+            fields = tree_offsets(getattr(store, name), offsets[name])
+            headers.append((offsets[name], fields["tree bits"]))
+        for lo, hi in headers:
+            for bit in range(8 * lo, 8 * hi):
+                flipped = bytearray(data)
+                flipped[bit // 8] ^= 1 << bit % 8
+                out.write_bytes(bytes(flipped))
+                if outputs() == intact:
+                    silent.append((options, bit))
     assert silent == []

@@ -37,6 +37,7 @@ def assert_matches_dense(tree, m, rng, probes=30):
         lo = int(rng.integers(nc))
         hi = int(rng.integers(lo, nc))
         assert tree.row(r, lo, hi) == (np.flatnonzero(m[r, lo:hi + 1]) + lo).tolist()
+        assert tree.row(r, lo, lo - 1) == [] == tree.rect(r, r - 1, lo, hi)
         # the walk's order contract: a one-row rectangle is the row, in order
         assert tree.rect(r, r, lo, hi) == [(r, c) for c in tree.row(r, lo, hi)]
     for _ in range(8):
@@ -60,8 +61,7 @@ def assert_matches_dense(tree, m, rng, probes=30):
 
 def test_single_point_4x4():
     t = K2Tree.build([(0, 0)], 4, 4, K2_PLAIN)
-    assert bits(t.tree_bits) == "1000"
-    assert bits(t.leaf_bits) == "1000"
+    assert bits(t.tree_bits) == "1000" + "1000"     # T:L in one bitmap
     assert t.cell(0, 0) is True
     assert t.cell(3, 3) is False
     assert t.row(0, 0, 3) == [0]
@@ -72,7 +72,6 @@ def test_single_point_4x4():
 def test_empty_4x4():
     t = K2Tree.build([], 4, 4, K2_PLAIN)
     assert bits(t.tree_bits) == "0000"
-    assert len(t.leaf_bits) == 0
     assert t.cell(1, 2) is False
     assert t.col(0) == []
 
@@ -80,8 +79,7 @@ def test_empty_4x4():
 def test_full_4x4():
     pts = [(r, c) for r in range(4) for c in range(4)]
     t = K2Tree.build(pts, 4, 4, K2_PLAIN)
-    assert bits(t.tree_bits) == "1111"
-    assert bits(t.leaf_bits) == "1" * 16
+    assert bits(t.tree_bits) == "1111" + "1" * 16
     assert t.row(2, 1, 2) == [1, 2]
     assert t.col(3) == [0, 1, 2, 3]
     assert sorted(t.rect(1, 1, 0, 1)) == [(1, 0), (1, 1)]
@@ -95,6 +93,10 @@ def test_children_base():
     assert full.children_base(0) == 4
     with pytest.raises(ValueError):
         t.children_base(1)  # zero bit
+    for tree, last in ((t, 4), (K2Tree.build([(0, 0)], 4, 4, K2Config()), 0)):
+        assert tree.bit_at(last)
+        with pytest.raises(ValueError, match="last level"):
+            tree.children_base(last)
 
 
 def test_zero_dims_and_bad_points():
@@ -106,6 +108,8 @@ def test_zero_dims_and_bad_points():
         K2Tree.build([(4, 0)], 4, 4, K2_PLAIN)
     with pytest.raises(IndexError):
         K2Tree.build([], 4, 4, K2_PLAIN).cell(4, 0)
+    with pytest.raises(IndexError):
+        K2Tree.build([], 4, 4, K2_PLAIN).row(0, 2, 0)   # only lo == hi + 1 is empty
 
 
 # -- level planning ----------------------------------------------------------
@@ -413,7 +417,5 @@ def test_level_bits_match_unique_reference(config):
                                rng.integers(0, n_cols, size)])
         tree = K2Tree.build(pts, n_rows, n_cols, config)
         got = bits(tree.tree_bits)
-        if tree.leaf_bits is not None:
-            got += bits(tree.leaf_bits)
         want = unique_level_bits(pts, n_rows, n_cols, config)
         assert got == "".join("1" if b else "0" for b in want)

@@ -8,7 +8,7 @@ from bmatrix import store as store_mod
 from bmatrix.k2tree import (K2Config, Stage, VOCAB_COLS_FULL, VOCAB_COLS_RANK,
                             VOCAB_PLAIN)
 from bmatrix.oracle import TripleList
-from bmatrix.store import (PredicateIndex, TripleStore, read_store,
+from bmatrix.store import (SHAPES, PredicateIndex, TripleStore, read_store,
                            write_store)
 from bmatrix.dictionary import BUCKET, Dictionary
 
@@ -88,8 +88,14 @@ def test_predicate_of_matches_searchsorted(seed):
 def test_spo(store_e):
     assert store_e.contains(1, 1, 1) is True
     assert store_e.contains(1, 1, 2) is False
-    empty = TripleStore.build([], 2, 2, 2, config=SMALL)
-    assert empty.contains(1, 1, 1) is False
+    # a store without triples answers every shape from its empty trees,
+    # by either strategy of (s, ?, o) and (?, p, ?)
+    for config, threshold in ((SMALL, 10), (K2Config(), 10), (K2Config(), -1)):
+        empty = TripleStore.build([], 2, 2, 2, config=config)
+        empty.merge_sorted = empty.merge_unsorted = threshold
+        for shape, method in SHAPES.items():
+            bound = [1] * (3 - shape.count("?"))
+            assert getattr(empty, method)(*bound) == ([] if "?" in shape else False)
 
 
 def test_sp(store_e):
