@@ -66,12 +66,19 @@ def pack_fixed(values, width: int) -> bytes:
     return np.packbits(bits.ravel(), bitorder="little").tobytes()
 
 
+def check_padding(data: bytes, n_bits: int) -> None:
+    """Refuse set bits in `data` past its first `n_bits`."""
+    if int.from_bytes(data[n_bits >> 3:], "little") >> (n_bits & 7):
+        raise ValueError(f"set bits past the {n_bits} bits of a packed field")
+
+
 def unpack_fixed(data: bytes, width: int, count: int):
     """Inverse of pack_fixed: `count` ints, as `data` itself at width 8,
-    else as a packed_array."""
+    else as a packed_array. Bits past count * width must be 0."""
     if width < 1 or count * width > 8 * len(data):
         raise ValueError(f"{count} values of {width} bits do not fit in"
                          f" {len(data)} bytes")
+    check_padding(data, count * width)
     if width == 8:
         return bytes(data[:count])
     if width in (16, 32, 64):

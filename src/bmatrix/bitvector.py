@@ -16,7 +16,7 @@ from bisect import bisect_left, bisect_right
 
 import numpy as np
 
-from ._binio import read_exact
+from ._binio import check_padding, read_exact
 
 WORD_BITS = 64
 
@@ -35,7 +35,7 @@ def _as_bool_array(bits) -> np.ndarray:
     return np.asarray(bits, dtype=bool).ravel()
 
 
-def _padded_size(length: int) -> int:
+def padded_size(length: int) -> int:
     """Bytes holding `length` bits in whole 64-bit words."""
     return 8 * ((length + WORD_BITS - 1) // WORD_BITS)
 
@@ -52,15 +52,16 @@ class BitVector:
     def __init__(self, bits=(), sample_rate: int = SAMPLE_RATE_DEFAULT):
         arr = _as_bool_array(bits)
         packed = np.packbits(arr, bitorder="little").tobytes()
-        self._wrap(packed.ljust(_padded_size(arr.size), b"\x00"),
+        self._wrap(packed.ljust(padded_size(arr.size), b"\x00"),
                    int(arr.size), sample_rate)
 
     @classmethod
     def from_bytes(cls, data: bytes, length: int,
                    sample_rate: int = SAMPLE_RATE_DEFAULT) -> "BitVector":
         """Wrap bits packed LSB-first in whole 64-bit words; bits past `length` must be 0."""
-        if len(data) != _padded_size(length):
+        if len(data) != padded_size(length):
             raise ValueError("byte count does not match length")
+        check_padding(data, length)
         bv = cls.__new__(cls)
         bv._wrap(bytes(data), length, sample_rate)
         return bv
@@ -196,5 +197,5 @@ class BitVector:
     @classmethod
     def read(cls, src, sample_rate: int = SAMPLE_RATE_DEFAULT) -> "BitVector":
         (length,) = struct.unpack("<Q", read_exact(src, 8))
-        return cls.from_bytes(read_exact(src, _padded_size(length)), length,
+        return cls.from_bytes(read_exact(src, padded_size(length)), length,
                               sample_rate)

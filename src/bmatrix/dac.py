@@ -6,6 +6,12 @@ steers the decoder to the next chunk. Value 0 occupies exactly one chunk.
 Each level's chunks are a packed buffer: the file bytes themselves at the
 default 8-bit width, else an `array.array` of the smallest unsigned
 typecode that holds a chunk.
+
+A DAC file is its chunk width (u8), length (u64) and level count (u8),
+then per level its chunks in `b`-bit slots and its continuation flags in
+u64 words. A level's chunk and flag counts are not written: level 0
+holds `length` chunks, and each later level one chunk per continuation
+one of the level before.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from array import array
 
 import numpy as np
 
-from .bitvector import SAMPLE_RATE_DEFAULT, BitVector
+from .bitvector import SAMPLE_RATE_DEFAULT, BitVector, padded_size
 from ._binio import as_uint, pack_fixed, packed_array, read_exact, unpack_fixed
 
 
@@ -100,39 +106,29 @@ class Dac:
     def write(self, out) -> None:
         out.write(struct.pack("<BQB", self.chunk_bits, self.length, len(self.levels)))
         for chunks, flags in self.levels:
-            out.write(struct.pack("<Q", len(chunks)))
             out.write(pack_fixed(chunks, self.chunk_bits))
-            flags.write(out)
+            out.write(flags.data)
 
     @classmethod
     def read(cls, src, sample_rate: int = SAMPLE_RATE_DEFAULT) -> "Dac":
-        """Refuses, with a ValueError, levels whose sizes disagree: each level
-        holds as many chunks as the level before has continuation ones (level
-        0: `length`), as many flags as chunks, and the last level has no
-        continuation one, nor more levels than a 64-bit value needs."""
+        """Refuses, with a ValueError, a last level with continuation ones,
+        and more levels than a 64-bit value needs."""
         chunk_bits, length, n_levels = struct.unpack("<BQB", read_exact(src, 10))
         _check_width(chunk_bits)
         if (n_levels - 1) * chunk_bits >= 64:
             raise ValueError(f"DAC has {n_levels} levels of {chunk_bits}-bit chunks,"
                              " more than 64-bit values need")
         levels = []
-        want = length
-        for lvl in range(n_levels):
-            (count,) = struct.unpack("<Q", read_exact(src, 8))
-            if count != want:
-                raise ValueError(f"DAC level {lvl} holds {count} chunks, not the {want}"
-                                 + (" values of its length" if lvl == 0 else
-                                    f" continuation ones of level {lvl - 1}"))
-            n_bytes = (count * chunk_bits + 7) // 8
-            chunks = unpack_fixed(read_exact(src, n_bytes), chunk_bits, count)
-            flags = BitVector.read(src, sample_rate)
-            if flags.length != count:
-                raise ValueError(f"DAC level {lvl} has {flags.length} continuation"
-                                 f" flags for {count} chunks")
+        count = length
+        for _ in range(n_levels):
+            chunks = unpack_fixed(read_exact(src, (count * chunk_bits + 7) // 8),
+                                  chunk_bits, count)
+            flags = BitVector.from_bytes(read_exact(src, padded_size(count)), count,
+                                         sample_rate)
             levels.append((chunks, flags))
-            want = flags.ones
-        if want:
-            raise ValueError(f"DAC level {n_levels - 1} is the last but has {want}"
+            count = flags.ones
+        if count:
+            raise ValueError(f"DAC level {n_levels - 1} is the last but has {count}"
                              " continuation ones" if n_levels else
                              f"DAC of length {length} has no levels")
         return cls(chunk_bits, length, levels)

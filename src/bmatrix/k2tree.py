@@ -45,8 +45,8 @@ PRESET_BYTES = ("default", "dense")
 class Stage:
     """A run of subdivision levels with a common branching side k.
 
-    levels=None means "use this k for all remaining levels"; only the
-    last stage may be unbounded.
+    levels=None means "use this k for all remaining levels"; the last
+    stage, and only it, is unbounded.
     """
     k: int
     levels: int | None = None
@@ -70,8 +70,8 @@ class K2Config:
             # a tree file holds each k in a byte
             if not 2 <= st.k <= 255:
                 raise ValueError(f"branching side k must be 2 to 255, not {st.k}")
-            if st.levels is None and i != len(self.stages) - 1:
-                raise ValueError("only the last stage may be unbounded")
+            if (st.levels is None) != (i == len(self.stages) - 1):
+                raise ValueError("the last stage, and only it, must be unbounded")
             # bounds plan_levels' search over the stage budgets
             if st.levels is not None and not 0 <= st.levels <= 32767:
                 raise ValueError(f"stage level count must be 0 to 32767, not {st.levels}")
@@ -100,41 +100,30 @@ def plan_levels(config: K2Config, max_dim: int) -> list[int]:
     planned so T:L is never degenerate.
     """
     target = max(int(max_dim), 1)
-    stages = config.stages
+    *bounded, last = config.stages
     best: tuple[int, tuple[int, ...]] | None = None
 
-    def consider(counts: tuple[int, ...], side: int) -> None:
+    def walk(i: int, counts: tuple[int, ...], side: int) -> None:
         nonlocal best
-        if side < target:
+        if i < len(bounded):
+            st = bounded[i]
+            for used in range(st.levels + 1):
+                walk(i + 1, counts + (used,), side * st.k ** used)
             return
+        extra = 0  # the unbounded last stage adds the levels still needed
+        while side < target:
+            extra += 1
+            side *= last.k
+        counts += (extra,)
         if best is None or side < best[0] or (side == best[0] and counts > best[1]):
             best = (side, counts)
 
-    def walk(i: int, counts: tuple[int, ...], side: int) -> None:
-        if i == len(stages):
-            consider(counts, side)
-            return
-        st = stages[i]
-        if st.levels is None:
-            extra = 0
-            s = side
-            while True:
-                consider(counts + (extra,), s)
-                if s >= target:
-                    break
-                extra += 1
-                s *= st.k
-            return
-        for used in range(st.levels + 1):
-            walk(i + 1, counts + (used,), side * st.k ** used)
-
     walk(0, (), config.leaf_side)
-    assert best is not None
     counts = list(best[1])
     if sum(counts) == 0:
         counts[-1] = 1
     ks: list[int] = []
-    for st, used in zip(stages, counts):
+    for st, used in zip(config.stages, counts):
         ks.extend([st.k] * used)
     return ks
 
@@ -205,12 +194,15 @@ class LeafVocabulary:
     `bit`, `row_cols`, `col_rows` and the tree walk mask it.
 
     The encoding names one of three file forms, written by `write` and
-    decoded back to the plain ints by `read`:
+    decoded back to the plain ints by `read`. Each is the encoding byte and
+    the leaf count (u64), then packed bits that hold no other count:
 
     plain      -- each matrix as side*side bits.
-    cols-full  -- per column: a presence bit in C plus a log2(side)-bit row
-                  index in R (unset columns keep row 0).
-    cols-rank  -- like cols-full but R holds rows only for the set columns.
+    cols-full  -- per column a presence bit, count*side bits C, then per
+                  column a log2(side)-bit row index, count*side slots R
+                  (unset columns keep row 0).
+    cols-rank  -- like cols-full but R holds rows only for the set columns,
+                  so it has as many slots as C has ones.
                   Both column forms require at most one 1 per leaf column.
     """
 
@@ -286,10 +278,9 @@ class LeafVocabulary:
         # and its row (0 for an unset column)
         flags = np.ones(side, dtype=np.uint8) @ dense > 0
         rows = np.arange(side, dtype=np.uint8) @ dense
-        BitVector(flags).write(out)
+        out.write(pack_fixed(flags.ravel(), 1))
         if self.encoding == VOCAB_COLS_RANK:
             rows = rows[flags]
-        out.write(struct.pack("<Q", rows.size))
         out.write(pack_fixed(rows.ravel(), self.row_index_bits))
 
     @classmethod
@@ -304,15 +295,10 @@ class LeafVocabulary:
             n_bytes = (count * side * side + 7) // 8
             patterns = unpack_fixed(read_exact(src, n_bytes), side * side, count)
             return cls(encoding, side, count, patterns)
-        col_flags = BitVector.read(src)
-        (n_rows,) = struct.unpack("<Q", read_exact(src, 8))
-        flags = np.unpackbits(np.frombuffer(col_flags.data, dtype=np.uint8),
-                              count=col_flags.length, bitorder="little").astype(bool)
-        if (col_flags.length, n_rows) != (
-                count * side, count * side if encoding == VOCAB_COLS_FULL
-                else int(flags.sum())):
-            raise ValueError(f"{encoding} vocabulary of {count} leaves holds"
-                             f" {col_flags.length} column flags and {n_rows} rows")
+        n_flags = count * side
+        flags = as_uint(unpack_fixed(read_exact(src, (n_flags + 7) // 8), 1,
+                                     n_flags)).astype(bool)
+        n_rows = n_flags if encoding == VOCAB_COLS_FULL else int(flags.sum())
         width = side.bit_length() - 1
         rows = as_uint(unpack_fixed(read_exact(src, (n_rows * width + 7) // 8),
                                     width, n_rows))
@@ -518,13 +504,12 @@ class K2Tree:
             base = self._level_start[lvl + 1] + ordinal * self._arity[lvl + 1]
         return False  # depth 0: an empty matrix
 
-    def _walk(self, r_lo: int, r_hi: int, c_lo: int, c_hi: int,
-              limit: int = 0) -> tuple[list[int], list[int]]:
+    def _walk(self, r_lo: int, r_hi: int, c_lo: int, c_hi: int) -> tuple[list[int], list[int]]:
         """Set cells of [r_lo, r_hi] x [c_lo, c_hi] as a row list and a column
-        list, stopping at `limit` cells (0: no limit). One depth-first descent
-        clips each node to the rectangle and visits its children in row-major
-        order, so a one-row walk gives ascending columns and a one-column walk
-        ascending rows. An empty range gives no cells."""
+        list. One depth-first descent clips each node to the rectangle and
+        visits its children in row-major order, so a one-row walk gives
+        ascending columns and a one-column walk ascending rows. An empty
+        range gives no cells."""
         rows, cols = [], []
         ks = self.ks
         if not ks or r_lo > r_hi or c_lo > c_hi:
@@ -546,7 +531,7 @@ class K2Tree:
             shift = side.bit_length() - 1
             col_mask = _col_mask(side)
         # frames: (level of the node's child bits, the node's bit one level up,
-        # node origin); a rank is taken on visiting, so `limit` skips the rest
+        # node origin)
         stack = [(0, 0, 0, 0)]
         while stack:
             lvl, pos, row0, col0 = stack.pop()
@@ -610,8 +595,6 @@ class K2Tree:
                             rows.append(r0 + (b >> shift))
                             cols.append(c0 + (b & side - 1))
                             bits ^= low
-                    if 0 < limit <= len(rows):
-                        return rows[:limit], cols[:limit]
         return rows, cols
 
     def row(self, r: int, c_lo: int = 0, c_hi: int | None = None) -> list[int]:
@@ -629,15 +612,12 @@ class K2Tree:
             raise IndexError(f"column range [{c_lo}, {c_hi}] invalid for {self.n_cols} cols")
         return self._walk(r, r, c_lo, c_hi)[1]
 
-    def col(self, c: int, limit: int | None = None) -> list[int]:
-        """Rows r with cell (r, c) set, ascending; stops early at `limit`.
-
-        The store relies on this order: a one-column walk visits the rows
-        top to bottom, so `limit=1` gives the smallest row.
-        """
+    def col(self, c: int) -> list[int]:
+        """Rows r with cell (r, c) set, ascending: a one-column walk visits
+        the rows top to bottom."""
         if not 0 <= c < self.n_cols:
             raise IndexError(f"col {c} out of range [0, {self.n_cols})")
-        return self._walk(0, self.n_rows - 1, c, c, limit or 0)[0]
+        return self._walk(0, self.n_rows - 1, c, c)[0]
 
     def rect(self, r_lo: int, r_hi: int, c_lo: int, c_hi: int) -> list[tuple[int, int]]:
         """Set cells inside the rectangle as (row, col) pairs, in depth-first

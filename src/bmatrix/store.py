@@ -15,45 +15,44 @@ and may be changed between queries. They start at
 DEFAULT_MERGE_THRESHOLD and are not stored, since no answer depends on
 them.
 
-A store file (format version 5) is, little-endian throughout: the magic
-"BMX1", the u16 format version, five u64 counts (triples, shared terms,
-subjects, objects, predicates), then the dictionary's four pools
+A store file (format version 6) is, little-endian throughout: the magic
+"BMX1" and the u16 format version, then the dictionary's four pools
 (shared, subject-only, object-only, predicates; front-coded, see
-`dictionary`), the predicate index (u64 columns, u64 start count, u64
-run starts), the subject tree and the object tree, and nothing after
-them. Each tree is its leaf side (u8), sampling preset byte (u8), rows
-and columns (u64 each), level count (u16), one k byte per level and its
-tree bits T:L, every level in one bitmap; a tree with levels and a leaf
-side above 1 then holds its DAC leaf ids and leaf vocabulary. A
-vocabulary is its encoding byte, its leaf count (u64) and its leaves in
-that encoding; it takes its side from the tree. Files of versions 1-4
-(v1: pools of plain UTF-8 plus per-term offsets; v2: a rank-sample
-table beside the run starts; v3: trees that also held the stages,
-encodings and side that built them, and stored merge thresholds; v4:
-leaf-side-1 trees that kept their last level L in a second bitmap) are
-refused with a request to rebuild them.
+`dictionary`), the predicate index (u64 start count, u64 run starts),
+the subject tree and the object tree, and nothing after them. Each tree
+is its leaf side (u8), sampling preset byte (u8), rows and columns (u64
+each), level count (u16), one k byte per level and its tree bits T:L
+(u64 bit count, then u64 words), every level in one bitmap; a tree with
+levels and a leaf side above 1 then holds its DAC leaf ids and leaf
+vocabulary (see `Dac` and `LeafVocabulary`). Each count is written once,
+in the part that owns it: the store's triples are the last run start,
+its predicates one fewer than the run starts, and its subjects and
+objects the rows of their trees. Files of versions 1-5 (v1: pools of plain UTF-8
+plus per-term offsets; v2: a rank-sample table beside the run starts;
+v3: trees that also held the stages, encodings and side that built
+them, and stored merge thresholds; v4: leaf-side-1 trees that kept
+their last level L in a second bitmap; v5: a header of five counts, and
+counts beside the run starts, DAC levels and column flags that repeated
+others) are refused with a request to rebuild them.
 
 Loading refuses a file, with a ValueError, when:
 - a read runs past its end, or bytes follow the object tree;
 - a pool fails the dictionary's checks, or a count does not fit its bytes;
+- a packed field (a bitmap, DAC chunks, vocabulary leaves, flags or
+  rows) has a set bit past its length;
 - a tag byte names no known sampling preset or vocabulary encoding;
-- a header count (triples, shared terms, subjects, objects, predicates)
-  differs from what the sections hold;
+- the two trees' columns and the predicate index's triples differ;
 - a tree's geometry does not add up: a leaf side other than 1, 2, 4 or
   8, a k below 2, a side prod(ks) * leaf side below its rows or columns
   or above MAX_SIDE, levels for a matrix without rows or columns or none
   for one with both, or a tree-bit or leaf count other than its levels need;
-- a tree's leaf ids do not fit its vocabulary: an id at or past the
-  vocabulary's count, or column flags and rows other than its count
-  needs;
-- a DAC's chunk width is outside 1 to 64, or its levels disagree: level
-  0 holds other than `length` chunks, a level's flags are not as long as
-  its chunks, a level holds other than the continuation ones of the
-  level before, the last level has a continuation one, or there are more
-  levels than 64-bit values need;
-- the predicate index's run starts do not rise from 0 to its columns.
+- a tree's leaf id is at or past its vocabulary's count;
+- a DAC's chunk width is outside 1 to 64, or it has more levels than
+  64-bit values need;
+- the predicate index's run starts do not rise from 0.
 
-A query that meets a column with no 1 in a tree raises a ValueError too.
+A query that meets a column with no 1, or several, in a tree raises a
+ValueError too.
 """
 
 from __future__ import annotations
@@ -69,7 +68,7 @@ from .dictionary import Dictionary, sort_unique
 from .k2tree import K2Config, K2Tree
 
 MAGIC = b"BMX1"
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 
 DEFAULT_MERGE_THRESHOLD = 10
 
@@ -96,9 +95,9 @@ def shape_of(s, p, o) -> str:
 
 def _row_of(tree: K2Tree, i: int) -> int:
     """The 1-based row of the one 1 in column i of a store tree."""
-    rows = tree.col(i, limit=1)
-    if not rows:
-        raise ValueError(f"column {i} holds no 1: the store is damaged")
+    rows = tree.col(i)
+    if len(rows) != 1:
+        raise ValueError(f"column {i} holds {len(rows)} 1s, not one: the store is damaged")
     return rows[0] + 1
 
 
@@ -106,25 +105,25 @@ class PredicateIndex:
     """Column runs per predicate, kept as their starts.
 
     starts[p-1] is the first column of predicate p (0-based), with a
-    final sentinel equal to the triple count; unused predicate ids own
-    empty runs, which start where the next run starts. Select is a lookup
-    in starts and rank a binary search over it. starts is an
-    `array.array` of the smallest unsigned typecode that holds its
-    values; the file keeps it as u64.
+    final sentinel, the triple count n; unused predicate ids own empty
+    runs, which start where the next run starts. Select is a lookup in
+    starts and rank a binary search over it. starts is an `array.array`
+    of the smallest unsigned typecode that holds its values; the file
+    keeps it as u64.
     """
 
     __slots__ = ("starts", "n", "n_predicates")
 
-    def __init__(self, starts: array, n: int):
+    def __init__(self, starts: array):
         self.starts = starts
-        self.n = n
+        self.n = starts[-1]
         self.n_predicates = len(starts) - 1
 
     @classmethod
     def from_sorted(cls, preds_sorted: np.ndarray, n_predicates: int) -> "PredicateIndex":
         starts = np.searchsorted(preds_sorted, np.arange(1, n_predicates + 2),
                                  side="left")
-        return cls(packed_array(starts), int(preds_sorted.size))
+        return cls(packed_array(starts))
 
     def col_range(self, p: int) -> tuple[int, int]:
         """Inclusive column range of predicate p; empty when lo > hi."""
@@ -143,37 +142,39 @@ class PredicateIndex:
         return 8 * len(self.starts)
 
     def write(self, out) -> None:
-        out.write(struct.pack("<QQ", self.n, len(self.starts)))
+        out.write(struct.pack("<Q", len(self.starts)))
         out.write(pack_fixed(self.starts, 64))
 
     @classmethod
     def read(cls, src) -> "PredicateIndex":
-        n, n_starts = struct.unpack("<QQ", read_exact(src, 16))
+        (n_starts,) = struct.unpack("<Q", read_exact(src, 8))
         starts = unpack_fixed(read_exact(src, 8 * n_starts), 64, n_starts)
-        if not starts or starts[0] != 0 or starts[-1] != n or any(
+        if not starts or starts[0] != 0 or any(
                 a > b for a, b in zip(starts, starts[1:])):
-            raise ValueError("predicate index run starts do not rise from 0 to its"
-                             f" {n} columns")
-        return cls(starts, n)
+            raise ValueError("predicate index run starts do not rise from 0")
+        return cls(starts)
 
 
 class TripleStore:
-    """Immutable id-triple store answering all eight triple patterns."""
+    """Immutable id-triple store answering all eight triple patterns.
+
+    Its counts are its parts': triples and predicates from the predicate
+    index, subjects and objects from the rows of their trees.
+    """
 
     __slots__ = ("subject_tree", "object_tree", "pred_index", "n",
                  "n_subjects", "n_objects", "n_predicates",
                  "merge_sorted", "merge_unsorted")
 
     def __init__(self, subject_tree: K2Tree, object_tree: K2Tree,
-                 pred_index: PredicateIndex, n: int, n_subjects: int,
-                 n_objects: int, n_predicates: int):
+                 pred_index: PredicateIndex):
         self.subject_tree = subject_tree
         self.object_tree = object_tree
         self.pred_index = pred_index
-        self.n = n
-        self.n_subjects = n_subjects
-        self.n_objects = n_objects
-        self.n_predicates = n_predicates
+        self.n = pred_index.n
+        self.n_subjects = subject_tree.n_rows
+        self.n_objects = object_tree.n_rows
+        self.n_predicates = pred_index.n_predicates
         self.merge_sorted = DEFAULT_MERGE_THRESHOLD
         self.merge_unsorted = DEFAULT_MERGE_THRESHOLD
 
@@ -204,18 +205,13 @@ class TripleStore:
         object_tree = K2Tree.build(
             np.column_stack((arr[:, 2] - 1, cols)), n_objects, n, config)
         pidx = PredicateIndex.from_sorted(arr[:, 1], n_predicates)
-        return cls(subject_tree, object_tree, pidx, n, n_subjects, n_objects,
-                   n_predicates)
+        return cls(subject_tree, object_tree, pidx)
 
     # -- id validation ---------------------------------------------------
 
     def _check_s(self, s: int) -> None:
         if not 1 <= s <= self.n_subjects:
             raise IndexError(f"subject id {s} out of range [1, {self.n_subjects}]")
-
-    def _check_p(self, p: int) -> None:
-        if not 1 <= p <= self.n_predicates:
-            raise IndexError(f"predicate id {p} out of range [1, {self.n_predicates}]")
 
     def _check_o(self, o: int) -> None:
         if not 1 <= o <= self.n_objects:
@@ -226,9 +222,8 @@ class TripleStore:
     def contains(self, s: int, p: int, o: int) -> bool:
         """(s, p, o): membership test, first match wins."""
         self._check_s(s)
-        self._check_p(p)
-        self._check_o(o)
         lo, hi = self.pred_index.col_range(p)
+        self._check_o(o)
         obj_tree = self.object_tree
         o_row = o - 1
         for i in self.subject_tree.row(s - 1, lo, hi):
@@ -239,16 +234,14 @@ class TripleStore:
     def objects(self, s: int, p: int) -> list[int]:
         """(s, p, ?): object ids, ascending."""
         self._check_s(s)
-        self._check_p(p)
         lo, hi = self.pred_index.col_range(p)
         tree = self.object_tree
         return [_row_of(tree, i) for i in self.subject_tree.row(s - 1, lo, hi)]
 
     def subjects(self, p: int, o: int) -> list[int]:
         """(?, p, o): subject ids, ascending."""
-        self._check_p(p)
-        self._check_o(o)
         lo, hi = self.pred_index.col_range(p)
+        self._check_o(o)
         tree = self.subject_tree
         return [_row_of(tree, i) for i in self.object_tree.row(o - 1, lo, hi)]
 
@@ -294,7 +287,6 @@ class TripleStore:
         rectangle query on the object tree, with both DFS result lists
         sorted by column before zipping (threshold: merge_unsorted).
         """
-        self._check_p(p)
         lo, hi = self.pred_index.col_range(p)
         with_subject = self.subject_tree.rect(0, self.n_subjects - 1, lo, hi)
         with_subject.sort(key=lambda rc: rc[1])
@@ -353,8 +345,6 @@ class TripleStore:
 def write_store(out, store: TripleStore, dictionary: Dictionary) -> None:
     out.write(MAGIC)
     out.write(struct.pack("<H", FORMAT_VERSION))
-    out.write(struct.pack("<QQQQQ", store.n, dictionary.so_count, store.n_subjects,
-                          store.n_objects, store.n_predicates))
     dictionary.write(out)
     store.pred_index.write(out)
     store.subject_tree.write(out)
@@ -369,28 +359,18 @@ def read_store(src) -> tuple[TripleStore, Dictionary]:
         raise ValueError(f"unsupported store format version {version} (this"
                          f" bmx reads version {FORMAT_VERSION}); rebuild the"
                          f" store with bmx build")
-    n, n_so, n_subjects, n_objects, n_predicates = struct.unpack(
-        "<QQQQQ", read_exact(src, 40))
     dictionary = Dictionary.read(src)
-    if dictionary.so_count != n_so:
-        raise ValueError("dictionary does not match store header")
     pidx = PredicateIndex.read(src)
     subject_tree = K2Tree.read(src)
     object_tree = K2Tree.read(src)
     if src.read(1):
         raise ValueError("trailing bytes after the store")
-    if not (n == pidx.n == subject_tree.n_cols == object_tree.n_cols
-            and n_subjects == subject_tree.n_rows and n_objects == object_tree.n_rows
-            and n_predicates == pidx.n_predicates):
+    if not subject_tree.n_cols == object_tree.n_cols == pidx.n:
         raise ValueError(
-            f"store header (triples {n}, subjects {n_subjects}, objects {n_objects},"
-            f" predicates {n_predicates}) does not match its sections (triples"
-            f" {pidx.n}/{subject_tree.n_cols}/{object_tree.n_cols}, subjects"
-            f" {subject_tree.n_rows}, objects {object_tree.n_rows}, predicates"
-            f" {pidx.n_predicates})")
-    store = TripleStore(subject_tree, object_tree, pidx, n, n_subjects,
-                        n_objects, n_predicates)
-    return store, dictionary
+            f"the subject tree's {subject_tree.n_cols} columns, the object tree's"
+            f" {object_tree.n_cols} and the predicate index's {pidx.n} triples"
+            " are not one triple count")
+    return TripleStore(subject_tree, object_tree, pidx), dictionary
 
 
 def save(path: str, store: TripleStore,

@@ -138,6 +138,17 @@ def test_serialization_round_trip():
             assert back.rank1(i) == bv.rank1(i)
 
 
+@pytest.mark.parametrize("n", [0, 1, 63, 65])
+def test_set_bits_past_the_length_are_refused(n):
+    """ones would count them, so a DAC would misread its next level."""
+    data = BitVector([1] * n).data
+    for bit in range(n, 8 * len(data)):
+        bad = bytearray(data)
+        bad[bit // 8] |= 1 << bit % 8
+        with pytest.raises(ValueError, match=f"set bits past the {n} bits"):
+            BitVector.from_bytes(bytes(bad), n)
+
+
 @pytest.mark.parametrize("rate", [1, 3, 7, 100, 512, 1280])
 def test_every_position_matches_naive_count(rate):
     # lengths around byte, word and sample boundaries; rates 1, 3 and 7

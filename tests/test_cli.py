@@ -1,5 +1,4 @@
 import gzip
-import io
 import os
 import random
 import re
@@ -11,7 +10,7 @@ import pytest
 
 import pfc_reference
 import bmatrix
-from tree_layout import tree_offsets
+from tree_layout import packed_fields, section_offsets, tree_offsets
 from bmatrix import cli, store as store_mod
 from bmatrix.store import TripleStore
 
@@ -323,24 +322,6 @@ def test_bench_skips_non_ascii_digit_id(built, tmp_path, capsys):
     assert "s??" in captured.out
 
 
-def _section_offsets(path):
-    """Byte offset of each section of a saved store."""
-    store, dictionary = store_mod.load(str(path))
-    at = 4 + 2                    # magic, format version
-    offsets = {"header": at}
-    at += 8 * 5                   # the header counts
-    for name, section in (("dictionary", dictionary),
-                          ("pred_index", store.pred_index),
-                          ("subject_tree", store.subject_tree),
-                          ("object_tree", store.object_tree)):
-        offsets[name] = at
-        buf = io.BytesIO()
-        section.write(buf)
-        at += len(buf.getvalue())
-    assert at == path.stat().st_size
-    return offsets
-
-
 POOL_TERMS = [f"http://x/t{i:02d}" for i in range(38)] + [
     "http://x/café", "http://x/snow☃"]
 
@@ -356,7 +337,7 @@ def _pool_store(tmp_path):
     path = tmp_path / "pool.bmx"
     assert cli.main(["build", str(src), "-o", str(path)]) == 0
     data = bytearray(path.read_bytes())
-    at = _section_offsets(path)["dictionary"]
+    at = section_offsets(path)["dictionary"]
     count = int.from_bytes(data[at:at + 8], "little")
     assert count == len(terms)
     offsets = [int.from_bytes(data[at + 8 + 8 * i:at + 16 + 8 * i], "little")
@@ -427,8 +408,7 @@ def test_store_survives_every_cut_and_huge_count(built, capsys, with_dictionary)
     _, out = built
     if not with_dictionary:
         store_mod.save(str(out), TripleStore.build([(1, 1, 2), (2, 1, 1)], 2, 2, 1))
-    header_at = _section_offsets(out)["header"]
-    counts = slice(header_at, header_at + 8 * 5)
+    header = slice(0, section_offsets(out)["dictionary"])   # magic, version
     data = out.read_bytes()
     for size in range(len(data)):
         out.write_bytes(data[:size])
@@ -437,8 +417,7 @@ def test_store_survives_every_cut_and_huge_count(built, capsys, with_dictionary)
     for at in range(len(data) - 7):
         corrupt = data[:at] + huge + data[at + 8:]
         out.write_bytes(corrupt)
-        # the five header counts must match the sections
-        refused = (1,) if corrupt[counts] != data[counts] else (0, 1)
+        refused = (1,) if corrupt[header] != data[header] else (0, 1)
         assert cli.main(["stats", str(out)]) in refused, at
     capsys.readouterr()
 
@@ -450,12 +429,12 @@ def test_store_survives_every_cut_and_huge_count(built, capsys, with_dictionary)
 def test_zero_k_or_period_is_a_clean_error(built, capsys, field, message, command):
     _, out = built
     store = store_mod.load(str(out))[0]
-    tree, offsets = store.subject_tree, _section_offsets(out)
-    # the second run start follows the index's column and start counts
+    tree, offsets = store.subject_tree, section_offsets(out)
+    # the second run start follows the index's start count and first start
     at, width, value, new = {
         "zero k": (tree_offsets(tree, offsets["subject_tree"])["ks"], 1,
                    tree.ks[0], 0),
-        "run start past the columns": (offsets["pred_index"] + 16 + 8, 8,
+        "run start past the columns": (offsets["pred_index"] + 8 + 8, 8,
                                        store.pred_index.starts[1], store.n + 1)}[field]
     data = bytearray(out.read_bytes())
     assert int.from_bytes(data[at:at + width], "little") == value
@@ -470,34 +449,23 @@ def test_zero_k_or_period_is_a_clean_error(built, capsys, field, message, comman
 @pytest.mark.parametrize("fault, message", [
     ("leaf id past the vocabulary", "leaf id 255 is past the"),
     ("level continues past the last", "DAC level 0 is the last but has 1 continuation"),
-    ("length 2^62", "DAC level 0 holds"),
-    ("cols-rank row count", "cols-rank vocabulary of 1 leaves holds 8 column flags")])
+    ("length 2^62", "truncated input")])
 @pytest.mark.parametrize("command", [["stats"], ["query", "?", "?", "?"]])
 def test_corrupt_leaf_ids_are_a_clean_error(built, capsys, fault, message, command):
-    src, out = built
-    if fault.startswith("cols-rank"):
-        assert cli.main(["build", str(src), "-o", str(out), "--vocab", "cols-rank"]) == 0
+    _, out = built
     tree = store_mod.load(str(out))[0].subject_tree
-    fields = tree_offsets(tree, _section_offsets(out)["subject_tree"])
-    at = fields["dac"]
+    at = tree_offsets(tree, section_offsets(out)["subject_tree"])["dac"]
     dac = tree.leaf_ids
     assert (dac.chunk_bits, len(dac.levels), tree.vocab.count) == (8, 1, 1)
-    chunks_at = at + 1 + 8 + 1 + 8      # chunk bits, length, levels, count
-    flags_at = chunks_at + len(dac) + 8  # the flags' words follow their length
-    # a cols vocabulary's row count follows its tag and leaf count and the
-    # column flags' length and one word
-    rows_at = fields["vocab"] + 9 + 8 + 8
+    chunks_at = at + 1 + 8 + 1          # chunk bits, length, level count
+    flags_at = chunks_at + len(dac)     # a level's flag words follow its chunks
     data = bytearray(out.read_bytes())
     if fault == "leaf id past the vocabulary":
         data[chunks_at] = 255
     elif fault == "level continues past the last":
         data[flags_at] |= 1
-    elif fault == "length 2^62":
-        data[at + 1:at + 9] = (1 << 62).to_bytes(8, "little")
     else:
-        ones = tree.vocab.cells(0).bit_count()
-        assert int.from_bytes(data[rows_at:rows_at + 8], "little") == ones
-        data[rows_at:rows_at + 8] = (ones + 1).to_bytes(8, "little")
+        data[at + 1:at + 9] = (1 << 62).to_bytes(8, "little")
     out.write_bytes(bytes(data))
     capsys.readouterr()
     assert cli.main([command[0], str(out), *command[1:]]) == 1
@@ -505,7 +473,7 @@ def test_corrupt_leaf_ids_are_a_clean_error(built, capsys, fault, message, comma
     assert err.startswith("error: ") and message in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 4])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
 def test_old_store_version_asks_for_a_rebuild(built, capsys, version):
     _, out = built
     data = bytearray(out.read_bytes())
@@ -523,7 +491,7 @@ def test_tree_bits_past_the_levels_are_a_clean_error(built, capsys, options, com
     src, out = built
     assert cli.main(["build", str(src), "-o", str(out), *options]) == 0
     tree = store_mod.load(str(out))[0].subject_tree
-    at = tree_offsets(tree, _section_offsets(out)["subject_tree"])["tree bits"]
+    at = tree_offsets(tree, section_offsets(out)["subject_tree"])["tree bits"]
     data = bytearray(out.read_bytes())
     assert int.from_bytes(data[at:at + 8], "little") == len(tree.tree_bits)
     data[at:at + 8] = (len(tree.tree_bits) + 1).to_bytes(8, "little")
@@ -533,6 +501,31 @@ def test_tree_bits_past_the_levels_are_a_clean_error(built, capsys, options, com
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert f"{len(tree.tree_bits) + 1} tree bits, but the levels take" in err
+
+
+@pytest.mark.parametrize("options", [[], ["--vocab", "cols-rank"], ["--vocab", "plain"],
+                                     ["--leaf", "2"], ["--leaf", "1"]])
+def test_set_padding_bits_are_a_clean_error(built, capsys, options):
+    """Setting any bit past the length of a packed field of either tree (its
+    tree bits, DAC chunks and flags, vocabulary leaves, column flags and
+    rows) is refused: ones would count it, and a DAC reads its level
+    sizes from the ones of the level before."""
+    src, out = built
+    assert cli.main(["build", str(src), "-o", str(out), *options]) == 0
+    store = store_mod.load(str(out))[0]
+    offsets = section_offsets(out)
+    data = out.read_bytes()
+    padding = [bit for name in ("subject_tree", "object_tree")
+               for at, n_bits, n_bytes in packed_fields(getattr(store, name), offsets[name])
+               for bit in range(8 * at + n_bits, 8 * (at + n_bytes))]
+    assert padding and all(data[bit // 8] >> bit % 8 & 1 == 0 for bit in padding)
+    for bit in padding:
+        flipped = bytearray(data)
+        flipped[bit // 8] |= 1 << bit % 8
+        out.write_bytes(bytes(flipped))
+        capsys.readouterr()
+        assert cli.main(["stats", str(out)]) == 1, (options, bit)
+        assert "set bits past the" in capsys.readouterr().err, (options, bit)
 
 
 def test_trailing_bytes_are_an_error(built, capsys):
@@ -603,8 +596,8 @@ def test_no_header_bit_is_ignored(built, capsys):
         intact = outputs()
         assert [rc for rc, _ in intact] == [0, 0]
         store = store_mod.load(str(out))[0]
-        offsets = _section_offsets(out)
-        headers = [(0, offsets["dictionary"])]      # magic, version, counts
+        offsets = section_offsets(out)
+        headers = [(0, offsets["dictionary"])]      # magic, version
         for name in ("subject_tree", "object_tree"):
             fields = tree_offsets(getattr(store, name), offsets[name])
             headers.append((offsets[name], fields["tree bits"]))

@@ -77,24 +77,20 @@ def _levels_bytes(values, chunk_bits=2):
 
 
 @pytest.mark.parametrize("fault, message", [
-    ("length", "DAC level 0 holds 3 chunks, not the 4 values of its length"),
-    ("next level count", "DAC level 1 holds 3 chunks, not the 2 continuation ones"),
+    ("length", "set bits past the 4 bits"),
     ("last level continues", "level 1 is the last but has 1 continuation ones"),
-    ("flags length", "DAC level 0 has 4 continuation flags for 3 chunks"),
     ("too many levels", "more than 64-bit values need"),
     ("width 0", "chunk width must be 1 to 64, not 0"),
     ("width 65", "chunk width must be 1 to 64, not 65")])
 def test_read_refuses_disagreeing_levels(fault, message):
     data = _levels_bytes([5, 1, 9])         # levels of 3 and 2 chunks
-    level1_count_at = 10 + 8 + 1 + 8 + 8    # header, count, chunks, flags
-    if fault == "length":
-        data[1:9] = (4).to_bytes(8, "little")
-    elif fault == "next level count":
-        data[level1_count_at:level1_count_at + 8] = (3).to_bytes(8, "little")
+    # header (width, length, level count), then per level one chunk byte
+    # and one flag word
+    level1_flags_at = 10 + 1 + 8 + 1
+    if fault == "length":                   # the third chunk lies past two
+        data[1:9] = (2).to_bytes(8, "little")
     elif fault == "last level continues":
-        data[level1_count_at + 8 + 1 + 8] |= 1   # first flag of level 1
-    elif fault == "flags length":
-        data[10 + 8 + 1:10 + 8 + 9] = (4).to_bytes(8, "little")
+        data[level1_flags_at] |= 1          # first flag of level 1
     elif fault.startswith("width"):
         data[0] = int(fault.split()[1])
     else:
@@ -151,3 +147,14 @@ def test_unpack_fixed_refuses_a_count_its_bytes_cannot_hold(width):
     with pytest.raises(ValueError, match="do not fit"):
         unpack_fixed(data, width, 1 << 60)
     assert list(unpack_fixed(data, 16, 3)) == [1, 2, 3]
+
+
+@pytest.mark.parametrize("width", [1, 3, 8, 16])
+def test_unpack_fixed_refuses_set_bits_past_its_values(width):
+    data = bytearray(pack_fixed([1, 0, 1], width) + b"\0")
+    assert list(unpack_fixed(bytes(data), width, 3)) == [1, 0, 1]
+    for bit in range(3 * width, 8 * len(data)):
+        bad = bytearray(data)
+        bad[bit // 8] |= 1 << bit % 8
+        with pytest.raises(ValueError, match=f"set bits past the {3 * width} bits"):
+            unpack_fixed(bytes(bad), width, 3)

@@ -1,12 +1,10 @@
 import io
-import struct
 from math import prod
 
 import numpy as np
 import pytest
 
 from bmatrix._binio import unpack_fixed
-from bmatrix.bitvector import BitVector
 from bmatrix.k2tree import (K2Config, K2Tree, LeafVocabulary, Stage,
                             VOCAB_COLS_FULL, VOCAB_COLS_RANK, VOCAB_PLAIN,
                             plan_levels)
@@ -44,7 +42,6 @@ def assert_matches_dense(tree, m, rng, probes=30):
         c = int(rng.integers(nc))
         expect = np.flatnonzero(m[:, c]).tolist()
         assert tree.col(c) == expect
-        assert tree.col(c, limit=1) == expect[:1]
         assert tree.rect(0, nr - 1, c, c) == [(r, c) for r in tree.col(c)]
     for _ in range(8):
         r1 = int(rng.integers(nr)); r2 = int(rng.integers(r1, nr))
@@ -65,7 +62,7 @@ def test_single_point_4x4():
     assert t.cell(0, 0) is True
     assert t.cell(3, 3) is False
     assert t.row(0, 0, 3) == [0]
-    assert t.col(0, limit=1) == [0]
+    assert t.col(0) == [0]
     assert t.rect(1, 3, 0, 3) == []
 
 
@@ -185,10 +182,11 @@ def written_cols(v):
     buf = io.BytesIO()
     v.write(buf)
     buf.seek(9)                           # encoding tag, leaf count
-    flags = BitVector.read(buf)
-    (n_rows,) = struct.unpack("<Q", buf.read(8))
+    n_flags = v.count * v.side
+    flags = unpack_fixed(buf.read((n_flags + 7) // 8), 1, n_flags)
+    n_rows = n_flags if v.encoding == VOCAB_COLS_FULL else sum(flags)
     rows = unpack_fixed(buf.read(), v.row_index_bits, n_rows)
-    return bits(flags), list(rows)
+    return "".join(map(str, flags)), list(rows)
 
 
 def test_cols_full_example():
@@ -373,6 +371,13 @@ def test_levels_for_a_matrix_without_rows_or_columns_are_refused(rows, cols):
     data[at["cols"]:at["cols"] + 8] = cols.to_bytes(8, "little")
     with pytest.raises(ValueError, match="tree geometry does not add up"):
         K2Tree.read(io.BytesIO(bytes(data)))
+
+
+@pytest.mark.parametrize("stages", [(Stage(2, 1),), (Stage(4, None), Stage(2, None)),
+                                    (Stage(4, None), Stage(2, 3))])
+def test_last_stage_and_only_it_is_unbounded(stages):
+    with pytest.raises(ValueError, match="the last stage, and only it, must be unbounded"):
+        K2Config(stages=stages, leaf_side=1)
 
 
 def test_leaf_side_limit():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from bmatrix import store as store_mod
-from bmatrix.k2tree import (K2Config, Stage, VOCAB_COLS_FULL, VOCAB_COLS_RANK,
+from bmatrix.k2tree import (K2Config, K2Tree, Stage, VOCAB_COLS_FULL, VOCAB_COLS_RANK,
                             VOCAB_PLAIN)
 from bmatrix.oracle import TripleList
 from bmatrix.store import (SHAPES, PredicateIndex, TripleStore, read_store,
@@ -209,6 +209,27 @@ def test_store_file_round_trip(store_e):
     assert back.merge_sorted == store_e.merge_sorted
     assert back.pred_index.starts == store_e.pred_index.starts
     assert dict_back.subject_count == 0
+
+
+def test_column_without_exactly_one_1_is_a_damaged_store(store_e):
+    """Column 0 of this object tree holds two 1s and column 1 none."""
+    bad = K2Tree.build([(0, 0), (1, 0), (0, 2), (1, 3)], 2, 4, SMALL)
+    store = TripleStore(store_e.subject_tree, bad, store_e.pred_index)
+    with pytest.raises(ValueError, match="column 0 holds 2 1s, not one"):
+        store.objects(1, 1)
+    with pytest.raises(ValueError, match="column 1 holds 0 1s, not one"):
+        store.by_subject(2)
+
+
+def test_sections_that_disagree_on_the_triple_count_are_refused(store_e):
+    short = TripleStore(store_e.subject_tree, store_e.object_tree,
+                        PredicateIndex(array("B", [0, 2, 3])))
+    buf = io.BytesIO()
+    write_store(buf, short, Dictionary.empty())
+    buf.seek(0)
+    with pytest.raises(ValueError, match="the object tree's 4 and the predicate"
+                                         " index's 3 triples are not one triple count"):
+        read_store(buf)
 
 
 def test_store_file_rejects_garbage():

@@ -1,8 +1,30 @@
-"""Where each field of a written k2-tree sits, stated from the tree file
-layout (see the `store` module docstring) apart from `K2Tree.write`, so
-that tests can find and corrupt single fields."""
+"""Where each section of a saved store, and each field of a written
+k2-tree, sits, stated from the store file layout (see the `store` module
+docstring) apart from the readers, so that tests can find and corrupt
+single fields."""
 
 import io
+
+from bmatrix import store as store_mod
+from bmatrix.k2tree import VOCAB_COLS_FULL, VOCAB_PLAIN
+
+
+def section_offsets(path) -> dict:
+    """Byte offset of each section of a saved store; the magic and the
+    format version come before the first."""
+    store, dictionary = store_mod.load(str(path))
+    at = 4 + 2                    # magic, format version
+    offsets = {}
+    for name, section in (("dictionary", dictionary),
+                          ("pred_index", store.pred_index),
+                          ("subject_tree", store.subject_tree),
+                          ("object_tree", store.object_tree)):
+        offsets[name] = at
+        buf = io.BytesIO()
+        section.write(buf)
+        at += len(buf.getvalue())
+    assert at == path.stat().st_size
+    return offsets
 
 
 def tree_offsets(tree, at: int = 0) -> dict:
@@ -14,8 +36,38 @@ def tree_offsets(tree, at: int = 0) -> dict:
     offsets["tree bits"] = at             # u64 length, then the words
     at += 8 + len(tree.tree_bits.data)
     if tree.vocab is not None:
-        offsets["dac"] = at
+        offsets["dac"] = at               # chunk bits, u64 length, level count
         dac = io.BytesIO()
         tree.leaf_ids.write(dac)
         offsets["vocab"] = at + len(dac.getvalue())   # encoding byte, u64 count
     return offsets
+
+
+def packed_fields(tree, at: int = 0) -> list:
+    """(byte offset, bits used, bytes) of each packed field of `tree` as
+    written from byte `at`: its tree bits, each DAC level's chunks and
+    flags, and its vocabulary's leaves, or column flags and rows."""
+    fields = tree_offsets(tree, at)
+    out = [(fields["tree bits"] + 8, len(tree.tree_bits), len(tree.tree_bits.data))]
+    if tree.vocab is None:
+        return out
+    dac, vocab = tree.leaf_ids, tree.vocab
+    at = fields["dac"] + 10
+    for chunks, flags in dac.levels:
+        n = len(chunks) * dac.chunk_bits
+        out.append((at, n, (n + 7) // 8))
+        at += (n + 7) // 8
+        out.append((at, len(flags), len(flags.data)))
+        at += len(flags.data)
+    side, count = vocab.side, vocab.count
+    if vocab.encoding == VOCAB_PLAIN:
+        sizes = [count * side * side]
+    else:
+        n_rows = (count * side if vocab.encoding == VOCAB_COLS_FULL
+                  else sum(vocab.cells(e).bit_count() for e in range(count)))
+        sizes = [count * side, n_rows * vocab.row_index_bits]
+    at = fields["vocab"] + 9
+    for n in sizes:
+        out.append((at, n, (n + 7) // 8))
+        at += (n + 7) // 8
+    return out
