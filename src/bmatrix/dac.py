@@ -9,9 +9,12 @@ typecode that holds a chunk.
 
 A DAC file is its chunk width (u8), length (u64) and level count (u8),
 then per level its chunks in `b`-bit slots and its continuation flags in
-u64 words. A level's chunk and flag counts are not written: level 0
-holds `length` chunks, and each later level one chunk per continuation
-one of the level before.
+u64 words, as many flags as chunks. Level 0 holds `length` chunks. Each
+later level holds one chunk per continuation one of the level before,
+and its chunk count (u64) comes first: the count is how a flipped flag
+is caught, since an extra or missing chunk and flag often fit in the
+padding of the level's last byte and word, and would shift its values
+unseen.
 """
 
 from __future__ import annotations
@@ -105,30 +108,39 @@ class Dac:
 
     def write(self, out) -> None:
         out.write(struct.pack("<BQB", self.chunk_bits, self.length, len(self.levels)))
-        for chunks, flags in self.levels:
+        for lvl, (chunks, flags) in enumerate(self.levels):
+            if lvl:
+                out.write(struct.pack("<Q", len(chunks)))
             out.write(pack_fixed(chunks, self.chunk_bits))
             out.write(flags.data)
 
     @classmethod
     def read(cls, src, sample_rate: int = SAMPLE_RATE_DEFAULT) -> "Dac":
-        """Refuses, with a ValueError, a last level with continuation ones,
-        and more levels than a 64-bit value needs."""
+        """Refuses, with a ValueError, a level whose chunk count is not the
+        continuation ones of the level before, a last level with
+        continuation ones, and more levels than a 64-bit value needs."""
         chunk_bits, length, n_levels = struct.unpack("<BQB", read_exact(src, 10))
         _check_width(chunk_bits)
         if (n_levels - 1) * chunk_bits >= 64:
             raise ValueError(f"DAC has {n_levels} levels of {chunk_bits}-bit chunks,"
                              " more than 64-bit values need")
         levels = []
-        count = length
-        for _ in range(n_levels):
+        ones = length  # level 0 holds a chunk per value
+        for lvl in range(n_levels):
+            count = ones
+            if lvl:
+                (count,) = struct.unpack("<Q", read_exact(src, 8))
+                if count != ones:
+                    raise ValueError(f"DAC level {lvl} holds {count} chunks, not the"
+                                     f" {ones} continuation ones of level {lvl - 1}")
             chunks = unpack_fixed(read_exact(src, (count * chunk_bits + 7) // 8),
                                   chunk_bits, count)
             flags = BitVector.from_bytes(read_exact(src, padded_size(count)), count,
                                          sample_rate)
             levels.append((chunks, flags))
-            count = flags.ones
-        if count:
-            raise ValueError(f"DAC level {n_levels - 1} is the last but has {count}"
+            ones = flags.ones
+        if ones:
+            raise ValueError(f"DAC level {n_levels - 1} is the last but has {ones}"
                              " continuation ones" if n_levels else
                              f"DAC of length {length} has no levels")
         return cls(chunk_bits, length, levels)

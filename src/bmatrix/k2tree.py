@@ -195,14 +195,17 @@ class LeafVocabulary:
 
     The encoding names one of three file forms, written by `write` and
     decoded back to the plain ints by `read`. Each is the encoding byte and
-    the leaf count (u64), then packed bits that hold no other count:
+    the leaf count (u64), then packed bits:
 
     plain      -- each matrix as side*side bits.
     cols-full  -- per column a presence bit, count*side bits C, then per
                   column a log2(side)-bit row index, count*side slots R
                   (unset columns keep row 0).
     cols-rank  -- like cols-full but R holds rows only for the set columns,
-                  so it has as many slots as C has ones.
+                  as many as C has ones, and their count (u64) comes
+                  before R. The count is how a flipped flag in C is
+                  caught, since an extra or missing row often fits in
+                  R's padding and would shift the rows after it unseen.
                   Both column forms require at most one 1 per leaf column.
     """
 
@@ -281,6 +284,7 @@ class LeafVocabulary:
         out.write(pack_fixed(flags.ravel(), 1))
         if self.encoding == VOCAB_COLS_RANK:
             rows = rows[flags]
+            out.write(struct.pack("<Q", rows.size))
         out.write(pack_fixed(rows.ravel(), self.row_index_bits))
 
     @classmethod
@@ -298,7 +302,13 @@ class LeafVocabulary:
         n_flags = count * side
         flags = as_uint(unpack_fixed(read_exact(src, (n_flags + 7) // 8), 1,
                                      n_flags)).astype(bool)
-        n_rows = n_flags if encoding == VOCAB_COLS_FULL else int(flags.sum())
+        n_rows = n_flags
+        if encoding == VOCAB_COLS_RANK:
+            (n_rows,) = struct.unpack("<Q", read_exact(src, 8))
+            if n_rows != flags.sum():
+                raise ValueError(f"{encoding} vocabulary of {count} leaves holds"
+                                 f" {n_flags} column flags with {flags.sum()} set,"
+                                 f" but {n_rows} rows")
         width = side.bit_length() - 1
         rows = as_uint(unpack_fixed(read_exact(src, (n_rows * width + 7) // 8),
                                     width, n_rows))
@@ -504,12 +514,13 @@ class K2Tree:
             base = self._level_start[lvl + 1] + ordinal * self._arity[lvl + 1]
         return False  # depth 0: an empty matrix
 
-    def _walk(self, r_lo: int, r_hi: int, c_lo: int, c_hi: int) -> tuple[list[int], list[int]]:
+    def _walk(self, r_lo: int, r_hi: int, c_lo: int, c_hi: int,
+              limit: int = 0) -> tuple[list[int], list[int]]:
         """Set cells of [r_lo, r_hi] x [c_lo, c_hi] as a row list and a column
-        list. One depth-first descent clips each node to the rectangle and
-        visits its children in row-major order, so a one-row walk gives
-        ascending columns and a one-column walk ascending rows. An empty
-        range gives no cells."""
+        list, stopping at `limit` cells (0: no limit). One depth-first descent
+        clips each node to the rectangle and visits its children in row-major
+        order, so a one-row walk gives ascending columns and a one-column walk
+        ascending rows. An empty range gives no cells."""
         rows, cols = [], []
         ks = self.ks
         if not ks or r_lo > r_hi or c_lo > c_hi:
@@ -531,7 +542,7 @@ class K2Tree:
             shift = side.bit_length() - 1
             col_mask = _col_mask(side)
         # frames: (level of the node's child bits, the node's bit one level up,
-        # node origin)
+        # node origin); a rank is taken on visiting, so `limit` skips the rest
         stack = [(0, 0, 0, 0)]
         while stack:
             lvl, pos, row0, col0 = stack.pop()
@@ -595,6 +606,8 @@ class K2Tree:
                             rows.append(r0 + (b >> shift))
                             cols.append(c0 + (b & side - 1))
                             bits ^= low
+                    if 0 < limit <= len(rows):
+                        return rows[:limit], cols[:limit]
         return rows, cols
 
     def row(self, r: int, c_lo: int = 0, c_hi: int | None = None) -> list[int]:
@@ -612,12 +625,15 @@ class K2Tree:
             raise IndexError(f"column range [{c_lo}, {c_hi}] invalid for {self.n_cols} cols")
         return self._walk(r, r, c_lo, c_hi)[1]
 
-    def col(self, c: int) -> list[int]:
-        """Rows r with cell (r, c) set, ascending: a one-column walk visits
-        the rows top to bottom."""
+    def col(self, c: int, limit: int | None = None) -> list[int]:
+        """Rows r with cell (r, c) set, ascending; stops early at `limit`.
+
+        The store relies on this order: a one-column walk visits the rows
+        top to bottom, so `limit=1` gives the smallest row.
+        """
         if not 0 <= c < self.n_cols:
             raise IndexError(f"col {c} out of range [0, {self.n_cols})")
-        return self._walk(0, self.n_rows - 1, c, c)[0]
+        return self._walk(0, self.n_rows - 1, c, c, limit or 0)[0]
 
     def rect(self, r_lo: int, r_hi: int, c_lo: int, c_hi: int) -> list[tuple[int, int]]:
         """Set cells inside the rectangle as (row, col) pairs, in depth-first

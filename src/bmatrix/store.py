@@ -27,13 +27,16 @@ levels and a leaf side above 1 then holds its DAC leaf ids and leaf
 vocabulary (see `Dac` and `LeafVocabulary`). Each count is written once,
 in the part that owns it: the store's triples are the last run start,
 its predicates one fewer than the run starts, and its subjects and
-objects the rows of their trees. Files of versions 1-5 (v1: pools of plain UTF-8
+objects the rows of their trees. Two counts the reader could work out
+are kept as checks, because a flipped flag leaves the rest of the read
+aligned: a DAC level's chunk count above level 0, and a cols-rank
+vocabulary's row count. Files of versions 1-5 (v1: pools of plain UTF-8
 plus per-term offsets; v2: a rank-sample table beside the run starts;
 v3: trees that also held the stages, encodings and side that built
 them, and stored merge thresholds; v4: leaf-side-1 trees that kept
 their last level L in a second bitmap; v5: a header of five counts, and
-counts beside the run starts, DAC levels and column flags that repeated
-others) are refused with a request to rebuild them.
+copies of other counts beside the run starts, in DACs and in cols
+vocabularies) are refused with a request to rebuild them.
 
 Loading refuses a file, with a ValueError, when:
 - a read runs past its end, or bytes follow the object tree;
@@ -46,13 +49,15 @@ Loading refuses a file, with a ValueError, when:
   8, a k below 2, a side prod(ks) * leaf side below its rows or columns
   or above MAX_SIDE, levels for a matrix without rows or columns or none
   for one with both, or a tree-bit or leaf count other than its levels need;
-- a tree's leaf id is at or past its vocabulary's count;
-- a DAC's chunk width is outside 1 to 64, or it has more levels than
-  64-bit values need;
+- a tree's leaf id is at or past its vocabulary's count, or a cols-rank
+  vocabulary's row count is not its set column flags;
+- a DAC's chunk width is outside 1 to 64, or its levels disagree: a
+  level above 0 holds other than the continuation ones of the level
+  before, the last level has a continuation one, or there are more
+  levels than 64-bit values need;
 - the predicate index's run starts do not rise from 0.
 
-A query that meets a column with no 1, or several, in a tree raises a
-ValueError too.
+A query that meets a column with no 1 in a tree raises a ValueError too.
 """
 
 from __future__ import annotations
@@ -95,9 +100,9 @@ def shape_of(s, p, o) -> str:
 
 def _row_of(tree: K2Tree, i: int) -> int:
     """The 1-based row of the one 1 in column i of a store tree."""
-    rows = tree.col(i)
-    if len(rows) != 1:
-        raise ValueError(f"column {i} holds {len(rows)} 1s, not one: the store is damaged")
+    rows = tree.col(i, limit=1)
+    if not rows:
+        raise ValueError(f"column {i} holds no 1: the store is damaged")
     return rows[0] + 1
 
 

@@ -449,23 +449,34 @@ def test_zero_k_or_period_is_a_clean_error(built, capsys, field, message, comman
 @pytest.mark.parametrize("fault, message", [
     ("leaf id past the vocabulary", "leaf id 255 is past the"),
     ("level continues past the last", "DAC level 0 is the last but has 1 continuation"),
-    ("length 2^62", "truncated input")])
+    ("length 2^62", "truncated input"),
+    ("cols-rank row count", "cols-rank vocabulary of 1 leaves holds 8 column flags")])
 @pytest.mark.parametrize("command", [["stats"], ["query", "?", "?", "?"]])
 def test_corrupt_leaf_ids_are_a_clean_error(built, capsys, fault, message, command):
-    _, out = built
+    src, out = built
+    if fault.startswith("cols-rank"):
+        assert cli.main(["build", str(src), "-o", str(out), "--vocab", "cols-rank"]) == 0
     tree = store_mod.load(str(out))[0].subject_tree
-    at = tree_offsets(tree, section_offsets(out)["subject_tree"])["dac"]
+    fields = tree_offsets(tree, section_offsets(out)["subject_tree"])
+    at = fields["dac"]
     dac = tree.leaf_ids
     assert (dac.chunk_bits, len(dac.levels), tree.vocab.count) == (8, 1, 1)
     chunks_at = at + 1 + 8 + 1          # chunk bits, length, level count
     flags_at = chunks_at + len(dac)     # a level's flag words follow its chunks
+    # a cols-rank row count follows the tag, the leaf count and the one
+    # byte of column flags
+    rows_at = fields["vocab"] + 9 + 1
     data = bytearray(out.read_bytes())
     if fault == "leaf id past the vocabulary":
         data[chunks_at] = 255
     elif fault == "level continues past the last":
         data[flags_at] |= 1
-    else:
+    elif fault == "length 2^62":
         data[at + 1:at + 9] = (1 << 62).to_bytes(8, "little")
+    else:
+        ones = tree.vocab.cells(0).bit_count()
+        assert int.from_bytes(data[rows_at:rows_at + 8], "little") == ones
+        data[rows_at:rows_at + 8] = (ones + 1).to_bytes(8, "little")
     out.write_bytes(bytes(data))
     capsys.readouterr()
     assert cli.main([command[0], str(out), *command[1:]]) == 1
@@ -508,8 +519,7 @@ def test_tree_bits_past_the_levels_are_a_clean_error(built, capsys, options, com
 def test_set_padding_bits_are_a_clean_error(built, capsys, options):
     """Setting any bit past the length of a packed field of either tree (its
     tree bits, DAC chunks and flags, vocabulary leaves, column flags and
-    rows) is refused: ones would count it, and a DAC reads its level
-    sizes from the ones of the level before."""
+    rows) is refused, not ignored: ones would count it."""
     src, out = built
     assert cli.main(["build", str(src), "-o", str(out), *options]) == 0
     store = store_mod.load(str(out))[0]

@@ -78,25 +78,48 @@ def _levels_bytes(values, chunk_bits=2):
 
 @pytest.mark.parametrize("fault, message", [
     ("length", "set bits past the 4 bits"),
+    ("next level count", "DAC level 1 holds 3 chunks, not the 2 continuation ones"),
     ("last level continues", "level 1 is the last but has 1 continuation ones"),
     ("too many levels", "more than 64-bit values need"),
     ("width 0", "chunk width must be 1 to 64, not 0"),
     ("width 65", "chunk width must be 1 to 64, not 65")])
 def test_read_refuses_disagreeing_levels(fault, message):
     data = _levels_bytes([5, 1, 9])         # levels of 3 and 2 chunks
-    # header (width, length, level count), then per level one chunk byte
-    # and one flag word
-    level1_flags_at = 10 + 1 + 8 + 1
+    # header (width, length, level count), level 0's chunk byte and flag
+    # word, then level 1's count, chunk byte and flag word
+    level1_count_at = 10 + 1 + 8
     if fault == "length":                   # the third chunk lies past two
         data[1:9] = (2).to_bytes(8, "little")
+    elif fault == "next level count":
+        data[level1_count_at:level1_count_at + 8] = (3).to_bytes(8, "little")
     elif fault == "last level continues":
-        data[level1_flags_at] |= 1          # first flag of level 1
+        data[level1_count_at + 8 + 1] |= 1  # first flag of level 1
     elif fault.startswith("width"):
         data[0] = int(fault.split()[1])
     else:
         data[9] = 33                        # 33 levels of 2 bits
     with pytest.raises(ValueError, match=message):
         Dac.read(io.BytesIO(bytes(data)))
+
+
+@pytest.mark.parametrize("chunk_bits", [1, 2, 4, 8])
+def test_every_flipped_continuation_flag_is_refused(chunk_bits):
+    """A flag flipped either way changes the next level's chunk count by
+    one; that chunk and flag often fit in the level's padding, so only the
+    level's written count catches the flip."""
+    values = [1, 0, 2, 9, 3, 1, 20, 0, 5, 300, 7]
+    dac = Dac.encode(values, chunk_bits=chunk_bits)
+    data = _levels_bytes(values, chunk_bits)
+    at = 10
+    for lvl, (chunks, flags) in enumerate(dac.levels):
+        at += (8 if lvl else 0) + (len(chunks) * chunk_bits + 7) // 8
+        for i in range(len(flags)):
+            flipped = bytearray(data)
+            flipped[at + i // 8] ^= 1 << i % 8
+            with pytest.raises(ValueError, match=f"DAC level ({lvl + 1} holds|{lvl} is the last)"):
+                Dac.read(io.BytesIO(bytes(flipped)))
+        at += len(flags.data)
+    assert Dac.read(io.BytesIO(bytes(data))).values().tolist() == values
 
 
 @pytest.mark.parametrize("width", [0, 65, 256])

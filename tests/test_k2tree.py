@@ -1,4 +1,5 @@
 import io
+import struct
 from math import prod
 
 import numpy as np
@@ -8,7 +9,7 @@ from bmatrix._binio import unpack_fixed
 from bmatrix.k2tree import (K2Config, K2Tree, LeafVocabulary, Stage,
                             VOCAB_COLS_FULL, VOCAB_COLS_RANK, VOCAB_PLAIN,
                             plan_levels)
-from tree_layout import tree_offsets
+from tree_layout import packed_fields, tree_offsets
 
 K2_PLAIN = K2Config(stages=(Stage(2, None),), leaf_side=1)
 HYBRID = K2Config(stages=(Stage(4, 5), Stage(2, None)), leaf_side=1)
@@ -42,6 +43,7 @@ def assert_matches_dense(tree, m, rng, probes=30):
         c = int(rng.integers(nc))
         expect = np.flatnonzero(m[:, c]).tolist()
         assert tree.col(c) == expect
+        assert tree.col(c, limit=1) == expect[:1]
         assert tree.rect(0, nr - 1, c, c) == [(r, c) for r in tree.col(c)]
     for _ in range(8):
         r1 = int(rng.integers(nr)); r2 = int(rng.integers(r1, nr))
@@ -62,7 +64,7 @@ def test_single_point_4x4():
     assert t.cell(0, 0) is True
     assert t.cell(3, 3) is False
     assert t.row(0, 0, 3) == [0]
-    assert t.col(0) == [0]
+    assert t.col(0, limit=1) == [0]
     assert t.rect(1, 3, 0, 3) == []
 
 
@@ -184,7 +186,9 @@ def written_cols(v):
     buf.seek(9)                           # encoding tag, leaf count
     n_flags = v.count * v.side
     flags = unpack_fixed(buf.read((n_flags + 7) // 8), 1, n_flags)
-    n_rows = n_flags if v.encoding == VOCAB_COLS_FULL else sum(flags)
+    n_rows = n_flags
+    if v.encoding == VOCAB_COLS_RANK:     # the row count precedes the rows
+        (n_rows,) = struct.unpack("<Q", buf.read(8))
     rows = unpack_fixed(buf.read(), v.row_index_bits, n_rows)
     return "".join(map(str, flags)), list(rows)
 
@@ -202,6 +206,48 @@ def test_cols_rank_example():
     assert written_cols(v) == ("01", [0])
     assert v.bit(0, 0, 1) is True
     assert v.bit(0, 1, 1) is False
+
+
+@pytest.mark.parametrize("side", [2, 4, 8])
+def test_every_flipped_cols_rank_flag_is_refused(side):
+    """A column flag flipped either way adds or drops a row; that row often
+    fits in the rows' padding, so only the written row count catches it."""
+    rng = np.random.default_rng(side)
+    rows = rng.integers(0, side, (5, side))
+    patterns = [sum(1 << (int(r) * side + c) for c, r in enumerate(leaf) if r % 3)
+                for leaf in rows]
+    v = LeafVocabulary.build(patterns, side, VOCAB_COLS_RANK)
+    buf = io.BytesIO()
+    v.write(buf)
+    data = buf.getvalue()
+    for bit in range(v.count * side):
+        flipped = bytearray(data)
+        flipped[9 + bit // 8] ^= 1 << bit % 8   # past the tag and leaf count
+        with pytest.raises(ValueError, match="column flags with .* set, but .* rows"):
+            LeafVocabulary.read(io.BytesIO(bytes(flipped)), side)
+    assert list(LeafVocabulary.read(io.BytesIO(data), side).patterns) == patterns
+
+
+@pytest.mark.parametrize("encoding", [VOCAB_PLAIN, VOCAB_COLS_FULL, VOCAB_COLS_RANK])
+def test_set_padding_bits_of_a_tree_are_refused(encoding):
+    """As the cli test for whole stores, on a tree whose DAC has several
+    levels, so each later level's chunk count sits between the fields."""
+    rng = np.random.default_rng(5)
+    pts = np.column_stack((rng.integers(0, 60, 400), np.arange(400)))
+    t = K2Tree.build(pts, 60, 400, K2Config(stages=(Stage(2, None),), leaf_side=2,
+                                            vocab_encoding=encoding, dac_chunk_bits=1))
+    assert len(t.leaf_ids.levels) > 2
+    buf = io.BytesIO()
+    t.write(buf)
+    data = buf.getvalue()
+    padding = [bit for at, n_bits, n_bytes in packed_fields(t)
+               for bit in range(8 * at + n_bits, 8 * (at + n_bytes))]
+    assert padding and all(data[bit // 8] >> bit % 8 & 1 == 0 for bit in padding)
+    for bit in padding:
+        flipped = bytearray(data)
+        flipped[bit // 8] |= 1 << bit % 8
+        with pytest.raises(ValueError, match="set bits past the"):
+            K2Tree.read(io.BytesIO(bytes(flipped)))
 
 
 def test_cols_encodings_reject_multi_one_columns():

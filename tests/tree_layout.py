@@ -6,7 +6,7 @@ single fields."""
 import io
 
 from bmatrix import store as store_mod
-from bmatrix.k2tree import VOCAB_COLS_FULL, VOCAB_PLAIN
+from bmatrix.k2tree import VOCAB_COLS_RANK, VOCAB_PLAIN
 
 
 def section_offsets(path) -> dict:
@@ -53,21 +53,23 @@ def packed_fields(tree, at: int = 0) -> list:
         return out
     dac, vocab = tree.leaf_ids, tree.vocab
     at = fields["dac"] + 10
-    for chunks, flags in dac.levels:
+    for lvl, (chunks, flags) in enumerate(dac.levels):
+        at += 8 if lvl else 0             # a later level's chunk count
         n = len(chunks) * dac.chunk_bits
         out.append((at, n, (n + 7) // 8))
         at += (n + 7) // 8
         out.append((at, len(flags), len(flags.data)))
         at += len(flags.data)
     side, count = vocab.side, vocab.count
-    if vocab.encoding == VOCAB_PLAIN:
-        sizes = [count * side * side]
-    else:
-        n_rows = (count * side if vocab.encoding == VOCAB_COLS_FULL
-                  else sum(vocab.cells(e).bit_count() for e in range(count)))
-        sizes = [count * side, n_rows * vocab.row_index_bits]
     at = fields["vocab"] + 9
-    for n in sizes:
-        out.append((at, n, (n + 7) // 8))
-        at += (n + 7) // 8
-    return out
+    if vocab.encoding == VOCAB_PLAIN:
+        n = count * side * side
+        return out + [(at, n, (n + 7) // 8)]
+    n = count * side                      # the column flags
+    out.append((at, n, (n + 7) // 8))
+    at += (n + 7) // 8
+    if vocab.encoding == VOCAB_COLS_RANK:   # its row count precedes the rows
+        n = sum(vocab.cells(e).bit_count() for e in range(count))
+        at += 8
+    n *= vocab.row_index_bits
+    return out + [(at, n, (n + 7) // 8)]
