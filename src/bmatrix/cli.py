@@ -95,30 +95,35 @@ def pattern_text(s, p, o) -> str:
 # -- shared reporting ---------------------------------------------------------
 
 
+def _per(size: int, count: int) -> str:
+    """size / count to 3 decimals, or "-" when there is nothing to divide by."""
+    return f"{size / count:.3f}" if count else "-"
+
+
 def _print_space_report(store: TripleStore, dictionary: Dictionary, out) -> None:
     report = store.space_report()
     dict_bytes = dictionary.serialized_bytes()
     report["dictionary"] = {"serialized": dict_bytes, "accel": 0,
                             "total": dict_bytes}
-    n = max(store.n, 1)
+    n = store.n
     print("component bytes (serialized / +rank acceleration):", file=out)
     for name in ("subject_tree", "object_tree", "pred_index", "dictionary"):
         r = report[name]
         print(f"  {name:<13} {r['serialized']:>12}  {r['total']:>12}"
-              f"  {r['total'] / n:8.3f} B/triple", file=out)
+              f"  {_per(r['total'], n):>8} B/triple", file=out)
     for name in ("shared", "subject_only", "object_only", "predicates"):
         pool = getattr(dictionary, name)
         size = pool.serialized_bytes()
         print(f"    {name.replace('_', '-') + ' pool':<17} {pool.count:>9} terms"
-              f" {size:>12} bytes  {size / max(pool.count, 1):8.3f} B/term",
+              f" {size:>12} bytes  {_per(size, pool.count):>8} B/term",
               file=out)
     core = ["subject_tree", "object_tree", "pred_index"]
     ser = sum(report[k]["serialized"] for k in core)
     tot = sum(report[k]["total"] for k in core)
     print(f"  store core (trees + predicate index): {ser} bytes serialized"
-          f" = {ser / n:.3f} B/triple", file=out)
+          f" = {_per(ser, n)} B/triple", file=out)
     print(f"  store core incl. rank acceleration:   {tot} bytes"
-          f" = {tot / n:.3f} B/triple", file=out)
+          f" = {_per(tot, n)} B/triple", file=out)
 
 
 def _print_counts(store: TripleStore, dictionary: Dictionary, out) -> None:

@@ -15,6 +15,12 @@ and may be changed between queries. They start at
 DEFAULT_MERGE_THRESHOLD and are not stored, since no answer depends on
 them.
 
+`TripleStore.build` builds the subject tree on a worker thread while the
+calling thread builds the object tree; numpy releases the GIL for most of
+a tree build. Both builds only read their inputs and the build path keeps
+no module state, so the trees are a sequential build's, bit for bit.
+Errors surface in subject-then-object order.
+
 A store file (format version 6) is, little-endian throughout: the magic
 "BMX1" and the u16 format version, then the dictionary's four pools
 (shared, subject-only, object-only, predicates; front-coded, see
@@ -65,6 +71,7 @@ from __future__ import annotations
 import struct
 from array import array
 from bisect import bisect_right
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -189,6 +196,8 @@ class TripleStore:
         """Build from (s, p, o) id triples, 1-based ids within the given dims.
 
         Triples are sorted by (p, o, s); duplicates collapse to one column.
+        The subject tree is built on one extra thread, joined before this
+        returns or raises; a subject-tree error wins over an object-tree one.
         """
         arr = np.asarray(list(triples) if not isinstance(triples, np.ndarray)
                          else triples, dtype=np.int64)
@@ -205,10 +214,15 @@ class TripleStore:
             arr = sort_unique(arr)
         n = arr.shape[0]
         cols = np.arange(n, dtype=np.int64)
-        subject_tree = K2Tree.build(
-            np.column_stack((arr[:, 0] - 1, cols)), n_subjects, n, config)
-        object_tree = K2Tree.build(
-            np.column_stack((arr[:, 2] - 1, cols)), n_objects, n, config)
+
+        def tree(ids, n_rows):
+            return K2Tree.build(np.column_stack((ids - 1, cols)), n_rows, n, config)
+        with ThreadPoolExecutor(1) as worker:
+            subject_future = worker.submit(tree, arr[:, 0], n_subjects)
+            try:
+                object_tree = tree(arr[:, 2], n_objects)
+            finally:
+                subject_tree = subject_future.result()
         pidx = PredicateIndex.from_sorted(arr[:, 1], n_predicates)
         return cls(subject_tree, object_tree, pidx)
 

@@ -83,10 +83,16 @@ def test_build_empty_file(tmp_path, capsys):
     src.write_text("")
     out = tmp_path / "empty.bmx"
     assert cli.main(["build", str(src), "-o", str(out)]) == 0
-    assert "triples            0" in capsys.readouterr().out
+    built_out = capsys.readouterr().out
+    assert "triples            0" in built_out
     assert cli.main(["stats", str(out)]) == 0
+    stats_out = capsys.readouterr().out
     assert ("object tree        side 0, levels none, leaf 8x8, vocab none,"
-            " sampling default") in capsys.readouterr().out
+            " sampling default") in stats_out
+    # no triples and no terms: every ratio is "-", not bytes over 1
+    for report in (built_out, stats_out):
+        ratios = re.findall(r"(\S+) B/(?:triple|term)$", report, re.M)
+        assert ratios == ["-"] * 10
     assert cli.main(["query", str(out), "?", "?", "?", "--count-only"]) == 0
 
 

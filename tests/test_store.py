@@ -1,12 +1,14 @@
 import io
+import sys
+import threading
 from array import array
 
 import numpy as np
 import pytest
 
 from bmatrix import store as store_mod
-from bmatrix.k2tree import (K2Config, K2Tree, Stage, VOCAB_COLS_FULL, VOCAB_COLS_RANK,
-                            VOCAB_PLAIN)
+from bmatrix.k2tree import (K2Config, K2Tree, MAX_SIDE, Stage, VOCAB_COLS_FULL,
+                            VOCAB_COLS_RANK, VOCAB_ENCODINGS, VOCAB_PLAIN)
 from bmatrix.oracle import TripleList
 from bmatrix.store import (SHAPES, PredicateIndex, TripleStore, read_store,
                            write_store)
@@ -162,6 +164,74 @@ def test_id_bounds_rejected():
         store.contains(0, 1, 1)
     with pytest.raises(IndexError):
         store.by_subject(3)
+
+
+def tree_bytes(tree: K2Tree) -> bytes:
+    buf = io.BytesIO()
+    tree.write(buf)
+    return buf.getvalue()
+
+
+PRESETS = ("default", "dense")
+THREADED_CONFIGS = [K2Config(leaf_side=1, sample_preset=p) for p in PRESETS] + [
+    K2Config(leaf_side=side, vocab_encoding=e, sample_preset=p)
+    for side in (2, 8) for e in VOCAB_ENCODINGS for p in PRESETS]
+
+
+def test_threaded_build_equals_sequential_tree_builds():
+    """Each tree of a store equals, byte for byte, K2Tree.build called
+    directly on the same points, with thread switches forced as often as
+    the interpreter allows; the build's one worker thread is gone when it
+    returns."""
+    rng = np.random.default_rng(16)
+    dims = (3000, 40, 2500)
+    tr = np.unique(np.column_stack([rng.integers(1, m + 1, 12_000) for m in dims]),
+                   axis=0)
+    assert len(tr) >= 10_000
+    tr = tr[np.lexsort((tr[:, 0], tr[:, 2], tr[:, 1]))]    # (p, o, s) order
+    cols = np.arange(len(tr))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for config in THREADED_CONFIGS:
+            threads = threading.active_count()
+            store = TripleStore.build(tr, dims[0], dims[2], dims[1], config=config)
+            assert threading.active_count() == threads
+            for tree, ids, n_rows in ((store.subject_tree, tr[:, 0], dims[0]),
+                                      (store.object_tree, tr[:, 2], dims[2])):
+                direct = K2Tree.build(np.column_stack((ids - 1, cols)), n_rows,
+                                      len(tr), config)
+                assert tree_bytes(tree) == tree_bytes(direct), config
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def build_error(n_rows: int, n: int) -> str:
+    """The message of K2Tree.build's ValueError for an n_rows x n tree."""
+    with pytest.raises(ValueError) as err:
+        K2Tree.build([(0, 0)], n_rows, n)
+    return str(err.value)
+
+
+def test_tree_build_errors_surface_in_subject_then_object_order():
+    threads = threading.active_count()
+    big, bigger = MAX_SIDE + 1, 2 * MAX_SIDE + 1
+    # only the subject tree, built on the worker thread, fails
+    with pytest.raises(ValueError) as err:
+        TripleStore.build([(1, 1, 1)], big, 1, 1)
+    assert str(err.value) == build_error(big, 1)
+    assert threading.active_count() == threads
+    # only the object tree, built on the calling thread, fails
+    with pytest.raises(ValueError) as err:
+        TripleStore.build([(1, 1, 1)], 1, bigger, 1)
+    assert str(err.value) == build_error(bigger, 1)
+    assert threading.active_count() == threads
+    # both fail: the subject tree's error wins, as in a sequential build
+    assert build_error(big, 1) != build_error(bigger, 1)
+    with pytest.raises(ValueError) as err:
+        TripleStore.build([(1, 1, 1)], big, bigger, 1)
+    assert str(err.value) == build_error(big, 1)
+    assert threading.active_count() == threads
 
 
 def test_threshold_invariance_small():
