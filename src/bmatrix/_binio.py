@@ -7,6 +7,7 @@ unsigned typecode that holds their largest value (native byte order, as
 
 from __future__ import annotations
 
+import sys
 from array import array
 
 import numpy as np
@@ -15,21 +16,11 @@ import numpy as np
 _TYPECODES = "BHIQ"
 
 
-# reads larger than this go in pieces, so a corrupt length read from a
-# file asks for no more memory than the file holds
-_READ_CHUNK = 1 << 24
-
-
 def read_exact(src, n: int) -> bytes:
-    if n <= _READ_CHUNK:
-        data = src.read(n)
-    else:
-        parts = []
-        left = n
-        while left and (part := src.read(min(left, _READ_CHUNK))):
-            parts.append(part)
-            left -= len(part)
-        data = b"".join(parts)
+    """The next n bytes of `src`, an in-memory buffer such as `io.BytesIO`,
+    whose read allocates no more than it holds, however large a corrupt n
+    (a read size must fit in an index, so a larger n reads what is left)."""
+    data = src.read(min(n, sys.maxsize))
     if len(data) != n:
         raise ValueError(f"truncated input: wanted {n} bytes, got {len(data)}")
     return data

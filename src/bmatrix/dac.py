@@ -7,14 +7,11 @@ Each level's chunks are a packed buffer: the file bytes themselves at the
 default 8-bit width, else an `array.array` of the smallest unsigned
 typecode that holds a chunk.
 
-A DAC file is its chunk width (u8), length (u64) and level count (u8),
-then per level its chunks in `b`-bit slots and its continuation flags in
-u64 words, as many flags as chunks. Level 0 holds `length` chunks. Each
-later level holds one chunk per continuation one of the level before,
-and its chunk count (u64) comes first: the count is how a flipped flag
-is caught, since an extra or missing chunk and flag often fit in the
-padding of the level's last byte and word, and would shift its values
-unseen.
+A DAC file is its chunk width (u8) and length (u64), then per level its
+chunks in `b`-bit slots and its continuation flags in u64 words, as many
+flags as chunks. Level 0 holds `length` chunks, each later level one chunk
+per continuation one of the level before, and the first level whose flags
+hold no ones is the last, so the file holds no level or chunk counts.
 """
 
 from __future__ import annotations
@@ -107,40 +104,27 @@ class Dac:
         return sum(flags.accel_bytes for _, flags in self.levels)
 
     def write(self, out) -> None:
-        out.write(struct.pack("<BQB", self.chunk_bits, self.length, len(self.levels)))
-        for lvl, (chunks, flags) in enumerate(self.levels):
-            if lvl:
-                out.write(struct.pack("<Q", len(chunks)))
+        out.write(struct.pack("<BQ", self.chunk_bits, self.length))
+        for chunks, flags in self.levels:
             out.write(pack_fixed(chunks, self.chunk_bits))
             out.write(flags.data)
 
     @classmethod
     def read(cls, src, sample_rate: int = SAMPLE_RATE_DEFAULT) -> "Dac":
-        """Refuses, with a ValueError, a level whose chunk count is not the
-        continuation ones of the level before, a last level with
-        continuation ones, and more levels than a 64-bit value needs."""
-        chunk_bits, length, n_levels = struct.unpack("<BQB", read_exact(src, 10))
+        """Refuses, with a ValueError, continuation flags that reach past
+        the levels a 64-bit value needs."""
+        chunk_bits, length = struct.unpack("<BQ", read_exact(src, 9))
         _check_width(chunk_bits)
-        if (n_levels - 1) * chunk_bits >= 64:
-            raise ValueError(f"DAC has {n_levels} levels of {chunk_bits}-bit chunks,"
-                             " more than 64-bit values need")
         levels = []
-        ones = length  # level 0 holds a chunk per value
-        for lvl in range(n_levels):
-            count = ones
-            if lvl:
-                (count,) = struct.unpack("<Q", read_exact(src, 8))
-                if count != ones:
-                    raise ValueError(f"DAC level {lvl} holds {count} chunks, not the"
-                                     f" {ones} continuation ones of level {lvl - 1}")
+        count = length  # level 0 holds a chunk per value
+        while count:
+            if len(levels) * chunk_bits >= 64:
+                raise ValueError(f"DAC has {len(levels) + 1} levels of {chunk_bits}-bit"
+                                 " chunks, more than 64-bit values need")
             chunks = unpack_fixed(read_exact(src, (count * chunk_bits + 7) // 8),
                                   chunk_bits, count)
             flags = BitVector.from_bytes(read_exact(src, padded_size(count)), count,
                                          sample_rate)
             levels.append((chunks, flags))
-            ones = flags.ones
-        if ones:
-            raise ValueError(f"DAC level {n_levels - 1} is the last but has {ones}"
-                             " continuation ones" if n_levels else
-                             f"DAC of length {length} has no levels")
+            count = flags.ones
         return cls(chunk_bits, length, levels)

@@ -202,11 +202,8 @@ class LeafVocabulary:
                   column a log2(side)-bit row index, count*side slots R
                   (unset columns keep row 0).
     cols-rank  -- like cols-full but R holds rows only for the set columns,
-                  as many as C has ones, and their count (u64) comes
-                  before R. The count is how a flipped flag in C is
-                  caught, since an extra or missing row often fits in
-                  R's padding and would shift the rows after it unseen.
-                  Both column forms require at most one 1 per leaf column.
+                  as many as C has ones. Both column forms require at
+                  most one 1 per leaf column.
     """
 
     __slots__ = ("encoding", "side", "count", "patterns")
@@ -284,7 +281,6 @@ class LeafVocabulary:
         out.write(pack_fixed(flags.ravel(), 1))
         if self.encoding == VOCAB_COLS_RANK:
             rows = rows[flags]
-            out.write(struct.pack("<Q", rows.size))
         out.write(pack_fixed(rows.ravel(), self.row_index_bits))
 
     @classmethod
@@ -302,13 +298,7 @@ class LeafVocabulary:
         n_flags = count * side
         flags = as_uint(unpack_fixed(read_exact(src, (n_flags + 7) // 8), 1,
                                      n_flags)).astype(bool)
-        n_rows = n_flags
-        if encoding == VOCAB_COLS_RANK:
-            (n_rows,) = struct.unpack("<Q", read_exact(src, 8))
-            if n_rows != flags.sum():
-                raise ValueError(f"{encoding} vocabulary of {count} leaves holds"
-                                 f" {n_flags} column flags with {flags.sum()} set,"
-                                 f" but {n_rows} rows")
+        n_rows = int(flags.sum()) if encoding == VOCAB_COLS_RANK else n_flags
         width = side.bit_length() - 1
         rows = as_uint(unpack_fixed(read_exact(src, (n_rows * width + 7) // 8),
                                     width, n_rows))

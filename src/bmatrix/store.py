@@ -21,31 +21,34 @@ a tree build. Both builds only read their inputs and the build path keeps
 no module state, so the trees are a sequential build's, bit for bit.
 Errors surface in subject-then-object order.
 
-A store file (format version 6) is, little-endian throughout: the magic
+A store file (format version 7) is, little-endian throughout: the magic
 "BMX1" and the u16 format version, then the dictionary's four pools
 (shared, subject-only, object-only, predicates; front-coded, see
 `dictionary`), the predicate index (u64 start count, u64 run starts),
-the subject tree and the object tree, and nothing after them. Each tree
-is its leaf side (u8), sampling preset byte (u8), rows and columns (u64
-each), level count (u16), one k byte per level and its tree bits T:L
-(u64 bit count, then u64 words), every level in one bitmap; a tree with
-levels and a leaf side above 1 then holds its DAC leaf ids and leaf
-vocabulary (see `Dac` and `LeafVocabulary`). Each count is written once,
-in the part that owns it: the store's triples are the last run start,
-its predicates one fewer than the run starts, and its subjects and
-objects the rows of their trees. Two counts the reader could work out
-are kept as checks, because a flipped flag leaves the rest of the read
-aligned: a DAC level's chunk count above level 0, and a cols-rank
-vocabulary's row count. Files of versions 1-5 (v1: pools of plain UTF-8
-plus per-term offsets; v2: a rank-sample table beside the run starts;
-v3: trees that also held the stages, encodings and side that built
-them, and stored merge thresholds; v4: leaf-side-1 trees that kept
-their last level L in a second bitmap; v5: a header of five counts, and
-copies of other counts beside the run starts, in DACs and in cols
-vocabularies) are refused with a request to rebuild them.
+the subject tree and the object tree, then a u32 CRC32 (`zlib.crc32`) of
+every byte before it, and nothing after that. Each tree is its leaf side
+(u8), sampling preset byte (u8), rows and columns (u64 each), level count
+(u16), one k byte per level and its tree bits T:L (u64 bit count, then
+u64 words), every level in one bitmap; a tree with levels and a leaf side
+above 1 then holds its DAC leaf ids and leaf vocabulary (see `Dac` and
+`LeafVocabulary`). Each count is written once, in the part that owns it:
+the store's triples are the last run start, its predicates one fewer than
+the run starts, and its subjects and objects the rows of their trees.
+Files of versions 1-6 (v1: pools of plain UTF-8 plus per-term offsets;
+v2: a rank-sample table beside the run starts; v3: trees that also held
+the stages, encodings and side that built them, and stored merge
+thresholds; v4: leaf-side-1 trees that kept their last level L in a
+second bitmap; v5: a header of five counts, and copies of other counts
+beside the run starts, in DACs and in cols vocabularies; v6: no
+checksum, but DAC level and chunk counts and a cols-rank row count kept
+to catch flipped flags) are refused with a request to rebuild them.
 
-Loading refuses a file, with a ValueError, when:
-- a read runs past its end, or bytes follow the object tree;
+Loading reads the whole file and checks the magic, then the version,
+then the checksum, and only then parses the rest. The checksum catches
+every single-bit error; a crafted file carries a valid one, so parsing
+still refuses a file, with a ValueError, when:
+- a read runs into the checksum, or bytes lie between the object tree
+  and the checksum;
 - a pool fails the dictionary's checks, or a count does not fit its bytes;
 - a packed field (a bitmap, DAC chunks, vocabulary leaves, flags or
   rows) has a set bit past its length;
@@ -55,12 +58,9 @@ Loading refuses a file, with a ValueError, when:
   8, a k below 2, a side prod(ks) * leaf side below its rows or columns
   or above MAX_SIDE, levels for a matrix without rows or columns or none
   for one with both, or a tree-bit or leaf count other than its levels need;
-- a tree's leaf id is at or past its vocabulary's count, or a cols-rank
-  vocabulary's row count is not its set column flags;
-- a DAC's chunk width is outside 1 to 64, or its levels disagree: a
-  level above 0 holds other than the continuation ones of the level
-  before, the last level has a continuation one, or there are more
-  levels than 64-bit values need;
+- a tree's leaf id is at or past its vocabulary's count;
+- a DAC's chunk width is outside 1 to 64, or its continuation flags go
+  on past the levels that 64-bit values need;
 - the predicate index's run starts do not rise from 0.
 
 A query that meets a column with no 1 in a tree raises a ValueError too.
@@ -68,7 +68,9 @@ A query that meets a column with no 1 in a tree raises a ValueError too.
 
 from __future__ import annotations
 
+import io
 import struct
+import zlib
 from array import array
 from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
@@ -80,7 +82,7 @@ from .dictionary import Dictionary, sort_unique
 from .k2tree import K2Config, K2Tree
 
 MAGIC = b"BMX1"
-FORMAT_VERSION = 6
+FORMAT_VERSION = 7
 
 DEFAULT_MERGE_THRESHOLD = 10
 
@@ -362,15 +364,21 @@ class TripleStore:
 
 
 def write_store(out, store: TripleStore, dictionary: Dictionary) -> None:
-    out.write(MAGIC)
-    out.write(struct.pack("<H", FORMAT_VERSION))
-    dictionary.write(out)
-    store.pred_index.write(out)
-    store.subject_tree.write(out)
-    store.object_tree.write(out)
+    buf = io.BytesIO()
+    buf.write(MAGIC)
+    buf.write(struct.pack("<H", FORMAT_VERSION))
+    dictionary.write(buf)
+    store.pred_index.write(buf)
+    store.subject_tree.write(buf)
+    store.object_tree.write(buf)
+    with buf.getbuffer() as data:
+        out.write(data)
+        out.write(struct.pack("<I", zlib.crc32(data)))
 
 
 def read_store(src) -> tuple[TripleStore, Dictionary]:
+    data = src.read()
+    src = io.BytesIO(data)
     if read_exact(src, 4) != MAGIC:
         raise ValueError("not a store file (bad magic)")
     (version,) = struct.unpack("<H", read_exact(src, 2))
@@ -378,12 +386,17 @@ def read_store(src) -> tuple[TripleStore, Dictionary]:
         raise ValueError(f"unsupported store format version {version} (this"
                          f" bmx reads version {FORMAT_VERSION}); rebuild the"
                          f" store with bmx build")
+    if zlib.crc32(memoryview(data)[:-4]) != int.from_bytes(data[-4:], "little"):
+        raise ValueError("the store file is damaged: its CRC32 checksum does not"
+                         " match its bytes")
     dictionary = Dictionary.read(src)
     pidx = PredicateIndex.read(src)
     subject_tree = K2Tree.read(src)
     object_tree = K2Tree.read(src)
-    if src.read(1):
-        raise ValueError("trailing bytes after the store")
+    end = len(data) - 4                 # where the checksum starts
+    if src.tell() != end:
+        raise ValueError("truncated input: the store runs into its checksum"
+                         if src.tell() > end else "trailing bytes after the store")
     if not subject_tree.n_cols == object_tree.n_cols == pidx.n:
         raise ValueError(
             f"the subject tree's {subject_tree.n_cols} columns, the object tree's"

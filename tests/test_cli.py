@@ -10,7 +10,7 @@ import pytest
 
 import pfc_reference
 import bmatrix
-from tree_layout import packed_fields, section_offsets, tree_offsets
+from tree_layout import packed_fields, reseal, section_offsets, tree_offsets
 from bmatrix import cli, store as store_mod
 from bmatrix.store import TripleStore
 
@@ -289,11 +289,16 @@ def test_truncated_store_is_a_clean_error(tmp_path, capsys):
     assert cli.main(["build", str(src), "-o", str(full)]) == 0
     data = full.read_bytes()
     cut = tmp_path / "cut.bmx"
-    for size in (80, 100, 2000, len(data) // 2):
-        capsys.readouterr()
-        cut.write_bytes(data[:size])
-        assert cli.main(["stats", str(cut)]) == 1
-        assert "truncated input" in capsys.readouterr().err
+    for size in (80, 100, 2000, len(data) // 2, len(data) - 1):
+        # cut, its checksum fails; resealed, the body is shorter than it
+        # says (the last cut takes one byte of the object tree, whose read
+        # then runs into the checksum)
+        for cut_data, message in ((data[:size], "CRC32 checksum does not match"),
+                                  (reseal(data[:size]), "truncated input")):
+            capsys.readouterr()
+            cut.write_bytes(cut_data)
+            assert cli.main(["stats", str(cut)]) == 1
+            assert message in capsys.readouterr().err
 
 
 def test_iri_that_reads_like_a_blank_node_is_its_own_term(tmp_path, capsys):
@@ -400,7 +405,7 @@ def test_corrupt_dictionary_pool_is_a_clean_error(tmp_path, capsys, fault,
     data, offsets_at, blob_at, offsets, terms = _pool_store(tmp_path)
     _corrupt_pool(data, offsets_at, blob_at, offsets, terms, fault)
     bad = tmp_path / "bad.bmx"
-    bad.write_bytes(bytes(data))
+    bad.write_bytes(reseal(data))
     capsys.readouterr()
     assert cli.main(["stats", str(bad)]) == 1
     err = capsys.readouterr().err
@@ -409,8 +414,9 @@ def test_corrupt_dictionary_pool_is_a_clean_error(tmp_path, capsys, fault,
 
 @pytest.mark.parametrize("with_dictionary", [True, False])
 def test_store_survives_every_cut_and_huge_count(built, capsys, with_dictionary):
-    """Every truncation is refused, and 2^62 written at any offset gives a
-    clean error or a store that loads; no exception escapes."""
+    """Every truncation is refused, and 2^62 written at any offset of the
+    body, then resealed, gives a clean error or a store that loads; no
+    exception escapes."""
     _, out = built
     if not with_dictionary:
         store_mod.save(str(out), TripleStore.build([(1, 1, 2), (2, 1, 1)], 2, 2, 1))
@@ -420,8 +426,8 @@ def test_store_survives_every_cut_and_huge_count(built, capsys, with_dictionary)
         out.write_bytes(data[:size])
         assert cli.main(["stats", str(out)]) == 1, size
     huge = (1 << 62).to_bytes(8, "little")
-    for at in range(len(data) - 7):
-        corrupt = data[:at] + huge + data[at + 8:]
+    for at in range(len(data) - 4 - 7):
+        corrupt = reseal(data[:at] + huge + data[at + 8:])
         out.write_bytes(corrupt)
         refused = (1,) if corrupt[header] != data[header] else (0, 1)
         assert cli.main(["stats", str(out)]) in refused, at
@@ -445,7 +451,7 @@ def test_zero_k_or_period_is_a_clean_error(built, capsys, field, message, comman
     data = bytearray(out.read_bytes())
     assert int.from_bytes(data[at:at + width], "little") == value
     data[at:at + width] = new.to_bytes(width, "little")
-    out.write_bytes(bytes(data))
+    out.write_bytes(reseal(data))
     capsys.readouterr()
     assert cli.main([command[0], str(out), *command[1:]]) == 1
     err = capsys.readouterr().err
@@ -454,43 +460,35 @@ def test_zero_k_or_period_is_a_clean_error(built, capsys, field, message, comman
 
 @pytest.mark.parametrize("fault, message", [
     ("leaf id past the vocabulary", "leaf id 255 is past the"),
-    ("level continues past the last", "DAC level 0 is the last but has 1 continuation"),
-    ("length 2^62", "truncated input"),
-    ("cols-rank row count", "cols-rank vocabulary of 1 leaves holds 8 column flags")])
+    # the flag makes the reader take the bytes after the DAC for more
+    # levels, until a level's flag word has set bits past its one flag
+    ("level continues past the last", "set bits past the 1 bits"),
+    ("length 2^62", "truncated input")])
 @pytest.mark.parametrize("command", [["stats"], ["query", "?", "?", "?"]])
 def test_corrupt_leaf_ids_are_a_clean_error(built, capsys, fault, message, command):
-    src, out = built
-    if fault.startswith("cols-rank"):
-        assert cli.main(["build", str(src), "-o", str(out), "--vocab", "cols-rank"]) == 0
+    _, out = built
     tree = store_mod.load(str(out))[0].subject_tree
     fields = tree_offsets(tree, section_offsets(out)["subject_tree"])
     at = fields["dac"]
     dac = tree.leaf_ids
     assert (dac.chunk_bits, len(dac.levels), tree.vocab.count) == (8, 1, 1)
-    chunks_at = at + 1 + 8 + 1          # chunk bits, length, level count
+    chunks_at = at + 1 + 8              # chunk bits, length
     flags_at = chunks_at + len(dac)     # a level's flag words follow its chunks
-    # a cols-rank row count follows the tag, the leaf count and the one
-    # byte of column flags
-    rows_at = fields["vocab"] + 9 + 1
     data = bytearray(out.read_bytes())
     if fault == "leaf id past the vocabulary":
         data[chunks_at] = 255
     elif fault == "level continues past the last":
         data[flags_at] |= 1
-    elif fault == "length 2^62":
-        data[at + 1:at + 9] = (1 << 62).to_bytes(8, "little")
     else:
-        ones = tree.vocab.cells(0).bit_count()
-        assert int.from_bytes(data[rows_at:rows_at + 8], "little") == ones
-        data[rows_at:rows_at + 8] = (ones + 1).to_bytes(8, "little")
-    out.write_bytes(bytes(data))
+        data[at + 1:at + 9] = (1 << 62).to_bytes(8, "little")
+    out.write_bytes(reseal(data))
     capsys.readouterr()
     assert cli.main([command[0], str(out), *command[1:]]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6])
 def test_old_store_version_asks_for_a_rebuild(built, capsys, version):
     _, out = built
     data = bytearray(out.read_bytes())
@@ -512,7 +510,7 @@ def test_tree_bits_past_the_levels_are_a_clean_error(built, capsys, options, com
     data = bytearray(out.read_bytes())
     assert int.from_bytes(data[at:at + 8], "little") == len(tree.tree_bits)
     data[at:at + 8] = (len(tree.tree_bits) + 1).to_bytes(8, "little")
-    out.write_bytes(bytes(data))
+    out.write_bytes(reseal(data))
     capsys.readouterr()
     assert cli.main([command[0], str(out), *command[1:]]) == 1
     err = capsys.readouterr().err
@@ -538,7 +536,7 @@ def test_set_padding_bits_are_a_clean_error(built, capsys, options):
     for bit in padding:
         flipped = bytearray(data)
         flipped[bit // 8] |= 1 << bit % 8
-        out.write_bytes(bytes(flipped))
+        out.write_bytes(reseal(flipped))
         capsys.readouterr()
         assert cli.main(["stats", str(out)]) == 1, (options, bit)
         assert "set bits past the" in capsys.readouterr().err, (options, bit)
@@ -546,17 +544,18 @@ def test_set_padding_bits_are_a_clean_error(built, capsys, options):
 
 def test_trailing_bytes_are_an_error(built, capsys):
     _, out = built
-    out.write_bytes(out.read_bytes() + b"junk")
+    data = out.read_bytes()
+    out.write_bytes(reseal(data[:-4] + b"junk" + data[-4:]))
     assert cli.main(["stats", str(out)]) == 1
     assert "trailing bytes" in capsys.readouterr().err
 
 
 def test_bit_flips_never_escape_main(tmp_path, capsys):
     """1,000 seeded single-bit flips of a small store, built with the
-    cols-full vocabulary, the cols-rank one and none: stats and three
-    queries on each exit 0 or 1 (with a message), and never raise. An
-    exit-0 answer may still differ from the intact store's; that takes a
-    checksum to catch."""
+    cols-full vocabulary, the cols-rank one and none, each resealed so that
+    the parser meets it: stats and three queries on each exit 0 or 1 (with
+    a message), and never raise. A resealed flip is a crafted file, so an
+    exit-0 answer may still differ from the intact store's."""
     rng = random.Random(1)
     triples = set()
     while len(triples) < 31:
@@ -576,12 +575,33 @@ def test_bit_flips_never_escape_main(tmp_path, capsys):
             bit = rng.randrange(8 * len(data))
             flipped = bytearray(data)
             flipped[bit // 8] ^= 1 << bit % 8
-            out.write_bytes(bytes(flipped))
+            out.write_bytes(reseal(flipped))
             for command in commands:
                 capsys.readouterr()
                 rc = cli.main(command)
                 assert rc in (0, 1), (options, bit, command)
                 assert rc == 0 or capsys.readouterr().err.strip(), (options, bit, command)
+
+
+@pytest.mark.parametrize("options", [["--vocab", "cols-full"], ["--vocab", "cols-rank"],
+                                     ["--vocab", "plain"], ["--leaf", "2"], ["--leaf", "1"]])
+def test_every_flipped_bit_is_refused(built, capsys, options):
+    """Every single-bit flip of a store makes bmx stats exit 1: in the magic
+    as not a store file, in the version with the rebuild request, and
+    anywhere else, a DAC flag or a vocabulary's column flag included, with
+    the checksum error."""
+    src, out = built
+    assert cli.main(["build", str(src), "-o", str(out), *options]) == 0
+    data = out.read_bytes()
+    for bit in range(8 * len(data)):
+        flipped = bytearray(data)
+        flipped[bit // 8] ^= 1 << bit % 8
+        out.write_bytes(bytes(flipped))
+        capsys.readouterr()
+        assert cli.main(["stats", str(out)]) == 1, (options, bit)
+        message = ("bad magic" if bit < 32 else "rebuild the store" if bit < 48
+                   else "the store file is damaged: its CRC32 checksum")
+        assert message in capsys.readouterr().err, (options, bit)
 
 
 def test_no_header_bit_is_ignored(built, capsys):
@@ -621,7 +641,7 @@ def test_no_header_bit_is_ignored(built, capsys):
             for bit in range(8 * lo, 8 * hi):
                 flipped = bytearray(data)
                 flipped[bit // 8] ^= 1 << bit % 8
-                out.write_bytes(bytes(flipped))
+                out.write_bytes(reseal(flipped))
                 if outputs() == intact:
                     silent.append((options, bit))
     assert silent == []

@@ -1,5 +1,6 @@
 import io
 import random
+import struct
 import warnings
 
 import pytest
@@ -76,50 +77,43 @@ def _levels_bytes(values, chunk_bits=2):
     return bytearray(buf.getvalue())
 
 
+def _continuing(chunk_bits, n_levels=100):
+    """A DAC file of one value whose n_levels levels each hold a chunk of 1
+    and a set continuation flag."""
+    level = (1).to_bytes((chunk_bits + 7) // 8, "little") + (1).to_bytes(8, "little")
+    return struct.pack("<BQ", chunk_bits, 1) + level * n_levels
+
+
 @pytest.mark.parametrize("fault, message", [
     ("length", "set bits past the 4 bits"),
-    ("next level count", "DAC level 1 holds 3 chunks, not the 2 continuation ones"),
-    ("last level continues", "level 1 is the last but has 1 continuation ones"),
     ("too many levels", "more than 64-bit values need"),
     ("width 0", "chunk width must be 1 to 64, not 0"),
     ("width 65", "chunk width must be 1 to 64, not 65")])
 def test_read_refuses_disagreeing_levels(fault, message):
     data = _levels_bytes([5, 1, 9])         # levels of 3 and 2 chunks
-    # header (width, length, level count), level 0's chunk byte and flag
-    # word, then level 1's count, chunk byte and flag word
-    level1_count_at = 10 + 1 + 8
     if fault == "length":                   # the third chunk lies past two
         data[1:9] = (2).to_bytes(8, "little")
-    elif fault == "next level count":
-        data[level1_count_at:level1_count_at + 8] = (3).to_bytes(8, "little")
-    elif fault == "last level continues":
-        data[level1_count_at + 8 + 1] |= 1  # first flag of level 1
     elif fault.startswith("width"):
         data[0] = int(fault.split()[1])
     else:
-        data[9] = 33                        # 33 levels of 2 bits
+        data = _continuing(2)
     with pytest.raises(ValueError, match=message):
         Dac.read(io.BytesIO(bytes(data)))
 
 
-@pytest.mark.parametrize("chunk_bits", [1, 2, 4, 8])
-def test_every_flipped_continuation_flag_is_refused(chunk_bits):
-    """A flag flipped either way changes the next level's chunk count by
-    one; that chunk and flag often fit in the level's padding, so only the
-    level's written count catches the flip."""
-    values = [1, 0, 2, 9, 3, 1, 20, 0, 5, 300, 7]
-    dac = Dac.encode(values, chunk_bits=chunk_bits)
-    data = _levels_bytes(values, chunk_bits)
-    at = 10
-    for lvl, (chunks, flags) in enumerate(dac.levels):
-        at += (8 if lvl else 0) + (len(chunks) * chunk_bits + 7) // 8
-        for i in range(len(flags)):
-            flipped = bytearray(data)
-            flipped[at + i // 8] ^= 1 << i % 8
-            with pytest.raises(ValueError, match=f"DAC level ({lvl + 1} holds|{lvl} is the last)"):
-                Dac.read(io.BytesIO(bytes(flipped)))
-        at += len(flags.data)
-    assert Dac.read(io.BytesIO(bytes(data))).values().tolist() == values
+@pytest.mark.parametrize("chunk_bits", [1, 2, 3, 7, 8, 64])
+def test_flags_past_64_bit_values_are_refused(chunk_bits):
+    """The file holds no level count, so only the 64-bit bound stops flags
+    that go on continuing: one level past what a 64-bit value takes is
+    refused, however many follow, and the value that stops there loads."""
+    top = -(-64 // chunk_bits)            # levels of a 64-bit value
+    with pytest.raises(ValueError, match=f"DAC has {top + 1} levels of"
+                                         f" {chunk_bits}-bit chunks, more than"):
+        Dac.read(io.BytesIO(_continuing(chunk_bits)))
+    data = bytearray(_continuing(chunk_bits, top))
+    data[-8] = 0                          # the last level's flag
+    value = sum(1 << lvl * chunk_bits for lvl in range(top))
+    assert Dac.read(io.BytesIO(bytes(data))).values().tolist() == [value]
 
 
 @pytest.mark.parametrize("width", [0, 65, 256])
@@ -162,6 +156,11 @@ def test_serialization_round_trip():
         back = Dac.read(buf)
         assert back.chunk_bits == b and len(back) == len(values)
         assert [back.access(i) for i in range(len(values))] == values
+    buf = io.BytesIO()
+    Dac.encode([], chunk_bits=3).write(buf)
+    assert buf.getvalue() == struct.pack("<BQ", 3, 0)     # no levels
+    back = Dac.read(io.BytesIO(buf.getvalue()))
+    assert (back.chunk_bits, len(back), back.levels) == (3, 0, [])
 
 
 @pytest.mark.parametrize("width", [0, 3, 16])

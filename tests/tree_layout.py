@@ -1,17 +1,26 @@
 """Where each section of a saved store, and each field of a written
 k2-tree, sits, stated from the store file layout (see the `store` module
 docstring) apart from the readers, so that tests can find and corrupt
-single fields."""
+single fields, and reseal the file so that the reader gets past its
+checksum to the field."""
 
 import io
+import zlib
 
 from bmatrix import store as store_mod
 from bmatrix.k2tree import VOCAB_COLS_RANK, VOCAB_PLAIN
 
 
+def reseal(data) -> bytes:
+    """`data`, a store file, with its CRC32 trailer rewritten over the
+    bytes before it."""
+    body = bytes(data[:-4])
+    return body + zlib.crc32(body).to_bytes(4, "little")
+
+
 def section_offsets(path) -> dict:
     """Byte offset of each section of a saved store; the magic and the
-    format version come before the first."""
+    format version come before the first, the 4-byte CRC32 after the last."""
     store, dictionary = store_mod.load(str(path))
     at = 4 + 2                    # magic, format version
     offsets = {}
@@ -23,7 +32,7 @@ def section_offsets(path) -> dict:
         buf = io.BytesIO()
         section.write(buf)
         at += len(buf.getvalue())
-    assert at == path.stat().st_size
+    assert at + 4 == path.stat().st_size
     return offsets
 
 
@@ -36,7 +45,7 @@ def tree_offsets(tree, at: int = 0) -> dict:
     offsets["tree bits"] = at             # u64 length, then the words
     at += 8 + len(tree.tree_bits.data)
     if tree.vocab is not None:
-        offsets["dac"] = at               # chunk bits, u64 length, level count
+        offsets["dac"] = at               # chunk bits, u64 length
         dac = io.BytesIO()
         tree.leaf_ids.write(dac)
         offsets["vocab"] = at + len(dac.getvalue())   # encoding byte, u64 count
@@ -52,9 +61,8 @@ def packed_fields(tree, at: int = 0) -> list:
     if tree.vocab is None:
         return out
     dac, vocab = tree.leaf_ids, tree.vocab
-    at = fields["dac"] + 10
-    for lvl, (chunks, flags) in enumerate(dac.levels):
-        at += 8 if lvl else 0             # a later level's chunk count
+    at = fields["dac"] + 9
+    for chunks, flags in dac.levels:
         n = len(chunks) * dac.chunk_bits
         out.append((at, n, (n + 7) // 8))
         at += (n + 7) // 8
@@ -68,8 +76,7 @@ def packed_fields(tree, at: int = 0) -> list:
     n = count * side                      # the column flags
     out.append((at, n, (n + 7) // 8))
     at += (n + 7) // 8
-    if vocab.encoding == VOCAB_COLS_RANK:   # its row count precedes the rows
+    if vocab.encoding == VOCAB_COLS_RANK:   # a row per set column flag
         n = sum(vocab.cells(e).bit_count() for e in range(count))
-        at += 8
     n *= vocab.row_index_bits
     return out + [(at, n, (n + 7) // 8)]
