@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from . import ntriples, store as store_mod
 from .dictionary import Dictionary
-from .k2tree import K2Config, Stage, VOCAB_COLS_FULL, VOCAB_ENCODINGS
+from .k2tree import K2Config, VOCAB_COLS_FULL, VOCAB_ENCODINGS
 from .oracle import TripleList
 from .store import SHAPES, TripleStore, shape_of
 
@@ -153,9 +153,9 @@ def _read_terms(columns: tuple[list[str], ...], path: str, gzip_mode: str,
 
 
 def cmd_build(args) -> int:
-    config = K2Config(
-        stages=(Stage(args.k1, args.k1_levels), Stage(args.k2, None)),
-        leaf_side=args.leaf, vocab_encoding=args.vocab, sample_preset=args.sample)
+    config = K2Config(k1=args.k1, k1_levels=args.k1_levels, k2=args.k2,
+                      leaf_side=args.leaf, vocab_encoding=args.vocab,
+                      sample_preset=args.sample)
 
     t0 = time.perf_counter()
     columns: tuple[list[str], ...] = ([], [], [])
@@ -259,7 +259,6 @@ class BenchRow:
     results: int
     passes: int
     mean_pass_s: float
-    best_pass_s: float
 
     @property
     def us_per_query(self) -> float:
@@ -324,7 +323,7 @@ def run_benchmark(store: TripleStore, by_shape: dict, min_reps: int,
             passes.append(time.perf_counter() - t0)
             results = total
         rows.append(BenchRow(shape, len(batch), results, len(passes),
-                             sum(passes) / len(passes), min(passes)))
+                             sum(passes) / len(passes)))
     return rows
 
 
@@ -435,11 +434,11 @@ def build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("build", help="build a store file from N-Triples input")
     b.add_argument("inputs", nargs="+", help="N-Triples files (optionally .gz)")
     b.add_argument("-o", "--output", required=True, help="store file to write")
-    b.add_argument("--k1", type=int, default=4, help="branching side of the top stage")
+    b.add_argument("--k1", type=int, default=4, help="branching side of the top levels")
     b.add_argument("--k1-levels", type=int, default=5,
-                   help="max levels of the top stage")
+                   help="most levels of side k1; fewer when they reach past the matrix")
     b.add_argument("--k2", type=int, default=2,
-                   help="branching side of the remaining levels")
+                   help="branching side of the levels below the k1 levels")
     b.add_argument("--leaf", type=int, default=8,
                    help="leaf matrix side: 2, 4 or 8, or 1 for no leaf vocabulary")
     b.add_argument("--vocab", default=VOCAB_COLS_FULL, choices=VOCAB_ENCODINGS,

@@ -112,17 +112,21 @@ class Dac:
     @classmethod
     def read(cls, src, sample_rate: int = SAMPLE_RATE_DEFAULT) -> "Dac":
         """Refuses, with a ValueError, continuation flags that reach past
-        the levels a 64-bit value needs."""
+        the levels a 64-bit value needs, and chunks with bits past bit 63."""
         chunk_bits, length = struct.unpack("<BQ", read_exact(src, 9))
         _check_width(chunk_bits)
         levels = []
         count = length  # level 0 holds a chunk per value
         while count:
-            if len(levels) * chunk_bits >= 64:
+            shift = len(levels) * chunk_bits
+            if shift >= 64:
                 raise ValueError(f"DAC has {len(levels) + 1} levels of {chunk_bits}-bit"
                                  " chunks, more than 64-bit values need")
             chunks = unpack_fixed(read_exact(src, (count * chunk_bits + 7) // 8),
                                   chunk_bits, count)
+            # values() would drop those bits, and access() would keep them
+            if shift + chunk_bits > 64 and int(as_uint(chunks).max()) >> 64 - shift:
+                raise ValueError(f"DAC level {len(levels)} has a chunk with bits past bit 63")
             flags = BitVector.from_bytes(read_exact(src, padded_size(count)), count,
                                          sample_rate)
             levels.append((chunks, flags))

@@ -42,39 +42,27 @@ PRESET_BYTES = ("default", "dense")
 
 
 @dataclass(frozen=True)
-class Stage:
-    """A run of subdivision levels with a common branching side k.
-
-    levels=None means "use this k for all remaining levels"; the last
-    stage, and only it, is unbounded.
-    """
-    k: int
-    levels: int | None = None
-
-
-@dataclass(frozen=True)
 class K2Config:
-    """How `K2Tree.build` plans and encodes a tree; the tree keeps only what
-    it built (ks, leaf side, bitmaps, leaf ids, vocabulary), not this."""
+    """How `K2Tree.build` plans and encodes a tree: the hybrid k2-tree's k1
+    levels on top, then k2 levels (see `plan_levels`). The tree keeps only
+    what it built (ks, leaf side, bitmaps, leaf ids, vocabulary), not this."""
 
-    stages: tuple[Stage, ...] = (Stage(4, 5), Stage(2, None))
+    k1: int = 4
+    k1_levels: int = 5
+    k2: int = 2
     leaf_side: int = 8              # 1 disables the vocabulary
     vocab_encoding: str = VOCAB_COLS_FULL
     sample_preset: str = "default"
     dac_chunk_bits: int = 8
 
     def __post_init__(self):
-        if not self.stages:
-            raise ValueError("at least one subdivision stage is required")
-        for i, st in enumerate(self.stages):
+        for k in (self.k1, self.k2):
             # a tree file holds each k in a byte
-            if not 2 <= st.k <= 255:
-                raise ValueError(f"branching side k must be 2 to 255, not {st.k}")
-            if (st.levels is None) != (i == len(self.stages) - 1):
-                raise ValueError("the last stage, and only it, must be unbounded")
-            # bounds plan_levels' search over the stage budgets
-            if st.levels is not None and not 0 <= st.levels <= 32767:
-                raise ValueError(f"stage level count must be 0 to 32767, not {st.levels}")
+            if not 2 <= k <= 255:
+                raise ValueError(f"branching side k must be 2 to 255, not {k}")
+        # any bound above 31 will do: no plan under MAX_SIDE uses more k1 levels
+        if not 0 <= self.k1_levels <= 32767:
+            raise ValueError(f"k1 level count must be 0 to 32767, not {self.k1_levels}")
         if self.leaf_side != 1:
             if self.leaf_side not in LEAF_SIDES:
                 raise ValueError("leaf_side must be 1 (disabled) or one of 2, 4, 8")
@@ -91,41 +79,31 @@ class K2Config:
 
 
 def plan_levels(config: K2Config, max_dim: int) -> list[int]:
-    """Per-level branching sides covering max_dim.
+    """Per-level branching sides covering max_dim: a levels of k1, then b
+    levels of k2.
 
-    Picks the smallest side of the form prod(k_i) * leaf_side >= max_dim
-    reachable with the configured stage budget, preferring to spend levels
-    on earlier stages when sides tie. Small matrices simply use fewer
-    levels of the early stages. At least one subdivision level is always
-    planned so T:L is never degenerate.
+    Picks the smallest side k1^a * k2^b * leaf_side >= max_dim with
+    a <= k1_levels, and the largest a when sides tie. Small matrices
+    simply use fewer k1 levels. At least one level is always planned, a k2
+    level when leaf_side alone covers max_dim, so T:L is never degenerate.
     """
     target = max(int(max_dim), 1)
-    *bounded, last = config.stages
-    best: tuple[int, tuple[int, ...]] | None = None
-
-    def walk(i: int, counts: tuple[int, ...], side: int) -> None:
-        nonlocal best
-        if i < len(bounded):
-            st = bounded[i]
-            for used in range(st.levels + 1):
-                walk(i + 1, counts + (used,), side * st.k ** used)
-            return
-        extra = 0  # the unbounded last stage adds the levels still needed
+    best = None  # (side, a, b)
+    top = config.leaf_side  # k1^a * leaf_side
+    for a in range(config.k1_levels + 1):
+        side, b = top, 0
         while side < target:
-            extra += 1
-            side *= last.k
-        counts += (extra,)
-        if best is None or side < best[0] or (side == best[0] and counts > best[1]):
-            best = (side, counts)
-
-    walk(0, (), config.leaf_side)
-    counts = list(best[1])
-    if sum(counts) == 0:
-        counts[-1] = 1
-    ks: list[int] = []
-    for st, used in zip(config.stages, counts):
-        ks.extend([st.k] * used)
-    return ks
+            side *= config.k2
+            b += 1
+        if best is None or side <= best[0]:
+            best = (side, a, b)
+        if top >= target:  # more k1 levels only widen the side
+            break
+        top *= config.k1
+    _, a, b = best
+    if a + b == 0:
+        b = 1
+    return [config.k1] * a + [config.k2] * b
 
 
 def _path_part(coords: np.ndarray, extent: int, ks: list[int],

@@ -34,14 +34,7 @@ above 1 then holds its DAC leaf ids and leaf vocabulary (see `Dac` and
 `LeafVocabulary`). Each count is written once, in the part that owns it:
 the store's triples are the last run start, its predicates one fewer than
 the run starts, and its subjects and objects the rows of their trees.
-Files of versions 1-6 (v1: pools of plain UTF-8 plus per-term offsets;
-v2: a rank-sample table beside the run starts; v3: trees that also held
-the stages, encodings and side that built them, and stored merge
-thresholds; v4: leaf-side-1 trees that kept their last level L in a
-second bitmap; v5: a header of five counts, and copies of other counts
-beside the run starts, in DACs and in cols vocabularies; v6: no
-checksum, but DAC level and chunk counts and a cols-rank row count kept
-to catch flipped flags) are refused with a request to rebuild them.
+Files of older versions are refused with a request to rebuild them.
 
 Loading reads the whole file and checks the magic, then the version,
 then the checksum, and only then parses the rest. The checksum catches
@@ -59,8 +52,8 @@ still refuses a file, with a ValueError, when:
   or above MAX_SIDE, levels for a matrix without rows or columns or none
   for one with both, or a tree-bit or leaf count other than its levels need;
 - a tree's leaf id is at or past its vocabulary's count;
-- a DAC's chunk width is outside 1 to 64, or its continuation flags go
-  on past the levels that 64-bit values need;
+- a DAC's chunk width is outside 1 to 64, its continuation flags go on
+  past the levels that 64-bit values need, or a chunk has bits past bit 63;
 - the predicate index's run starts do not rise from 0.
 
 A query that meets a column with no 1 in a tree raises a ValueError too.

@@ -14,7 +14,7 @@ import pytest
 from bmatrix import cli
 from bmatrix.bitvector import BitVector, SAMPLE_PRESETS
 from bmatrix.dac import Dac
-from bmatrix.k2tree import (K2Config, K2Tree, Stage, VOCAB_COLS_FULL,
+from bmatrix.k2tree import (K2Config, K2Tree, VOCAB_COLS_FULL,
                             VOCAB_COLS_RANK, VOCAB_PLAIN)
 from bmatrix.oracle import TripleList
 from bmatrix.store import TripleStore, save
@@ -174,11 +174,11 @@ def test_c2_bitvector_dac_k2tree_oracles():
 
     # k2-tree vs dense-matrix oracle, >= 100 matrices, sides 16..512
     configs = [
-        K2Config(stages=(Stage(2, None),), leaf_side=1),
-        K2Config(stages=(Stage(4, 5), Stage(2, None)), leaf_side=1),
-        K2Config(stages=(Stage(4, 5), Stage(2, None)), leaf_side=8,
+        K2Config(k1_levels=0, leaf_side=1),
+        K2Config(leaf_side=1),
+        K2Config(leaf_side=8,
                  vocab_encoding=VOCAB_PLAIN),
-        K2Config(stages=(Stage(2, None),), leaf_side=4,
+        K2Config(k1_levels=0, leaf_side=4,
                  vocab_encoding=VOCAB_PLAIN),
     ]
     matrices = 0
@@ -192,7 +192,7 @@ def test_c2_bitvector_dac_k2tree_oracles():
             rows = rng.integers(0, nr, nc)
             keep = rng.random(nc) < 0.9
             pts = np.column_stack((rows[keep], np.flatnonzero(keep)))
-            cfg = K2Config(stages=(Stage(4, 2), Stage(2, None)), leaf_side=8,
+            cfg = K2Config(k1_levels=2, leaf_side=8,
                            vocab_encoding=(VOCAB_COLS_FULL,
                                            VOCAB_COLS_RANK)[(trial // 4) % 2])
         else:
@@ -257,11 +257,11 @@ def walk_children_law(tree, padded):
 def test_c3_children_navigation_law():
     rng = np.random.default_rng(SEED + 3)
     configs = [
-        K2Config(stages=(Stage(2, None),), leaf_side=1),
-        K2Config(stages=(Stage(4, 5), Stage(2, None)), leaf_side=1),
-        K2Config(stages=(Stage(4, 1), Stage(2, None)), leaf_side=4,
+        K2Config(k1_levels=0, leaf_side=1),
+        K2Config(leaf_side=1),
+        K2Config(k1_levels=1, leaf_side=4,
                  vocab_encoding=VOCAB_PLAIN),
-        K2Config(stages=(Stage(2, None),), leaf_side=8,
+        K2Config(k1_levels=0, leaf_side=8,
                  vocab_encoding=VOCAB_PLAIN),
     ]
     trees = bits_checked = leaves_checked = 0
@@ -295,7 +295,7 @@ def test_c4_vocabulary_equivalence_and_size(fleet):
         triples, dims = ds["triples"], ds["dims"]
         stores = {}
         for enc in encodings:
-            cfg = K2Config(stages=(Stage(4, 5), Stage(2, None)), leaf_side=8,
+            cfg = K2Config(leaf_side=8,
                            vocab_encoding=enc)
             stores[enc] = TripleStore.build(triples, *dims, config=cfg)
         checked_stores += 1

@@ -2,6 +2,7 @@ import gzip
 import os
 import random
 import re
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 
 import pfc_reference
 import bmatrix
+from bmatrix._binio import pack_fixed
 from tree_layout import packed_fields, reseal, section_offsets, tree_offsets
 from bmatrix import cli, store as store_mod
 from bmatrix.store import TripleStore
@@ -32,6 +34,11 @@ def built(tmp_path):
     rc = cli.main(["build", str(src), "-o", str(out)])
     assert rc == 0
     return src, out
+
+
+def test_every_export_resolves():
+    missing = [name for name in bmatrix.__all__ if not hasattr(bmatrix, name)]
+    assert missing == []
 
 
 def test_build_reports_counts(built, capsys):
@@ -211,6 +218,22 @@ def test_bench_report(built, tmp_path, capsys):
         assert int(fields[2]) == 1
         assert int(fields[4]) >= 2
         float(fields[5])
+
+
+def test_bench_decode_times_the_same_results(built, tmp_path, capsys):
+    _, out = built
+    qfile = tmp_path / "queries.txt"
+    qfile.write_text("#1 #1 #2\n? #1 #1\n? #2 ?\n#1 ? ?\n? ? ?\n")
+    columns = []
+    for extra in ([], ["--decode"]):
+        assert cli.main(["bench", str(out), str(qfile), "--min-reps", "1",
+                         "--min-time", "0", *extra]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        # shape, family, queries, results
+        columns.append([line.split("\t")[:4] for line in lines])
+    assert columns[0] == columns[1]
+    assert [row[0] for row in columns[0][1:]] == ["spo", "?po", "?p?", "s??", "???",
+                                                  "TOTAL"]
 
 
 def test_bench_skips_unknown_terms(built, tmp_path, capsys):
@@ -486,6 +509,30 @@ def test_corrupt_leaf_ids_are_a_clean_error(built, capsys, fault, message, comma
     assert cli.main([command[0], str(out), *command[1:]]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [["stats"], ["query", "?", "?", "?"]])
+def test_leaf_id_bits_past_bit_63_are_a_clean_error(built, capsys, command):
+    """The subject tree's leaf ids as a 3-bit DAC in which id 0 is 21 zero
+    chunks and then a chunk of 2, whose bits pass bit 63."""
+    _, out = built
+    tree = store_mod.load(str(out))[0].subject_tree
+    fields = tree_offsets(tree, section_offsets(out)["subject_tree"])
+    n = len(tree.leaf_ids)
+    assert n <= 64                      # level 0's flags fit one word
+
+    def level(chunks, flags):
+        return pack_fixed(chunks, 3) + flags.to_bytes(8, "little")
+
+    dac = (struct.pack("<BQ", 3, n) + level([0] * n, 1)
+           + level([0], 1) * 20 + level([2], 0))
+    data = out.read_bytes()
+    out.write_bytes(reseal(data[:fields["dac"]] + dac + data[fields["vocab"]:]))
+    capsys.readouterr()
+    assert cli.main([command[0], str(out), *command[1:]]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "bits past bit 63" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6])

@@ -116,6 +116,24 @@ def test_flags_past_64_bit_values_are_refused(chunk_bits):
     assert Dac.read(io.BytesIO(bytes(data))).values().tolist() == [value]
 
 
+@pytest.mark.parametrize("chunk_bits", [3, 5, 7, 10])
+def test_top_chunk_bits_past_bit_63_are_refused(chunk_bits):
+    """values() would drop the bits of a top chunk past bit 63 and access()
+    keep them; the top chunk may reach bit 63 and no further."""
+    top = -(-64 // chunk_bits) - 1        # the level holding bit 63
+    spare = 64 - top * chunk_bits         # its chunk bits below bit 64
+
+    def level(chunk, more):
+        return chunk.to_bytes((chunk_bits + 7) // 8, "little") + more.to_bytes(8, "little")
+
+    below = struct.pack("<BQ", chunk_bits, 1) + level(0, 1) * top
+    with pytest.raises(ValueError, match=f"DAC level {top} has a chunk with bits"
+                                         " past bit 63"):
+        Dac.read(io.BytesIO(below + level(1 << spare, 0)))
+    d = Dac.read(io.BytesIO(below + level((1 << spare) - 1, 0)))
+    assert d.values().tolist() == [d.access(0)] == [(1 << 64) - (1 << top * chunk_bits)]
+
+
 @pytest.mark.parametrize("width", [0, 65, 256])
 def test_widths_outside_1_to_64_are_refused(width):
     with pytest.raises(ValueError, match="1 to 64"):

@@ -1,17 +1,18 @@
 import io
+from bisect import bisect_left
 from math import prod
 
 import numpy as np
 import pytest
 
 from bmatrix._binio import unpack_fixed
-from bmatrix.k2tree import (K2Config, K2Tree, LeafVocabulary, Stage,
+from bmatrix.k2tree import (K2Config, K2Tree, LeafVocabulary,
                             VOCAB_COLS_FULL, VOCAB_COLS_RANK, VOCAB_PLAIN,
                             plan_levels)
 from tree_layout import packed_fields, tree_offsets
 
-K2_PLAIN = K2Config(stages=(Stage(2, None),), leaf_side=1)
-HYBRID = K2Config(stages=(Stage(4, 5), Stage(2, None)), leaf_side=1)
+K2_PLAIN = K2Config(k1_levels=0, leaf_side=1)
+HYBRID = K2Config(leaf_side=1)
 
 
 def bits(bv):
@@ -114,15 +115,38 @@ def test_zero_dims_and_bad_points():
 
 
 def test_plan_prefers_minimal_side_then_early_stages():
-    cfg = K2Config(stages=(Stage(4, 5), Stage(2, None)), leaf_side=1)
+    cfg = K2Config(leaf_side=1)
     # smallest 4^a*2^b >= 100 is 128; among those prefer more k=4 levels
     assert plan_levels(cfg, 100) == [4, 4, 4, 2]
     assert plan_levels(cfg, 1024) == [4, 4, 4, 4, 4]
     assert plan_levels(cfg, 1 << 20) == [4] * 5 + [2] * 10
-    vocab = K2Config(stages=(Stage(4, 5), Stage(2, None)), leaf_side=8)
+    vocab = K2Config(leaf_side=8)
     assert plan_levels(vocab, 1 << 20) == [4] * 5 + [2] * 7
     # too small for any k=4 level: still at least one subdivision level
     assert plan_levels(vocab, 5) == [2]
+
+
+@pytest.mark.parametrize("k1", [2, 3, 4, 8])
+@pytest.mark.parametrize("k2", [2, 3])
+def test_plan_is_the_smallest_hybrid_side(k1, k2):
+    """plan_levels against every side k1^a * k2^b * leaf_side, a <= k1_levels:
+    the smallest that covers max_dim, the largest a on a tie, and one k2
+    level when the leaf side alone covers it."""
+    dims = list(range(601)) + [1 << e for e in range(31)]
+    for k1_levels in range(7):
+        for leaf in (1, 2, 4, 8):
+            cfg = K2Config(k1=k1, k1_levels=k1_levels, k2=k2, leaf_side=leaf)
+            sides = sorted((k1 ** a * k2 ** b * leaf, -a, b)
+                           for a in range(k1_levels + 1) for b in range(32))
+            for dim in dims:
+                _, neg_a, b = sides[bisect_left(sides, (max(dim, 1),))]
+                if neg_a == b == 0:
+                    b = 1
+                assert plan_levels(cfg, dim) == [k1] * -neg_a + [k2] * b, (cfg, dim)
+
+
+def test_plan_stops_once_k1_levels_cover_the_matrix():
+    assert plan_levels(K2Config(k1_levels=32767), 10**6) == [4] * 8 + [2]
 
 
 def test_structural_level_law():
@@ -140,7 +164,7 @@ def test_structural_level_law():
 def test_children_reconstruct_submatrices():
     rng = np.random.default_rng(8)
     for cfg in (K2_PLAIN, HYBRID,
-                K2Config(stages=(Stage(2, None),), leaf_side=2,
+                K2Config(k1_levels=0, leaf_side=2,
                          vocab_encoding=VOCAB_PLAIN)):
         nr = nc = 33
         m = rng.random((nr, nc)) < 0.1
@@ -211,7 +235,7 @@ def test_set_padding_bits_of_a_tree_are_refused(encoding):
     levels, each packed field right after the one before."""
     rng = np.random.default_rng(5)
     pts = np.column_stack((rng.integers(0, 60, 400), np.arange(400)))
-    t = K2Tree.build(pts, 60, 400, K2Config(stages=(Stage(2, None),), leaf_side=2,
+    t = K2Tree.build(pts, 60, 400, K2Config(k1_levels=0, leaf_side=2,
                                             vocab_encoding=encoding, dac_chunk_bits=1))
     assert len(t.leaf_ids.levels) > 2
     buf = io.BytesIO()
@@ -248,7 +272,7 @@ def test_cols_full_payload_identity():
     leaves = np.unique(blocks[blocks.any(axis=1)], axis=0)
     for encoding, payload in ((VOCAB_COLS_FULL, len(leaves) * 8 * (1 + 3)),
                               (VOCAB_COLS_RANK, len(leaves) * 8 + int(leaves.sum()) * 3)):
-        t = K2Tree.build(pts, nr, nc, K2Config(stages=(Stage(2, None),), leaf_side=8,
+        t = K2Tree.build(pts, nr, nc, K2Config(k1_levels=0, leaf_side=8,
                                                vocab_encoding=encoding))
         v = t.vocab
         assert v.count == len(leaves)
@@ -258,7 +282,7 @@ def test_cols_full_payload_identity():
 def test_vocab_frequency_ranked_ids():
     # two distinct leaf patterns; the more frequent one gets id 0
     pts = [(0, c) for c in range(0, 32, 2)] + [(1, 33)]
-    t = K2Tree.build(pts, 2, 40, K2Config(stages=(Stage(2, None),), leaf_side=2,
+    t = K2Tree.build(pts, 2, 40, K2Config(k1_levels=0, leaf_side=2,
                                           vocab_encoding=VOCAB_PLAIN))
     counts = {}
     for i in range(len(t.leaf_ids)):
@@ -278,13 +302,13 @@ def test_vocab_matches_dense_single_one_cols(encoding, leaf_side):
     rows = rng.integers(0, nr, nc)
     keep = rng.random(nc) < 0.85
     pts = np.column_stack((rows[keep], np.flatnonzero(keep)))
-    cfg = K2Config(stages=(Stage(4, 2), Stage(2, None)), leaf_side=leaf_side,
+    cfg = K2Config(k1_levels=2, leaf_side=leaf_side,
                    vocab_encoding=encoding)
     t = K2Tree.build(pts, nr, nc, cfg)
     assert_matches_dense(t, dense(pts, nr, nc), rng)
     # every leaf decodes to the plain pattern, and the readers mask that decode
     plain = K2Tree.build(pts, nr, nc, K2Config(
-        stages=cfg.stages, leaf_side=leaf_side, vocab_encoding=VOCAB_PLAIN)).vocab
+        k1_levels=cfg.k1_levels, leaf_side=leaf_side, vocab_encoding=VOCAB_PLAIN)).vocab
     v = t.vocab
     assert v.count == plain.count > 1
     for e in range(v.count):
@@ -307,7 +331,7 @@ def test_encodings_agree_bit_for_bit():
     pts = np.column_stack((rows, np.arange(nc)))
     m = dense(pts, nr, nc)
     trees = {enc: K2Tree.build(pts, nr, nc,
-                               K2Config(stages=(Stage(2, None),), leaf_side=4,
+                               K2Config(k1_levels=0, leaf_side=4,
                                         vocab_encoding=enc))
              for enc in (VOCAB_PLAIN, VOCAB_COLS_FULL, VOCAB_COLS_RANK)}
     probes = [(int(rng.integers(nr)), int(rng.integers(nc))) for _ in range(200)]
@@ -333,9 +357,9 @@ def test_matches_dense_random(trial):
     density = [0.002, 0.05, 0.15][trial % 3]
     m = rng.random((nr, nc)) < density
     cfg = [K2_PLAIN, HYBRID,
-           K2Config(stages=(Stage(2, None),), leaf_side=4,
+           K2Config(k1_levels=0, leaf_side=4,
                     vocab_encoding=VOCAB_PLAIN),
-           K2Config(stages=(Stage(4, 1), Stage(2, None)), leaf_side=8,
+           K2Config(k1_levels=1, leaf_side=8,
                     vocab_encoding=VOCAB_PLAIN)][trial % 4]
     t = K2Tree.build(np.argwhere(m), nr, nc, cfg)
     assert_matches_dense(t, m, rng)
@@ -344,9 +368,9 @@ def test_matches_dense_random(trial):
 def test_serialization_round_trip():
     rng = np.random.default_rng(2024)
     for cfg in (K2_PLAIN, HYBRID,
-                K2Config(stages=(Stage(2, None),), leaf_side=8,
+                K2Config(k1_levels=0, leaf_side=8,
                          vocab_encoding=VOCAB_COLS_RANK),
-                K2Config(stages=(Stage(4, 2), Stage(2, None)), leaf_side=4,
+                K2Config(k1_levels=2, leaf_side=4,
                          vocab_encoding=VOCAB_COLS_FULL, sample_preset="dense")):
         nc = 120
         rows = rng.integers(0, 50, nc)
@@ -396,16 +420,9 @@ def test_levels_for_a_matrix_without_rows_or_columns_are_refused(rows, cols):
         K2Tree.read(io.BytesIO(bytes(data)))
 
 
-@pytest.mark.parametrize("stages", [(Stage(2, 1),), (Stage(4, None), Stage(2, None)),
-                                    (Stage(4, None), Stage(2, 3))])
-def test_last_stage_and_only_it_is_unbounded(stages):
-    with pytest.raises(ValueError, match="the last stage, and only it, must be unbounded"):
-        K2Config(stages=stages, leaf_side=1)
-
-
 def test_leaf_side_limit():
     with pytest.raises(ValueError):
-        K2Config(stages=(Stage(2, None),), leaf_side=16)
+        K2Config(k1_levels=0, leaf_side=16)
 
 
 def unique_level_bits(pts, n_rows, n_cols, config):
@@ -432,7 +449,7 @@ def unique_level_bits(pts, n_rows, n_cols, config):
 
 @pytest.mark.parametrize("config", [K2Config(vocab_encoding=VOCAB_PLAIN),
                                     K2_PLAIN, HYBRID,
-                                    K2Config(stages=(Stage(3, 2), Stage(2, None)),
+                                    K2Config(k1=3, k1_levels=2,
                                              leaf_side=4, vocab_encoding=VOCAB_PLAIN)])
 def test_level_bits_match_unique_reference(config):
     rng = np.random.default_rng(23)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from bmatrix import store as store_mod
-from bmatrix.k2tree import (K2Config, K2Tree, MAX_SIDE, Stage, VOCAB_COLS_FULL,
+from bmatrix.k2tree import (K2Config, K2Tree, MAX_SIDE, VOCAB_COLS_FULL,
                             VOCAB_COLS_RANK, VOCAB_ENCODINGS, VOCAB_PLAIN)
 from bmatrix.oracle import TripleList
 from bmatrix.store import (SHAPES, PredicateIndex, TripleStore, read_store,
@@ -17,7 +17,7 @@ from bmatrix.dictionary import BUCKET, Dictionary
 # running example: triples {(1,1,1),(2,1,2),(1,2,2),(2,2,1)} as (s,p,o);
 # (p,o,s) order puts them in columns 0..3 as (1,1,1),(2,1,2),(2,2,1),(1,2,2)
 E = [(1, 1, 1), (2, 1, 2), (1, 2, 2), (2, 2, 1)]
-SMALL = K2Config(stages=(Stage(2, None),), leaf_side=1)
+SMALL = K2Config(k1_levels=0, leaf_side=1)
 
 
 @pytest.fixture
@@ -325,7 +325,7 @@ def test_strategy_matches_oracle_shapes():
     tr = np.column_stack([rng.integers(1, 120, 2500), rng.integers(1, 30, 2500),
                           rng.integers(1, 120, 2500)])
     store = TripleStore.build(tr, 120, 120, 30,
-                              config=K2Config(stages=(Stage(4, 2), Stage(2, None)),
+                              config=K2Config(k1_levels=2,
                                               leaf_side=4,
                                               vocab_encoding=VOCAB_PLAIN))
     tl = TripleList(tr)
