@@ -7,6 +7,7 @@ unsigned typecode that holds their largest value (native byte order, as
 
 from __future__ import annotations
 
+import io
 import sys
 from array import array
 
@@ -27,7 +28,7 @@ def read_exact(src, n: int) -> bytes:
 
 
 def as_uint(values) -> np.ndarray:
-    if isinstance(values, (bytes, array)):
+    if isinstance(values, array):
         return np.asarray(memoryview(values))
     if isinstance(values, np.ndarray) and values.dtype.kind == "u":
         return values.ravel()     # already unsigned: no uint64 copy
@@ -41,7 +42,7 @@ def packed_array(values) -> array:
     out = next(array(tc) for tc in _TYPECODES
                if top >> (8 * array(tc).itemsize) == 0)
     out.frombytes(arr.astype(f"=u{out.itemsize}").tobytes())
-    return out
+    return out[:]     # frombytes leaves spare room; a slice is sized exactly
 
 
 def pack_fixed(values, width: int) -> bytes:
@@ -64,15 +65,13 @@ def check_padding(data: bytes, n_bits: int) -> None:
 
 
 def unpack_fixed(data: bytes, width: int, count: int):
-    """Inverse of pack_fixed: `count` ints, as `data` itself at width 8,
-    else as a packed_array. Bits past count * width must be 0."""
+    """Inverse of pack_fixed: `count` ints as a packed_array. Bits past
+    count * width must be 0."""
     if width < 1 or count * width > 8 * len(data):
         raise ValueError(f"{count} values of {width} bits do not fit in"
                          f" {len(data)} bytes")
     check_padding(data, count * width)
-    if width == 8:
-        return bytes(data[:count])
-    if width in (16, 32, 64):
+    if width in (8, 16, 32, 64):
         return packed_array(np.frombuffer(data, dtype=f"<u{width // 8}", count=count))
     bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8),
                          count=count * width, bitorder="little")
@@ -80,3 +79,10 @@ def unpack_fixed(data: bytes, width: int, count: int):
     dtype = next(np.dtype(f"u{n}") for n in (1, 2, 4, 8) if width <= 8 * n)
     weights = dtype.type(1) << np.arange(width, dtype=dtype)
     return packed_array(bits.reshape(count, width) @ weights)
+
+
+def written_size(part) -> int:
+    """The number of bytes `part.write` emits."""
+    buf = io.BytesIO()
+    part.write(buf)
+    return buf.tell()

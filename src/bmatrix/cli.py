@@ -18,6 +18,7 @@ import time
 from dataclasses import dataclass
 
 from . import ntriples, store as store_mod
+from ._binio import written_size
 from .dictionary import Dictionary
 from .k2tree import K2Config, VOCAB_COLS_FULL, VOCAB_ENCODINGS
 from .oracle import TripleList
@@ -102,7 +103,10 @@ def _per(size: int, count: int) -> str:
 
 def _print_space_report(store: TripleStore, dictionary: Dictionary, out) -> None:
     report = store.space_report()
-    dict_bytes = dictionary.serialized_bytes()
+    pools = {name: getattr(dictionary, name) for name in
+             ("shared", "subject_only", "object_only", "predicates")}
+    pool_bytes = {name: written_size(pool) for name, pool in pools.items()}
+    dict_bytes = sum(pool_bytes.values())
     report["dictionary"] = {"serialized": dict_bytes, "accel": 0,
                             "total": dict_bytes}
     n = store.n
@@ -111,9 +115,8 @@ def _print_space_report(store: TripleStore, dictionary: Dictionary, out) -> None
         r = report[name]
         print(f"  {name:<13} {r['serialized']:>12}  {r['total']:>12}"
               f"  {_per(r['total'], n):>8} B/triple", file=out)
-    for name in ("shared", "subject_only", "object_only", "predicates"):
-        pool = getattr(dictionary, name)
-        size = pool.serialized_bytes()
+    for name, pool in pools.items():
+        size = pool_bytes[name]
         print(f"    {name.replace('_', '-') + ' pool':<17} {pool.count:>9} terms"
               f" {size:>12} bytes  {_per(size, pool.count):>8} B/term",
               file=out)
@@ -137,14 +140,13 @@ def _print_counts(store: TripleStore, dictionary: Dictionary, out) -> None:
 # -- build ---------------------------------------------------------------------
 
 
-def _read_terms(columns: tuple[list[str], ...], path: str, gzip_mode: str,
+def _read_terms(columns: tuple[list[str], ...], path: str,
                 strict: bool = False) -> list:
     """Appends the subject, predicate and object of each statement in the
     N-Triples file `path` to the three `columns`; returns the bad lines'
     ParseErrors, which it also prints to stderr."""
     errors: list = []
-    for block in ntriples.iter_file(path, gzip_mode=gzip_mode, strict=strict,
-                                    errors=errors):
+    for block in ntriples.iter_file(path, strict=strict, errors=errors):
         for column, terms in zip(columns, block):
             column += terms
     for err in errors:
@@ -161,11 +163,10 @@ def cmd_build(args) -> int:
     columns: tuple[list[str], ...] = ([], [], [])
     for path in args.inputs:
         before = len(columns[0])
-        errors = _read_terms(columns, path, args.gzip, args.strict)
+        errors = _read_terms(columns, path, args.strict)
         print(f"parsed {path}: {len(columns[0]) - before} statements,"
               f" {len(errors)} bad lines", file=sys.stderr)
     t1 = time.perf_counter()
-    # the dictionary returns its ids sorted, so the triple sort counts here
     dictionary, ids = Dictionary.from_triples(*columns)
     del columns
     t2 = time.perf_counter()
@@ -175,8 +176,8 @@ def cmd_build(args) -> int:
     t3 = time.perf_counter()
     store_mod.save(args.output, store, dictionary)
     t4 = time.perf_counter()
-    print(f"phases: parse {t1 - t0:.3f} s, dictionary+sort {t2 - t1:.3f} s,"
-          f" trees {t3 - t2:.3f} s, save {t4 - t3:.3f} s;"
+    print(f"phases: parse {t1 - t0:.3f} s, dictionary {t2 - t1:.3f} s,"
+          f" sort+trees {t3 - t2:.3f} s, save {t4 - t3:.3f} s;"
           f" {store.n / (t4 - t0):,.0f} triples/s", file=sys.stderr)
     _print_counts(store, dictionary, sys.stdout)
     _print_space_report(store, dictionary, sys.stdout)
@@ -387,7 +388,7 @@ def _sample_patterns(rng, tl: TripleList, dims, count: int):
 def cmd_verify(args) -> int:
     store, dictionary = store_mod.load(args.store)
     subjects, predicates, objects = columns = ([], [], [])
-    _read_terms(columns, args.input, args.gzip)
+    _read_terms(columns, args.input)
     try:
         ids = list(zip(map(dictionary.subject_id, subjects),
                        map(dictionary.predicate_id, predicates),
@@ -432,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     b = sub.add_parser("build", help="build a store file from N-Triples input")
-    b.add_argument("inputs", nargs="+", help="N-Triples files (optionally .gz)")
+    b.add_argument("inputs", nargs="+", help="N-Triples files, plain or gzip")
     b.add_argument("-o", "--output", required=True, help="store file to write")
     b.add_argument("--k1", type=int, default=4, help="branching side of the top levels")
     b.add_argument("--k1-levels", type=int, default=5,
@@ -445,7 +446,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="leaf vocabulary encoding")
     b.add_argument("--sample", default="default", choices=["default", "dense"],
                    help="bitmap rank sampling preset (~5%% or 12.5%% overhead)")
-    b.add_argument("--gzip", default="auto", choices=["auto", "on", "off"])
     b.add_argument("--strict", action="store_true",
                    help="abort on the first malformed input line")
     b.set_defaults(func=cmd_build)
@@ -479,11 +479,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="compare a store against its source triples")
     v.add_argument("store")
-    v.add_argument("input", help="original N-Triples file")
+    v.add_argument("input", help="original N-Triples file, plain or gzip")
     v.add_argument("--sample", type=int, default=200,
                    help="random patterns per shape")
     v.add_argument("--seed", type=int, default=20240809)
-    v.add_argument("--gzip", default="auto", choices=["auto", "on", "off"])
     v.set_defaults(func=cmd_verify)
     return parser
 
@@ -495,7 +494,7 @@ def main(argv=None) -> int:
     except ntriples.ParseError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except (OSError, ValueError) as err:
+    except (OSError, ValueError, EOFError) as err:  # gzip: EOFError if cut short
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -3,9 +3,8 @@
 Each value is split into base-2**b chunks, least significant first; chunks
 are regrouped per level, with a continuation bitmap per level whose rank
 steers the decoder to the next chunk. Value 0 occupies exactly one chunk.
-Each level's chunks are a packed buffer: the file bytes themselves at the
-default 8-bit width, else an `array.array` of the smallest unsigned
-typecode that holds a chunk.
+Each level's chunks are an `array.array` of the smallest unsigned typecode
+that holds a chunk.
 
 A DAC file is its chunk width (u8) and length (u64), then per level its
 chunks in `b`-bit slots and its continuation flags in u64 words, as many
@@ -37,7 +36,7 @@ class Dac:
     __slots__ = ("chunk_bits", "length", "levels")
 
     def __init__(self, chunk_bits: int, length: int,
-                 levels: list[tuple[bytes | array, BitVector]]):
+                 levels: list[tuple[array, BitVector]]):
         self.chunk_bits = chunk_bits
         self.length = length
         self.levels = levels

@@ -12,7 +12,8 @@ Python step per triple: the distinct terms of each column are a `set`,
 the pools are the sorted set differences and intersection, each role's
 term -> id index is ``dict(zip(pool, count(1)))``, and the id columns
 are ``np.fromiter(map(index.__getitem__, column))``. Only the distinct
-terms pass through Python code, as in HDT's dictionary build.
+terms pass through Python code, as in HDT's dictionary build. The id rows
+keep the statements' order and repeats; the store sorts them.
 
 Each pool is front-coded (plain front coding, as in HDT), in the layout
 the store file keeps it (format v2):
@@ -208,9 +209,6 @@ class TermPool:
         b, r = divmod(i, BUCKET)
         return next(islice(self._bucket(b), r, None)).decode("utf-8")
 
-    def serialized_bytes(self) -> int:
-        return 8 * (len(self.offsets) + 1) + len(self.blob)
-
     def write(self, out) -> None:
         out.write(struct.pack("<Q", self.count))
         out.write(pack_fixed(self.offsets, 64))
@@ -287,10 +285,9 @@ class Dictionary:
                      objects: Sequence[str]):
         """Classify terms and encode the triples given as three term columns,
         row i being (subjects[i], predicates[i], objects[i]); returns
-        (dictionary, ids), with ids the sorted unique (s, p, o) id triples as
-        an (n, 3) int64 array.
-
-        The triples are sorted by (p, o, s), as the store orders its columns.
+        (dictionary, ids), with ids an (n, 3) int64 array whose row i is the
+        (s, p, o) ids of statement i. Nothing is sorted or dropped:
+        `TripleStore.build` orders the rows and collapses repeats.
         """
         s_terms, o_terms = set(subjects), set(objects)
         shared = sorted(s_terms & o_terms)
@@ -306,7 +303,7 @@ class Dictionary:
                                     len(column))
         pools = map(TermPool.from_terms, (shared, subject_only, object_only,
                                           predicate_pool))
-        return cls(*pools), sort_unique(ids)
+        return cls(*pools), ids
 
     # -- term -> id ----------------------------------------------------------
 
@@ -357,54 +354,12 @@ class Dictionary:
 
     # -- serialization -------------------------------------------------------
 
-    def _pools(self) -> tuple[TermPool, ...]:
-        return (self.shared, self.subject_only, self.object_only, self.predicates)
-
     def write(self, out) -> None:
-        for pool in self._pools():
+        for pool in (self.shared, self.subject_only, self.object_only,
+                     self.predicates):
             pool.write(out)
 
     @classmethod
     def read(cls, src) -> "Dictionary":
         return cls(*(TermPool.read(src) for _ in range(4)))
 
-    def serialized_bytes(self) -> int:
-        return sum(pool.serialized_bytes() for pool in self._pools())
-
-
-def sort_unique(ids: np.ndarray) -> np.ndarray:
-    """(s, p, o) id rows sorted by (p, o, s), duplicates dropped; rows that
-    already ascend strictly in that order come back as they are.
-
-    Ids are non-negative. When the bit widths of the largest p, o and s sum
-    to at most 63, each row packs into one int64 key p << (bo + bs) | o << bs
-    | s, whose order is the (p, o, s) order: one sort and one adjacent
-    comparison of the keys then stand in for a three-key lexsort. Wider ids
-    take the lexsort.
-    """
-    if len(ids) == 0:
-        return ids
-    s, p, o = ids[:, 0], ids[:, 1], ids[:, 2]
-    bs, bo, bp = (int(col.max()).bit_length() for col in (s, o, p))
-    if bp + bo + bs > 63:
-        ascending = (p[1:] > p[:-1]) | (p[1:] == p[:-1]) & (
-            (o[1:] > o[:-1]) | (o[1:] == o[:-1]) & (s[1:] > s[:-1]))
-        if ascending.all():
-            return ids
-        ids = ids[np.lexsort((s, o, p))]
-        s, p, o = ids[:, 0], ids[:, 1], ids[:, 2]
-        keep = np.ones(len(ids), dtype=bool)
-        keep[1:] = (s[1:] != s[:-1]) | (p[1:] != p[:-1]) | (o[1:] != o[:-1])
-        return ids[keep]
-    key = p.astype(np.int64) << (bo + bs)
-    key |= o.astype(np.int64) << bs
-    key |= s.astype(np.int64, copy=False)
-    if (key[1:] > key[:-1]).all():
-        return ids
-    key.sort()
-    key = key[np.r_[True, key[1:] != key[:-1]]]
-    out = np.empty((len(key), 3), dtype=ids.dtype)
-    out[:, 0] = key & ((1 << bs) - 1)
-    out[:, 1] = key >> (bo + bs)
-    out[:, 2] = key >> bs & ((1 << bo) - 1)
-    return out

@@ -19,7 +19,6 @@ from __future__ import annotations
 import struct
 from bisect import bisect_right
 from dataclasses import dataclass
-from io import BytesIO
 from math import prod
 
 import numpy as np
@@ -624,11 +623,6 @@ class K2Tree:
     def accel_bytes(self) -> int:
         return sum(part.accel_bytes for part in (self.tree_bits, self.leaf_ids)
                    if part is not None)
-
-    def serialized_bytes(self) -> int:
-        buf = BytesIO()
-        self.write(buf)
-        return buf.tell()
 
     # -- serialization ----------------------------------------------------
 

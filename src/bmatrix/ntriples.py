@@ -42,8 +42,10 @@ grammar takes a ``\n``, so a match never runs on into the next line, and
 characters `str.splitlines` breaks at (U+2028, U+0085, ``\x0b``,
 ``\x0c``, ``\x1c``, a lone ``\r``) are ordinary characters of a literal.
 
-`iter_file` reads about BLOCK_BYTES of whole lines at a time, decodes
-the block in one call and runs one ``findall`` of the grammar over it.
+`iter_file` recognises gzip input by its first two bytes, the gzip magic
+1f 8b; a ``.gz`` suffix means nothing to it. It reads about BLOCK_BYTES
+of whole lines at a time, decodes the block in one call and runs one
+``findall`` of the grammar over it.
 A memo maps each raw term the file has shown to its stored form, so each
 distinct raw term is unescaped once; the block comes back as three lists
 of stored terms. A block takes the line path instead, `parse_line` on
@@ -60,7 +62,6 @@ reported by default; a strict mode aborts on the first error.
 from __future__ import annotations
 
 import gzip
-import io
 import re
 from dataclasses import dataclass
 from operator import itemgetter
@@ -359,28 +360,21 @@ def _block_columns(lines: list[bytes], memo: dict[str, str]):
     return tuple(list(map(memo.__getitem__, column)) for column in columns)
 
 
-def open_source(path: str, gzip_mode: str = "auto") -> io.BufferedIOBase:
-    """Open an N-Triples file for binary reading, transparently gunzipping.
-
-    gzip_mode: "auto" decides by the .gz suffix, "on"/"off" force it.
-    """
-    if gzip_mode not in ("auto", "on", "off"):
-        raise ValueError(f"bad gzip mode {gzip_mode!r}")
-    use_gzip = gzip_mode == "on" or (gzip_mode == "auto" and path.endswith(".gz"))
-    return gzip.open(path, "rb") if use_gzip else open(path, "rb")
-
-
-def iter_file(path: str, *, gzip_mode: str = "auto", strict: bool = False,
+def iter_file(path: str, *, strict: bool = False,
               errors: list | None = None) -> Iterator[tuple[list, list, list]]:
     """The statements of an N-Triples file, one (subjects, predicates,
     objects) tuple of term lists per block of about BLOCK_BYTES.
 
+    A file whose first two bytes are the gzip magic 1f 8b is gunzipped as
+    it is read; the name, ".gz" or not, plays no part. The path is opened
+    once and its first bytes are peeked, not reread, so a pipe works too.
     Bad lines are skipped and appended to `errors` when given, in file
     order, as iter_triples reports them; strict mode raises the first.
     """
     memo: dict[str, str] = {}
     line_no = 1
-    with open_source(path, gzip_mode) as src:
+    with open(path, "rb") as raw, (gzip.GzipFile(fileobj=raw)
+                                   if raw.peek(2)[:2] == b"\x1f\x8b" else raw) as src:
         while lines := src.readlines(BLOCK_BYTES):
             columns = _block_columns(lines, memo)
             if columns is None:

@@ -70,8 +70,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from ._binio import pack_fixed, packed_array, read_exact, unpack_fixed
-from .dictionary import Dictionary, sort_unique
+from ._binio import pack_fixed, packed_array, read_exact, unpack_fixed, written_size
+from .dictionary import Dictionary
 from .k2tree import K2Config, K2Tree
 
 MAGIC = b"BMX1"
@@ -98,6 +98,37 @@ def shape_of(s, p, o) -> str:
     """The SHAPES key of a pattern whose unbound slots are None."""
     return ("?" if s is None else "s") + ("?" if p is None else "p") \
         + ("?" if o is None else "o")
+
+
+def sort_unique(ids: np.ndarray) -> np.ndarray:
+    """(s, p, o) id rows sorted by (p, o, s), duplicates dropped.
+
+    Ids are non-negative. When the bit widths of the largest p, o and s sum
+    to at most 63, each row packs into one int64 key p << (bo + bs) | o << bs
+    | s, whose order is the (p, o, s) order: one sort and one adjacent
+    comparison of the keys then stand in for a three-key lexsort. Wider ids
+    take the lexsort.
+    """
+    if len(ids) == 0:
+        return ids
+    s, p, o = ids[:, 0], ids[:, 1], ids[:, 2]
+    bs, bo, bp = (int(col.max()).bit_length() for col in (s, o, p))
+    if bp + bo + bs > 63:
+        ids = ids[np.lexsort((s, o, p))]
+        s, p, o = ids[:, 0], ids[:, 1], ids[:, 2]
+        keep = np.ones(len(ids), dtype=bool)
+        keep[1:] = (s[1:] != s[:-1]) | (p[1:] != p[:-1]) | (o[1:] != o[:-1])
+        return ids[keep]
+    key = p.astype(np.int64) << (bo + bs)
+    key |= o.astype(np.int64) << bs
+    key |= s.astype(np.int64, copy=False)
+    key.sort()
+    key = key[np.r_[True, key[1:] != key[:-1]]]
+    out = np.empty((len(key), 3), dtype=ids.dtype)
+    out[:, 0] = key & ((1 << bs) - 1)
+    out[:, 1] = key >> (bo + bs)
+    out[:, 2] = key >> bs & ((1 << bo) - 1)
+    return out
 
 
 def _row_of(tree: K2Tree, i: int) -> int:
@@ -144,10 +175,6 @@ class PredicateIndex:
             raise IndexError(f"column {i} out of range [0, {self.n})")
         return bisect_right(self.starts, i)
 
-    @property
-    def data_bytes(self) -> int:
-        return 8 * len(self.starts)
-
     def write(self, out) -> None:
         out.write(struct.pack("<Q", len(self.starts)))
         out.write(pack_fixed(self.starts, 64))
@@ -188,9 +215,11 @@ class TripleStore:
     @classmethod
     def build(cls, triples, n_subjects: int, n_objects: int, n_predicates: int,
               config: K2Config = K2Config()) -> "TripleStore":
-        """Build from (s, p, o) id triples, 1-based ids within the given dims.
+        """Build from (s, p, o) id triples, 1-based ids within the given dims,
+        in any order and with repeats.
 
-        Triples are sorted by (p, o, s); duplicates collapse to one column.
+        This is the one place that orders the triples: they are sorted by
+        (p, o, s), and duplicates collapse to one column.
         The subject tree is built on one extra thread, joined before this
         returns or raises; a subject-tree error wins over an object-tree one.
         """
@@ -341,13 +370,14 @@ class TripleStore:
     # -- space accounting ----------------------------------------------------
 
     def space_report(self) -> dict:
-        """Per-component sizes: serialized bytes and in-memory rank overhead."""
+        """Per-component sizes: the bytes each part writes, and its in-memory
+        rank overhead."""
         parts = {
-            "subject_tree": (self.subject_tree.serialized_bytes(),
+            "subject_tree": (written_size(self.subject_tree),
                              self.subject_tree.accel_bytes),
-            "object_tree": (self.object_tree.serialized_bytes(),
+            "object_tree": (written_size(self.object_tree),
                             self.object_tree.accel_bytes),
-            "pred_index": (self.pred_index.data_bytes, 0),
+            "pred_index": (written_size(self.pred_index), 0),
         }
         return {name: {"serialized": ser, "accel": acc, "total": ser + acc}
                 for name, (ser, acc) in parts.items()}

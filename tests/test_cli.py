@@ -5,6 +5,7 @@ import re
 import struct
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -62,8 +63,8 @@ def test_build_skips_bad_lines(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "line 2" in err
     assert f"parsed {src}: 1 statements, 1 bad lines" in err
-    assert re.search(r"^phases: parse \d+\.\d{3} s, dictionary\+sort \d+\.\d{3} s,"
-                     r" trees \d+\.\d{3} s, save \d+\.\d{3} s; [\d,]+ triples/s$",
+    assert re.search(r"^phases: parse \d+\.\d{3} s, dictionary \d+\.\d{3} s,"
+                     r" sort\+trees \d+\.\d{3} s, save \d+\.\d{3} s; [\d,]+ triples/s$",
                      err, re.M)
     assert cli.main(["build", str(src), "-o", str(out), "--strict"]) == 1
 
@@ -173,6 +174,62 @@ def test_gzip_build(tmp_path, capsys):
     assert cli.main(["build", str(src), "-o", str(out)]) == 0
     assert cli.main(["query", str(out), "?", "?", "?", "--count-only"]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "4"
+
+
+@pytest.mark.parametrize("name, data", [
+    ("x.nt", gzip.compress(CORPUS.encode())),     # gzip without the suffix
+    ("x.nt.gz", CORPUS.encode()),                 # plain text with the suffix
+], ids=["gzip-named-nt", "plain-named-gz"])
+def test_gzip_is_told_by_its_magic_bytes_not_the_name(built, tmp_path, name, data):
+    _, plain_out = built
+    src = tmp_path / name
+    src.write_bytes(data)
+    out = tmp_path / "named.bmx"
+    assert cli.main(["build", str(src), "-o", str(out)]) == 0
+    assert out.read_bytes() == plain_out.read_bytes()
+    assert cli.main(["verify", str(out), str(src), "--sample", "10"]) == 0
+
+
+def test_gzip_build_from_a_pipe(built, tmp_path):
+    _, plain_out = built
+    fifo = tmp_path / "pipe.nt"
+    os.mkfifo(fifo)
+
+    def feed():
+        with open(fifo, "wb") as pipe:
+            pipe.write(gzip.compress(CORPUS.encode()))
+    writer = threading.Thread(target=feed)
+    writer.start()
+    try:
+        out = tmp_path / "pipe.bmx"
+        assert cli.main(["build", str(fifo), "-o", str(out)]) == 0
+    finally:
+        writer.join(timeout=60)
+    assert out.read_bytes() == plain_out.read_bytes()
+
+
+def test_cut_or_bad_gzip_input_is_a_clean_error(tmp_path, capsys):
+    data = gzip.compress(CORPUS.encode() * 50)
+    for name, cut in (("cut.nt", data[:len(data) // 2]), ("bad.nt", data[:2] + b"x" * 30)):
+        src = tmp_path / name
+        src.write_bytes(cut)
+        assert cli.main(["build", str(src), "-o", str(tmp_path / "x.bmx")]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("options", [[], ["--leaf", "1"], ["--vocab", "cols-rank"]])
+def test_space_report_adds_up_to_the_file_size(tmp_path, capsys, options):
+    src = tmp_path / "corpus.nt"
+    src.write_text(CORPUS)
+    out = tmp_path / "corpus.bmx"
+    assert cli.main(["build", str(src), "-o", str(out), *options]) == 0
+    capsys.readouterr()
+    assert cli.main(["stats", str(out)]) == 0
+    report = capsys.readouterr().out
+    parts = [int(re.search(rf"^  {name} +(\d+) ", report, re.M)[1])
+             for name in ("subject_tree", "object_tree", "pred_index", "dictionary")]
+    # magic and version (6 bytes) and the CRC32 (4) frame the four parts
+    assert sum(parts) + 10 == os.path.getsize(out)
 
 
 def test_verify_ok(built, capsys):

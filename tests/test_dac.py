@@ -1,11 +1,13 @@
 import io
 import random
 import struct
+import sys
 import warnings
+from array import array
 
 import pytest
 
-from bmatrix._binio import pack_fixed, unpack_fixed
+from bmatrix._binio import pack_fixed, packed_array, unpack_fixed
 from bmatrix.dac import Dac
 from bmatrix.k2tree import K2Config
 
@@ -179,6 +181,28 @@ def test_serialization_round_trip():
     assert buf.getvalue() == struct.pack("<BQ", 3, 0)     # no levels
     back = Dac.read(io.BytesIO(buf.getvalue()))
     assert (back.chunk_bits, len(back), back.levels) == (3, 0, [])
+
+
+@pytest.mark.parametrize("b", [1, 3, 8, 13, 16])
+def test_built_and_loaded_dacs_hold_the_same_chunk_type(b):
+    rng = random.Random(5)
+    d = Dac.encode([rng.randrange(1 << 40) for _ in range(500)], chunk_bits=b)
+    buf = io.BytesIO()
+    d.write(buf)
+    buf.seek(0)
+    back = Dac.read(buf)
+    assert len(back.levels) == len(d.levels) > 1
+    for (built, _), (loaded, _) in zip(d.levels, back.levels):
+        assert type(built) is type(loaded) is array
+        assert (loaded.typecode, list(loaded)) == (built.typecode, list(built))
+
+
+@pytest.mark.parametrize("values", [[], [7], [255] * 1000, [300] * 999,
+                                    list(range(70_000)), [1 << 40, 3]])
+def test_packed_array_is_sized_exactly(values):
+    a = packed_array(values)
+    assert list(a) == values
+    assert sys.getsizeof(a) == sys.getsizeof(array(a.typecode)) + a.itemsize * len(a)
 
 
 @pytest.mark.parametrize("width", [0, 3, 16])

@@ -103,10 +103,6 @@ def test_gzip_input(tmp_path):
     zipped.write_bytes(gzip.compress(b"<a> <p> <c> .\n"))
     assert file_triples(plain)[0].object == "b"
     assert file_triples(zipped)[0].object == "c"
-    # forced modes
-    assert file_triples(zipped, gzip_mode="on")[0].object == "c"
-    with pytest.raises(OSError):
-        file_triples(plain, gzip_mode="on")
 
 
 def test_bad_utf8_is_a_diagnostic(tmp_path):

@@ -11,7 +11,7 @@ from bmatrix.k2tree import (K2Config, K2Tree, MAX_SIDE, VOCAB_COLS_FULL,
                             VOCAB_COLS_RANK, VOCAB_ENCODINGS, VOCAB_PLAIN)
 from bmatrix.oracle import TripleList
 from bmatrix.store import (SHAPES, PredicateIndex, TripleStore, read_store,
-                           write_store)
+                           sort_unique, write_store)
 from bmatrix.dictionary import BUCKET, Dictionary
 
 # running example: triples {(1,1,1),(2,1,2),(1,2,2),(2,2,1)} as (s,p,o);
@@ -152,6 +152,24 @@ def test_column_bijection(store_e):
 def test_duplicates_collapse():
     store = TripleStore.build(E + E, 2, 2, 2, config=SMALL)
     assert store.n == 4
+
+
+def test_sort_unique_matches_np_unique():
+    rng = np.random.default_rng(3)
+    inputs = [rng.integers(1, 6, (n, 3)) for n in (0, 1, 2, 50, 3000)]
+    # widths summing past 63 bits take the lexsort path
+    wide = rng.integers(1, 1 << 31, (3000, 3), endpoint=True)
+    wide[::3] = wide[1::3]
+    # widths of exactly 63 bits (p 21, o 21, s 21) are the edge of the packed key
+    edge = rng.integers(1 << 20, 1 << 21, (3000, 3))
+    edge[::3] = edge[2::3]
+    edge[-2:] = [[1, (1 << 21) - 1, 1], [(1 << 21) - 1, 1, (1 << 21) - 1]]
+    for ids in inputs + [wide, edge]:
+        got = sort_unique(ids)
+        want = np.unique(ids[:, [1, 2, 0]], axis=0)[:, [2, 0, 1]]
+        assert got.tolist() == want.reshape(-1, 3).tolist()
+        # input that is already sorted and unique comes back equal
+        assert sort_unique(got).tolist() == got.tolist()
 
 
 def test_id_bounds_rejected():
