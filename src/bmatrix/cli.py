@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from . import ntriples, store as store_mod
 from ._binio import written_size
 from .dictionary import Dictionary
-from .k2tree import K2Config, VOCAB_COLS_FULL, VOCAB_ENCODINGS
+from .bitvector import SAMPLE_PRESETS
+from .k2tree import K2Config, VOCAB_ENCODINGS
 from .oracle import TripleList
 from .store import SHAPES, TripleStore, shape_of
 
@@ -33,8 +34,6 @@ ROLES = ("subject", "predicate", "object")
 class TermNotFound(LookupError):
     def __init__(self, token: str, role: str):
         super().__init__(f"{role} term not found: {token}")
-        self.token = token
-        self.role = role
 
 
 # -- pattern parsing ----------------------------------------------------------
@@ -154,11 +153,15 @@ def _read_terms(columns: tuple[list[str], ...], path: str,
     return errors
 
 
-def cmd_build(args) -> int:
-    config = K2Config(k1=args.k1, k1_levels=args.k1_levels, k2=args.k2,
-                      leaf_side=args.leaf, vocab_encoding=args.vocab,
-                      sample_preset=args.sample)
+def build_config(args) -> K2Config:
+    """The K2Config that `bmx build`'s options name."""
+    return K2Config(k1=args.k1, k1_levels=args.k1_levels, k2=args.k2,
+                    leaf_side=args.leaf, vocab_encoding=args.vocab,
+                    sample_preset=args.sample)
 
+
+def cmd_build(args) -> int:
+    config = build_config(args)   # refuse bad options before reading the input
     t0 = time.perf_counter()
     columns: tuple[list[str], ...] = ([], [], [])
     for path in args.inputs:
@@ -216,12 +219,9 @@ def cmd_query(args) -> int:
         for ts, tp, to in triples:
             print(f"#{ts}\t#{tp}\t#{to}" if args.tsv else f"#{ts} #{tp} #{to}")
         return 0
-    covered = (dictionary.subject_count, dictionary.predicate_count,
-               dictionary.object_count)
-    if triples and covered != (store.n_subjects, store.n_predicates,
-                               store.n_objects):
-        print("error: the store's dictionary does not cover its ids (was it"
-              " saved without one?); use --ids", file=sys.stderr)
+    if triples and not dictionary.predicate_count:  # a load refuses a partial dictionary
+        print("error: the store was saved without a dictionary; use --ids",
+              file=sys.stderr)
         return 1
     dec_s, dec_p, dec_o = _decoders(dictionary)
     for ts, tp, to in triples:
@@ -241,7 +241,7 @@ def cmd_stats(args) -> int:
     _print_counts(store, dictionary, sys.stdout)
     for name, tree in (("subject tree", store.subject_tree),
                        ("object tree", store.object_tree)):
-        levels = "x".join(map(str, tree.ks)) or "none"
+        levels = "x".join(map(str, tree.ks))
         vocab = tree.vocab.encoding if tree.vocab is not None else "none"
         print(f"{name:<18} side {tree.side}, levels {levels},"
               f" leaf {tree.leaf_side}x{tree.leaf_side}, vocab {vocab},"
@@ -435,16 +435,17 @@ def build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("build", help="build a store file from N-Triples input")
     b.add_argument("inputs", nargs="+", help="N-Triples files, plain or gzip")
     b.add_argument("-o", "--output", required=True, help="store file to write")
-    b.add_argument("--k1", type=int, default=4, help="branching side of the top levels")
-    b.add_argument("--k1-levels", type=int, default=5,
+    b.add_argument("--k1", type=int, default=K2Config.k1,
+                   help="branching side of the top levels")
+    b.add_argument("--k1-levels", type=int, default=K2Config.k1_levels,
                    help="most levels of side k1; fewer when they reach past the matrix")
-    b.add_argument("--k2", type=int, default=2,
+    b.add_argument("--k2", type=int, default=K2Config.k2,
                    help="branching side of the levels below the k1 levels")
-    b.add_argument("--leaf", type=int, default=8,
+    b.add_argument("--leaf", type=int, default=K2Config.leaf_side,
                    help="leaf matrix side: 2, 4 or 8, or 1 for no leaf vocabulary")
-    b.add_argument("--vocab", default=VOCAB_COLS_FULL, choices=VOCAB_ENCODINGS,
+    b.add_argument("--vocab", default=K2Config.vocab_encoding, choices=VOCAB_ENCODINGS,
                    help="leaf vocabulary encoding")
-    b.add_argument("--sample", default="default", choices=["default", "dense"],
+    b.add_argument("--sample", default=K2Config.sample_preset, choices=SAMPLE_PRESETS,
                    help="bitmap rank sampling preset (~5%% or 12.5%% overhead)")
     b.add_argument("--strict", action="store_true",
                    help="abort on the first malformed input line")
@@ -491,9 +492,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ntriples.ParseError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
     except (OSError, ValueError, EOFError) as err:  # gzip: EOFError if cut short
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -76,20 +76,16 @@ class Dac:
         return value
 
     def values(self) -> np.ndarray:
-        """All encoded values in order, as uint64, decoded a level at a time:
-        level l+1's chunks belong to the values at level l's continuation ones."""
-        if not self.levels:
-            return np.zeros(0, dtype=np.uint64)
-        levels = self.levels
-        values = as_uint(levels[0][0]).astype(np.uint64)
-        owner = np.arange(self.length)  # the value each chunk of a level belongs to
-        for lvl in range(1, len(levels)):
-            flags = levels[lvl - 1][1]
+        """All encoded values in order, as uint64, decoded a level at a time
+        from the last: level l+1's chunks, and the higher bits decoded with
+        them, belong to the values at level l's continuation ones."""
+        values = np.zeros(0, dtype=np.uint64)
+        for chunks, flags in reversed(self.levels):
             more = np.unpackbits(np.frombuffer(flags.data, dtype=np.uint8),
                                  count=flags.length, bitorder="little")
-            owner = owner[more.view(bool)]
-            values[owner] |= as_uint(levels[lvl][0]).astype(np.uint64) << np.uint64(
-                lvl * self.chunk_bits)
+            higher = values << np.uint64(self.chunk_bits)
+            values = as_uint(chunks).astype(np.uint64)
+            values[np.flatnonzero(more)] |= higher
         return values
 
     def __len__(self) -> int:

@@ -84,7 +84,8 @@ def plan_levels(config: K2Config, max_dim: int) -> list[int]:
     Picks the smallest side k1^a * k2^b * leaf_side >= max_dim with
     a <= k1_levels, and the largest a when sides tie. Small matrices
     simply use fewer k1 levels. At least one level is always planned, a k2
-    level when leaf_side alone covers max_dim, so T:L is never degenerate.
+    level when leaf_side alone covers max_dim, so T:L is never degenerate
+    and an empty matrix (max_dim 0) gets one k2 level.
     """
     target = max(int(max_dim), 1)
     best = None  # (side, a, b)
@@ -293,10 +294,10 @@ class LeafVocabulary:
 class K2Tree:
     """k2-tree over an n_rows x n_cols binary matrix, immutable after build.
 
-    Its padded side is prod(ks) * leaf_side, or 0 for an empty matrix (no
-    levels). tree_bits holds every level (T:L). With leaf side 1 the last
-    level's bits are the cells; otherwise the last level's j-th set bit is
-    the leaf whose vocab id is leaf_ids[j].
+    Its padded side is prod(ks) * leaf_side, and it has at least one
+    level, an empty matrix's too. tree_bits holds every level (T:L). With
+    leaf side 1 the last level's bits are the cells; otherwise the last
+    level's j-th set bit is the leaf whose vocab id is leaf_ids[j].
     """
 
     __slots__ = ("n_rows", "n_cols", "ks", "leaf_side", "side", "tree_bits",
@@ -309,7 +310,7 @@ class K2Tree:
         self.n_cols = n_cols
         self.ks = ks
         self.leaf_side = leaf_side
-        self.side = prod(ks) * leaf_side if ks else 0
+        self.side = prod(ks) * leaf_side
         self.tree_bits = tree_bits
         self.leaf_ids = leaf_ids
         self.vocab = vocab
@@ -339,11 +340,6 @@ class K2Tree:
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise ValueError("points must be (row, col) pairs")
         rows, cols = pts[:, 0], pts[:, 1]
-        if n_rows == 0 or n_cols == 0:
-            if pts.shape[0]:
-                raise ValueError("points given for an empty matrix")
-            return cls(int(n_rows), int(n_cols), [], config.leaf_side,
-                       BitVector((), config.sample_rate))
         if pts.shape[0] and (
                 rows.min() < 0 or rows.max() >= n_rows
                 or cols.min() < 0 or cols.max() >= n_cols):
@@ -362,37 +358,26 @@ class K2Tree:
         leaf_code = (_path_part(rows // leaf_side, leaf_rows, ks, row_weight)
                      + _path_part(cols // leaf_side, leaf_cols, ks, col_weight))
 
-        if leaf_side > 1:
-            # one sort of (code, bit in leaf) keys; codes are below
-            # (MAX_SIDE / leaf_side)^2, so the keys are below 2^62
-            shift = 2 * (leaf_side.bit_length() - 1)
-            key = leaf_code << shift | (rows % leaf_side) * leaf_side + cols % leaf_side
-            key.sort()
-            lc = key >> shift
-            starts = np.flatnonzero(np.diff(lc, prepend=-1))  # each code's first key
-            codes = lc[starts]
-            patterns = np.bitwise_or.reduceat(
-                np.uint64(1) << (key & ((1 << shift) - 1)).astype(np.uint64), starts)
-        else:
-            codes = np.unique(leaf_code)
-
-        tree = BitVector(np.concatenate(_level_bits(codes, ks)), rate)
+        # one sort of (code, bit in leaf) keys; codes are below
+        # (MAX_SIDE / leaf_side)^2, so the keys are below 2^62
+        shift = 2 * (leaf_side.bit_length() - 1)
+        key = leaf_code << shift | (rows % leaf_side) * leaf_side + cols % leaf_side
+        key.sort()
+        lc = key >> shift
+        starts = np.flatnonzero(np.diff(lc, prepend=-1))  # each code's first key
+        tree = BitVector(np.concatenate(_level_bits(lc[starts], ks)), rate)
         if leaf_side == 1:
             return cls(int(n_rows), int(n_cols), ks, leaf_side, tree)
 
-        if patterns.size:
-            uniq_pat, first, inverse, counts = np.unique(
-                patterns, return_index=True, return_inverse=True,
-                return_counts=True)
-            by_freq = np.lexsort((first, -counts))
-            rank_of = np.empty(len(uniq_pat), dtype=np.int64)
-            rank_of[by_freq] = np.arange(len(uniq_pat))
-            ids = rank_of[inverse]
-            vocab_patterns = uniq_pat[by_freq]
-        else:
-            ids = np.zeros(0, dtype=np.int64)
-            vocab_patterns = np.zeros(0, dtype=np.uint64)
-        vocab = LeafVocabulary.build(vocab_patterns, leaf_side, config.vocab_encoding)
+        patterns = np.bitwise_or.reduceat(
+            np.uint64(1) << (key & ((1 << shift) - 1)).astype(np.uint64), starts)
+        uniq_pat, first, inverse, counts = np.unique(
+            patterns, return_index=True, return_inverse=True, return_counts=True)
+        by_freq = np.lexsort((first, -counts))
+        rank_of = np.empty(len(uniq_pat), dtype=np.int64)
+        rank_of[by_freq] = np.arange(len(uniq_pat))
+        ids = rank_of[inverse]
+        vocab = LeafVocabulary.build(uniq_pat[by_freq], leaf_side, config.vocab_encoding)
         leaf_ids = Dac.encode(ids, config.dac_chunk_bits, rate)
         return cls(int(n_rows), int(n_cols), ks, leaf_side, tree,
                    leaf_ids=leaf_ids, vocab=vocab)
@@ -479,7 +464,6 @@ class K2Tree:
                 leaf = self.vocab.cells(self.leaf_ids.access(ordinal))
                 return leaf >> (r % side * side + c % side) & 1 == 1
             base = self._level_start[lvl + 1] + ordinal * self._arity[lvl + 1]
-        return False  # depth 0: an empty matrix
 
     def _walk(self, r_lo: int, r_hi: int, c_lo: int, c_hi: int,
               limit: int = 0) -> tuple[list[int], list[int]]:
@@ -490,7 +474,7 @@ class K2Tree:
         ascending rows. An empty range gives no cells."""
         rows, cols = [], []
         ks = self.ks
-        if not ks or r_lo > r_hi or c_lo > c_hi:
+        if r_lo > r_hi or c_lo > c_hi:
             return rows, cols
         tree = self.tree_bits
         tdata = tree.data
@@ -644,16 +628,13 @@ class K2Tree:
             raise ValueError(f"unknown sample preset byte {preset}")
         rate = SAMPLE_PRESETS[PRESET_BYTES[preset]]
         ks = list(read_exact(src, depth))
-        side = prod(ks) * leaf_side if ks else 0
-        # a matrix has levels iff it has rows and columns
-        fits = (min(ks) >= 2 and 0 < min(n_rows, n_cols)
-                and max(n_rows, n_cols) <= side <= MAX_SIDE if ks
-                else min(n_rows, n_cols) == 0)
-        if leaf_side not in LEAF_SIDES or not fits:
+        side = prod(ks) * leaf_side
+        if (leaf_side not in LEAF_SIDES or not ks or min(ks) < 2
+                or not max(n_rows, n_cols) <= side <= MAX_SIDE):
             raise ValueError(f"tree geometry does not add up: side {side}, leaf side"
                              f" {leaf_side}, {depth} levels, {n_rows}x{n_cols} matrix")
         tree = BitVector.read(src, rate)
-        if not ks or leaf_side == 1:
+        if leaf_side == 1:
             return cls(n_rows, n_cols, ks, leaf_side, tree)
         leaf_ids = Dac.read(src, rate)
         vocab = LeafVocabulary.read(src, leaf_side)

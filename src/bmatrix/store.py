@@ -21,7 +21,7 @@ a tree build. Both builds only read their inputs and the build path keeps
 no module state, so the trees are a sequential build's, bit for bit.
 Errors surface in subject-then-object order.
 
-A store file (format version 7) is, little-endian throughout: the magic
+A store file (format version 8) is, little-endian throughout: the magic
 "BMX1" and the u16 format version, then the dictionary's four pools
 (shared, subject-only, object-only, predicates; front-coded, see
 `dictionary`), the predicate index (u64 start count, u64 run starts),
@@ -29,8 +29,8 @@ the subject tree and the object tree, then a u32 CRC32 (`zlib.crc32`) of
 every byte before it, and nothing after that. Each tree is its leaf side
 (u8), sampling preset byte (u8), rows and columns (u64 each), level count
 (u16), one k byte per level and its tree bits T:L (u64 bit count, then
-u64 words), every level in one bitmap; a tree with levels and a leaf side
-above 1 then holds its DAC leaf ids and leaf vocabulary (see `Dac` and
+u64 words), every level in one bitmap; a tree with a leaf side above 1
+then holds its DAC leaf ids and leaf vocabulary (see `Dac` and
 `LeafVocabulary`). Each count is written once, in the part that owns it:
 the store's triples are the last run start, its predicates one fewer than
 the run starts, and its subjects and objects the rows of their trees.
@@ -43,14 +43,16 @@ still refuses a file, with a ValueError, when:
 - a read runs into the checksum, or bytes lie between the object tree
   and the checksum;
 - a pool fails the dictionary's checks, or a count does not fit its bytes;
+- the dictionary's subject, predicate and object counts are not the
+  store's, unless all three are 0 (a store saved without a dictionary);
 - a packed field (a bitmap, DAC chunks, vocabulary leaves, flags or
   rows) has a set bit past its length;
 - a tag byte names no known sampling preset or vocabulary encoding;
 - the two trees' columns and the predicate index's triples differ;
 - a tree's geometry does not add up: a leaf side other than 1, 2, 4 or
-  8, a k below 2, a side prod(ks) * leaf side below its rows or columns
-  or above MAX_SIDE, levels for a matrix without rows or columns or none
-  for one with both, or a tree-bit or leaf count other than its levels need;
+  8, no level, a k below 2, a side prod(ks) * leaf side below its rows
+  or columns or above MAX_SIDE, or a tree-bit or leaf count other than
+  its levels need;
 - a tree's leaf id is at or past its vocabulary's count;
 - a DAC's chunk width is outside 1 to 64, its continuation flags go on
   past the levels that 64-bit values need, or a chunk has bits past bit 63;
@@ -75,7 +77,7 @@ from .dictionary import Dictionary
 from .k2tree import K2Config, K2Tree
 
 MAGIC = b"BMX1"
-FORMAT_VERSION = 7
+FORMAT_VERSION = 8
 
 DEFAULT_MERGE_THRESHOLD = 10
 
@@ -425,6 +427,12 @@ def read_store(src) -> tuple[TripleStore, Dictionary]:
             f"the subject tree's {subject_tree.n_cols} columns, the object tree's"
             f" {object_tree.n_cols} and the predicate index's {pidx.n} triples"
             " are not one triple count")
+    d = dictionary
+    if (d.subject_count or d.predicate_count or d.object_count) and not (
+            d.subject_count == subject_tree.n_rows and d.object_count == object_tree.n_rows
+            and d.predicate_count == pidx.n_predicates):
+        raise ValueError(f"the dictionary's {d.subject_count} subjects, {d.predicate_count}"
+                         f" predicates and {d.object_count} objects are not the store's")
     return TripleStore(subject_tree, object_tree, pidx), dictionary
 
 

@@ -15,6 +15,7 @@ import bmatrix
 from bmatrix._binio import pack_fixed
 from tree_layout import packed_fields, reseal, section_offsets, tree_offsets
 from bmatrix import cli, store as store_mod
+from bmatrix.k2tree import K2Config
 from bmatrix.store import TripleStore
 
 CORPUS = """\
@@ -67,6 +68,13 @@ def test_build_skips_bad_lines(tmp_path, capsys):
                      r" sort\+trees \d+\.\d{3} s, save \d+\.\d{3} s; [\d,]+ triples/s$",
                      err, re.M)
     assert cli.main(["build", str(src), "-o", str(out), "--strict"]) == 1
+    err = capsys.readouterr().err
+    assert "error: line 2:" in err and "Traceback" not in err
+
+
+def test_build_defaults_are_the_k2config_defaults():
+    args = cli.build_parser().parse_args(["build", "x", "-o", "y"])
+    assert cli.build_config(args) == K2Config()
 
 
 def test_build_does_not_depend_on_the_hash_seed(tmp_path):
@@ -95,7 +103,7 @@ def test_build_empty_file(tmp_path, capsys):
     assert "triples            0" in built_out
     assert cli.main(["stats", str(out)]) == 0
     stats_out = capsys.readouterr().out
-    assert ("object tree        side 0, levels none, leaf 8x8, vocab none,"
+    assert ("object tree        side 16, levels 2, leaf 8x8, vocab cols-full,"
             " sampling default") in stats_out
     # no triples and no terms: every ratio is "-", not bytes over 1
     for report in (built_out, stats_out):
@@ -592,7 +600,7 @@ def test_leaf_id_bits_past_bit_63_are_a_clean_error(built, capsys, command):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7])
 def test_old_store_version_asks_for_a_rebuild(built, capsys, version):
     _, out = built
     data = bytearray(out.read_bytes())
@@ -600,6 +608,36 @@ def test_old_store_version_asks_for_a_rebuild(built, capsys, version):
     out.write_bytes(bytes(data))
     assert cli.main(["stats", str(out)]) == 1
     assert "rebuild" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tree", ["subject_tree", "object_tree"])
+@pytest.mark.parametrize("command", [["stats"], ["query", "<http://x/c>", "?", "?"],
+                                     ["query", "?", "?", "?"]])
+def test_dictionary_counts_must_match_the_store(built, capsys, tree, command):
+    """A tree with one row fewer than the dictionary has terms for is
+    refused at load, so no dictionary id can fall outside the store."""
+    _, out = built
+    store = store_mod.load(str(out))[0]
+    at = tree_offsets(getattr(store, tree), section_offsets(out)[tree])["rows"]
+    data = bytearray(out.read_bytes())
+    rows = getattr(store, tree).n_rows
+    assert int.from_bytes(data[at:at + 8], "little") == rows
+    data[at:at + 8] = (rows - 1).to_bytes(8, "little")
+    out.write_bytes(reseal(data))
+    capsys.readouterr()
+    assert cli.main([command[0], str(out), *command[1:]]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert "are not the store's" in err
+
+
+def test_a_store_without_a_dictionary_answers_only_by_id(tmp_path, capsys):
+    out = tmp_path / "ids.bmx"
+    store_mod.save(str(out), TripleStore.build([(1, 1, 2), (2, 1, 1)], 2, 2, 1))
+    assert cli.main(["query", str(out), "?", "?", "?"]) == 1
+    assert "saved without a dictionary; use --ids" in capsys.readouterr().err
+    assert cli.main(["query", str(out), "#1", "?", "?", "--ids"]) == 0
+    assert capsys.readouterr().out == "#1 #1 #2\n"
 
 
 @pytest.mark.parametrize("options", [[], ["--leaf", "1"]])

@@ -100,9 +100,11 @@ def test_children_base():
 
 def test_zero_dims_and_bad_points():
     t = K2Tree.build([], 0, 5, K2_PLAIN)
-    assert t.side == 0
-    with pytest.raises(ValueError):
-        K2Tree.build([(0, 0)], 0, 5, K2_PLAIN)
+    assert t.ks == plan_levels(K2_PLAIN, 5) and t.side >= 5
+    assert t.rect(0, -1, 0, 4) == [] == t.col(4)
+    for pts, n_rows, n_cols in (([(0, 0)], 0, 5), ([(0, 0)], 5, 0), ([(0, 0)], 0, 0)):
+        with pytest.raises(ValueError, match="outside matrix bounds"):
+            K2Tree.build(pts, n_rows, n_cols, K2_PLAIN)
     with pytest.raises(ValueError):
         K2Tree.build([(4, 0)], 4, 4, K2_PLAIN)
     with pytest.raises(IndexError):
@@ -405,17 +407,19 @@ def test_unknown_tag_byte_is_named(field, value, message):
         K2Tree.read(io.BytesIO(bytes(data)))
 
 
-@pytest.mark.parametrize("rows, cols", [(0, 120), (50, 0)])
-def test_levels_for_a_matrix_without_rows_or_columns_are_refused(rows, cols):
-    """Queries would index a row or column range the matrix lacks."""
-    nc = 120
-    t = K2Tree.build(np.column_stack((np.arange(nc) % 50, np.arange(nc))), 50, nc)
+@pytest.mark.parametrize("rows, cols", [(0, 0), (0, 120), (50, 120)])
+@pytest.mark.parametrize("leaf_side", [1, 8])
+def test_a_tree_without_levels_is_refused(rows, cols, leaf_side):
+    """Every tree has at least one level, an empty matrix's too: a header
+    with depth 0 is refused whatever the matrix."""
+    pts = np.column_stack((np.arange(cols) % 50, np.arange(cols))) if rows else []
+    t = K2Tree.build(pts, rows, cols, K2Config(leaf_side=leaf_side))
     buf = io.BytesIO()
     t.write(buf)
     data = bytearray(buf.getvalue())
     at = tree_offsets(t)
-    data[at["rows"]:at["rows"] + 8] = rows.to_bytes(8, "little")
-    data[at["cols"]:at["cols"] + 8] = cols.to_bytes(8, "little")
+    data[at["depth"]:at["depth"] + 2] = (0).to_bytes(2, "little")
+    del data[at["ks"]:at["ks"] + len(t.ks)]
     with pytest.raises(ValueError, match="tree geometry does not add up"):
         K2Tree.read(io.BytesIO(bytes(data)))
 

@@ -8,7 +8,8 @@ import pytest
 
 from bmatrix import store as store_mod
 from bmatrix.k2tree import (K2Config, K2Tree, MAX_SIDE, VOCAB_COLS_FULL,
-                            VOCAB_COLS_RANK, VOCAB_ENCODINGS, VOCAB_PLAIN)
+                            VOCAB_COLS_RANK, VOCAB_ENCODINGS, VOCAB_PLAIN,
+                            plan_levels)
 from bmatrix.oracle import TripleList
 from bmatrix.store import (SHAPES, PredicateIndex, TripleStore, read_store,
                            sort_unique, write_store)
@@ -23,6 +24,12 @@ SMALL = K2Config(k1_levels=0, leaf_side=1)
 @pytest.fixture
 def store_e():
     return TripleStore.build(E, 2, 2, 2, config=SMALL)
+
+
+def store_bytes(store: TripleStore) -> bytes:
+    buf = io.BytesIO()
+    write_store(buf, store, Dictionary.empty())
+    return buf.getvalue()
 
 
 def test_build_matrices(store_e):
@@ -90,14 +97,27 @@ def test_predicate_of_matches_searchsorted(seed):
 def test_spo(store_e):
     assert store_e.contains(1, 1, 1) is True
     assert store_e.contains(1, 1, 2) is False
-    # a store without triples answers every shape from its empty trees,
-    # by either strategy of (s, ?, o) and (?, p, ?)
-    for config, threshold in ((SMALL, 10), (K2Config(), 10), (K2Config(), -1)):
-        empty = TripleStore.build([], 2, 2, 2, config=config)
-        empty.merge_sorted = empty.merge_unsorted = threshold
-        for shape, method in SHAPES.items():
-            bound = [1] * (3 - shape.count("?"))
-            assert getattr(empty, method)(*bound) == ([] if "?" in shape else False)
+    # a store without triples answers every shape from its empty trees, by
+    # either strategy of (s, ?, o) and (?, p, ?), and saves the same after a
+    # load; each empty tree has levels like any other
+    for config in [SMALL] + THREADED_CONFIGS + [
+            K2Config(leaf_side=4, vocab_encoding=e) for e in VOCAB_ENCODINGS]:
+        for dim in (2, 0):
+            empty = TripleStore.build([], dim, dim, dim, config=config)
+            for tree in (empty.subject_tree, empty.object_tree):
+                assert tree.ks == plan_levels(config, 0) and tree.side > 0
+            for threshold in (10, -1):
+                empty.merge_sorted = empty.merge_unsorted = threshold
+                for shape, method in SHAPES.items():
+                    bound = [1] * (3 - shape.count("?"))
+                    if dim == 0 and bound:
+                        with pytest.raises(IndexError):
+                            getattr(empty, method)(*bound)
+                    else:
+                        assert getattr(empty, method)(*bound) == (
+                            [] if "?" in shape else False)
+            saved = store_bytes(empty)
+            assert store_bytes(read_store(io.BytesIO(saved))[0]) == saved
 
 
 def test_sp(store_e):
