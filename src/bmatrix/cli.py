@@ -246,6 +246,13 @@ def cmd_stats(args) -> int:
         print(f"{name:<18} side {tree.side}, levels {levels},"
               f" leaf {tree.leaf_side}x{tree.leaf_side}, vocab {vocab},"
               f" sampling {tree.sample_preset}")
+        dac = tree.leaf_ids
+        if dac is None:
+            print(f"{'':<18} leaf ids: none")
+        else:
+            widths = "+".join(map(str, dac.widths))
+            chunks = "/".join(str(len(flags)) for _, _, flags in dac.levels)
+            print(f"{'':<18} leaf ids: widths {widths or '-'}, chunks {chunks or '0'}")
     _print_space_report(store, dictionary, sys.stdout)
     return 0
 

@@ -53,7 +53,7 @@ import operator
 import struct
 from array import array
 from bisect import bisect_right
-from itertools import accumulate, chain, count, islice
+from itertools import chain, count, islice
 from typing import Sequence
 
 import numpy as np
@@ -61,8 +61,6 @@ import numpy as np
 from ._binio import pack_fixed, packed_array, read_exact
 
 BUCKET = 16
-
-_ONE_BYTE = [bytes((value,)) for value in range(0x80)]
 
 
 def _shared_prefixes(blob: bytes, starts: np.ndarray,
@@ -97,34 +95,55 @@ def _shared_prefixes(blob: bytes, starts: np.ndarray,
 
 
 def _front_code(encoded: list[bytes]) -> tuple[bytes, list[int]]:
-    """Sorted UTF-8 terms as a front-coded blob and its bucket offsets."""
-    plain = np.fromiter(accumulate(map(len, encoded), initial=0), np.int64,
-                        len(encoded) + 1)
-    shared = _shared_prefixes(b"".join(encoded), plain[:-1], np.diff(plain))
-    blob = bytearray()
-    offsets = []
-    for i, (term, n) in enumerate(zip(encoded, shared.tolist())):
-        if i % BUCKET == 0:
-            offsets.append(len(blob))
-            blob += _vbyte(len(term))
-            blob += term
-        else:
-            blob += _vbyte(n)
-            blob += _vbyte(len(term) - n)
-            blob += term[n:]
-    offsets.append(len(blob))
-    return bytes(blob), offsets
+    """Sorted UTF-8 terms as a front-coded blob and its bucket offsets.
+
+    All terms at once: each term's vbyte fields (its length for a bucket
+    head, else its shared-prefix and suffix lengths) are scattered to its
+    start, and the term bytes outside the shared prefixes fill the rest
+    of the blob in order.
+    """
+    n = len(encoded)
+    joined = b"".join(encoded)
+    lengths = np.fromiter(map(len, encoded), np.int64, n)
+    plain = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(lengths, out=plain[1:])
+    shared = _shared_prefixes(joined, plain[:-1], lengths)
+    head = np.arange(n) % BUCKET == 0
+    shared[head] = 0
+    suffix = lengths - shared
+    # fields[i] = (first field, second field) of term i; heads have one
+    fields = np.column_stack((np.where(head, lengths, shared), suffix))
+    has_field = np.column_stack((np.ones(n, dtype=bool), ~head))
+    vals = fields[has_field]
+    sizes = np.ones(vals.size, dtype=np.int64)    # vbyte bytes per field
+    rest = vals >> 7
+    while rest.any():
+        sizes += rest > 0
+        rest >>= 7
+    field_sizes = np.zeros(fields.shape, dtype=np.int64)
+    field_sizes[has_field] = sizes
+    fields_end = field_sizes.sum(axis=1)          # the fields' bytes per term
+    start = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(fields_end + suffix, out=start[1:])
+    blob = np.empty(start[-1], dtype=np.uint8)
+    at = np.column_stack((start[:-1], start[:-1] + field_sizes[:, 0]))[has_field]
+    for k in range(int(sizes.max(initial=0))):
+        sel = sizes > k
+        group = vals[sel] >> 7 * k & 0x7F | (sizes[sel] > k + 1) * 0x80
+        blob[at[sel] + k] = group
+    # each term is its fields then its suffix in the blob, and its shared
+    # prefix then its suffix in the joined terms
+    blob[~_runs(fields_end, suffix)] = np.frombuffer(joined, dtype=np.uint8)[
+        ~_runs(shared, suffix)]
+    return blob.tobytes(), start[:-1:BUCKET].tolist() + [int(start[-1])]
 
 
-def _vbyte(value: int) -> bytes:
-    if value < 0x80:
-        return _ONE_BYTE[value]
-    out = bytearray()
-    while value >= 0x80:
-        out.append(value & 0x7F | 0x80)
-        value >>= 7
-    out.append(value)
-    return bytes(out)
+def _runs(set_run: np.ndarray, clear_run: np.ndarray) -> np.ndarray:
+    """A mask of set_run[0] set bits, clear_run[0] clear ones, then
+    set_run[1] set bits, and so on."""
+    pattern = np.zeros(2 * len(set_run), dtype=bool)
+    pattern[::2] = True
+    return np.repeat(pattern, np.column_stack((set_run, clear_run)).ravel())
 
 
 def _read_vbyte(blob: bytes, pos: int, end: int) -> tuple[int, int]:

@@ -7,7 +7,7 @@ by the last level L. With leaf side 1 the last level's bits are the
 cells. With a leaf vocabulary, subdivision stops at leaf_side x leaf_side
 blocks whose contents are deduplicated into a frequency-ranked
 vocabulary, and the last level's set bits own per-leaf ids stored as a
-DAC.
+DAC whose level widths `Dac.encode` chooses for the least space.
 
 Child navigation follows rank over T:L: the children of the j-th set bit
 of a level are consecutive at the next level, so a single bitmap plus
@@ -23,7 +23,8 @@ from math import prod
 
 import numpy as np
 
-from ._binio import as_uint, pack_fixed, packed_array, read_exact, unpack_fixed
+from ._binio import (as_uint, pack_fixed, packed_array, read_exact, unpack_fixed,
+                     unpack_values)
 from .bitvector import SAMPLE_PRESETS, BitVector
 from .dac import Dac
 
@@ -52,7 +53,6 @@ class K2Config:
     leaf_side: int = 8              # 1 disables the vocabulary
     vocab_encoding: str = VOCAB_COLS_FULL
     sample_preset: str = "default"
-    dac_chunk_bits: int = 8
 
     def __post_init__(self):
         for k in (self.k1, self.k2):
@@ -69,8 +69,6 @@ class K2Config:
                 raise ValueError(f"unknown vocabulary encoding {self.vocab_encoding!r}")
         if self.sample_preset not in SAMPLE_PRESETS:
             raise ValueError(f"unknown sample preset {self.sample_preset!r}")
-        if not 1 <= self.dac_chunk_bits <= 64:
-            raise ValueError(f"dac_chunk_bits must be 1 to 64, not {self.dac_chunk_bits}")
 
     @property
     def sample_rate(self) -> int:
@@ -274,12 +272,11 @@ class LeafVocabulary:
             patterns = unpack_fixed(read_exact(src, n_bytes), side * side, count)
             return cls(encoding, side, count, patterns)
         n_flags = count * side
-        flags = as_uint(unpack_fixed(read_exact(src, (n_flags + 7) // 8), 1,
-                                     n_flags)).astype(bool)
+        flags = unpack_values(read_exact(src, (n_flags + 7) // 8), 1,
+                              n_flags).astype(bool)
         n_rows = int(flags.sum()) if encoding == VOCAB_COLS_RANK else n_flags
         width = side.bit_length() - 1
-        rows = as_uint(unpack_fixed(read_exact(src, (n_rows * width + 7) // 8),
-                                    width, n_rows))
+        rows = unpack_values(read_exact(src, (n_rows * width + 7) // 8), width, n_rows)
         flags = flags.reshape(count, side)
         if encoding == VOCAB_COLS_RANK:           # unset columns take row 0
             rows, set_rows = np.zeros(flags.shape, dtype=np.uint8), rows
@@ -378,7 +375,7 @@ class K2Tree:
         rank_of[by_freq] = np.arange(len(uniq_pat))
         ids = rank_of[inverse]
         vocab = LeafVocabulary.build(uniq_pat[by_freq], leaf_side, config.vocab_encoding)
-        leaf_ids = Dac.encode(ids, config.dac_chunk_bits, rate)
+        leaf_ids = Dac.encode(ids, sample_rate=rate)
         return cls(int(n_rows), int(n_cols), ks, leaf_side, tree,
                    leaf_ids=leaf_ids, vocab=vocab)
 

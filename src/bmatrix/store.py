@@ -21,7 +21,7 @@ a tree build. Both builds only read their inputs and the build path keeps
 no module state, so the trees are a sequential build's, bit for bit.
 Errors surface in subject-then-object order.
 
-A store file (format version 8) is, little-endian throughout: the magic
+A store file (format version 9) is, little-endian throughout: the magic
 "BMX1" and the u16 format version, then the dictionary's four pools
 (shared, subject-only, object-only, predicates; front-coded, see
 `dictionary`), the predicate index (u64 start count, u64 run starts),
@@ -30,10 +30,11 @@ every byte before it, and nothing after that. Each tree is its leaf side
 (u8), sampling preset byte (u8), rows and columns (u64 each), level count
 (u16), one k byte per level and its tree bits T:L (u64 bit count, then
 u64 words), every level in one bitmap; a tree with a leaf side above 1
-then holds its DAC leaf ids and leaf vocabulary (see `Dac` and
-`LeafVocabulary`). Each count is written once, in the part that owns it:
-the store's triples are the last run start, its predicates one fewer than
-the run starts, and its subjects and objects the rows of their trees.
+then holds its DAC leaf ids, with one chunk width per DAC level, and its
+leaf vocabulary (see `Dac` and `LeafVocabulary`). Each count is written
+once, in the part that owns it: the store's triples are the last run
+start, its predicates one fewer than the run starts, and its subjects and
+objects the rows of their trees.
 Files of older versions are refused with a request to rebuild them.
 
 Loading reads the whole file and checks the magic, then the version,
@@ -54,8 +55,11 @@ still refuses a file, with a ValueError, when:
   or columns or above MAX_SIDE, or a tree-bit or leaf count other than
   its levels need;
 - a tree's leaf id is at or past its vocabulary's count;
-- a DAC's chunk width is outside 1 to 64, its continuation flags go on
-  past the levels that 64-bit values need, or a chunk has bits past bit 63;
+- a DAC level's chunk width is outside 1 to 64, a DAC level starts at
+  bit 64 or later (the widths of the levels before it add up to 64 or
+  more), or a chunk has bits past bit 63; continuation flags on a DAC's
+  last level make the reader take the bytes after it for another level,
+  which then breaks one of these checks or another part's;
 - the predicate index's run starts do not rise from 0.
 
 A query that meets a column with no 1 in a tree raises a ValueError too.
@@ -77,7 +81,7 @@ from .dictionary import Dictionary
 from .k2tree import K2Config, K2Tree
 
 MAGIC = b"BMX1"
-FORMAT_VERSION = 8
+FORMAT_VERSION = 9
 
 DEFAULT_MERGE_THRESHOLD = 10
 

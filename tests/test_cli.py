@@ -105,6 +105,7 @@ def test_build_empty_file(tmp_path, capsys):
     stats_out = capsys.readouterr().out
     assert ("object tree        side 16, levels 2, leaf 8x8, vocab cols-full,"
             " sampling default") in stats_out
+    assert stats_out.count("leaf ids: widths -, chunks 0") == 2
     # no triples and no terms: every ratio is "-", not bytes over 1
     for report in (built_out, stats_out):
         ratios = re.findall(r"(\S+) B/(?:triple|term)$", report, re.M)
@@ -122,8 +123,28 @@ def test_leaf_side_1_builds_without_a_vocabulary(built, tmp_path, capsys):
     stats = capsys.readouterr().out
     assert ("subject tree       side 4, levels 4, leaf 1x1, vocab none,"
             " sampling default") in stats
+    assert stats.count("leaf ids: none") == 2
     assert cli.main(["query", str(plain), "?", "?", "?"]) == 0
     assert capsys.readouterr().out == expected
+
+
+def test_stats_prints_each_trees_dac_levels(tmp_path, capsys):
+    rng = random.Random(9)
+    triples = [(rng.randrange(1, 400), rng.randrange(1, 20), rng.randrange(1, 400))
+               for _ in range(3000)]
+    store = TripleStore.build(triples, 400, 400, 20)
+    out = tmp_path / "ids.bmx"
+    store_mod.save(str(out), store)
+    assert cli.main(["stats", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    for name, tree in (("subject tree", store.subject_tree),
+                       ("object tree", store.object_tree)):
+        at = next(i for i, line in enumerate(lines) if line.startswith(name))
+        widths = "+".join(str(w) for w, _, _ in tree.leaf_ids.levels)
+        chunks = "/".join(str(len(flags)) for _, _, flags in tree.leaf_ids.levels)
+        assert lines[at + 1].split() == ["leaf", "ids:", "widths", widths + ",",
+                                         "chunks", chunks]
+    assert len(store.subject_tree.leaf_ids.levels) > 1
 
 
 def test_query_by_term(built, capsys):
@@ -376,8 +397,10 @@ def test_truncated_store_is_a_clean_error(tmp_path, capsys):
     full = tmp_path / "long.bmx"
     assert cli.main(["build", str(src), "-o", str(full)]) == 0
     data = full.read_bytes()
+    offsets = section_offsets(full)
+    mid_subject_tree = (offsets["subject_tree"] + offsets["object_tree"]) // 2
     cut = tmp_path / "cut.bmx"
-    for size in (80, 100, 2000, len(data) // 2, len(data) - 1):
+    for size in (80, 100, 2000, mid_subject_tree, len(data) - 1):
         # cut, its checksum fails; resealed, the body is shorter than it
         # says (the last cut takes one byte of the object tree, whose read
         # then runs into the checksum)
@@ -387,6 +410,12 @@ def test_truncated_store_is_a_clean_error(tmp_path, capsys):
             cut.write_bytes(cut_data)
             assert cli.main(["stats", str(cut)]) == 1
             assert message in capsys.readouterr().err
+    # resealed, a cut in the middle of the file lands in the dictionary,
+    # whose reader may refuse it by another check than the length
+    cut.write_bytes(reseal(data[:len(data) // 2]))
+    assert cli.main(["stats", str(cut)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_iri_that_reads_like_a_blank_node_is_its_own_term(tmp_path, capsys):
@@ -559,16 +588,21 @@ def test_corrupt_leaf_ids_are_a_clean_error(built, capsys, fault, message, comma
     fields = tree_offsets(tree, section_offsets(out)["subject_tree"])
     at = fields["dac"]
     dac = tree.leaf_ids
-    assert (dac.chunk_bits, len(dac.levels), tree.vocab.count) == (8, 1, 1)
-    chunks_at = at + 1 + 8              # chunk bits, length
-    flags_at = chunks_at + len(dac)     # a level's flag words follow its chunks
+    n = len(dac)
+    # every leaf id is 0: one level of 1-bit chunks
+    assert (dac.widths, tree.vocab.count) == ([1], 1) and n <= 64
+    chunks_at = at + 8 + 1              # length, the level's width
+    flags_at = chunks_at + 1            # a level's flag words follow its chunks
     data = bytearray(out.read_bytes())
     if fault == "leaf id past the vocabulary":
-        data[chunks_at] = 255
+        # the same ids as one level of 8-bit chunks, the first one 255
+        dac_bytes = (struct.pack("<QB", n, 8) + bytes([255] + [0] * (n - 1))
+                     + bytes(8))
+        data[at:fields["vocab"]] = dac_bytes
     elif fault == "level continues past the last":
         data[flags_at] |= 1
     else:
-        data[at + 1:at + 9] = (1 << 62).to_bytes(8, "little")
+        data[at:at + 8] = (1 << 62).to_bytes(8, "little")
     out.write_bytes(reseal(data))
     capsys.readouterr()
     assert cli.main([command[0], str(out), *command[1:]]) == 1
@@ -587,9 +621,9 @@ def test_leaf_id_bits_past_bit_63_are_a_clean_error(built, capsys, command):
     assert n <= 64                      # level 0's flags fit one word
 
     def level(chunks, flags):
-        return pack_fixed(chunks, 3) + flags.to_bytes(8, "little")
+        return bytes((3,)) + pack_fixed(chunks, 3) + flags.to_bytes(8, "little")
 
-    dac = (struct.pack("<BQ", 3, n) + level([0] * n, 1)
+    dac = (struct.pack("<Q", n) + level([0] * n, 1)
            + level([0], 1) * 20 + level([2], 0))
     data = out.read_bytes()
     out.write_bytes(reseal(data[:fields["dac"]] + dac + data[fields["vocab"]:]))
@@ -600,7 +634,7 @@ def test_leaf_id_bits_past_bit_63_are_a_clean_error(built, capsys, command):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_old_store_version_asks_for_a_rebuild(built, capsys, version):
     _, out = built
     data = bytearray(out.read_bytes())

@@ -1,14 +1,16 @@
 import io
+import itertools
 import random
 import struct
 import sys
 import warnings
 from array import array
 
+import numpy as np
 import pytest
 
-from bmatrix._binio import pack_fixed, packed_array, unpack_fixed
-from bmatrix.dac import Dac
+from bmatrix._binio import _pack_bits, _unpack_bits, pack_fixed, packed_array, unpack_fixed
+from bmatrix.dac import DAC_MAX_LEVELS, Dac, bit_length_counts, optimal_widths
 from bmatrix.k2tree import K2Config
 
 
@@ -16,21 +18,27 @@ def bits(bv):
     return "".join("1" if bv.access(i) else "0" for i in range(len(bv)))
 
 
+def chunks(d, lvl):
+    """Level lvl's chunks as a list of ints."""
+    width, data, flags = d.levels[lvl]
+    return list(unpack_fixed(data, width, len(flags)))
+
+
 def test_single_level_example():
     d = Dac.encode([0, 1, 2], chunk_bits=2)
     assert len(d.levels) == 1
-    assert list(d.levels[0][0]) == [0, 1, 2]
-    assert bits(d.levels[0][1]) == "000"
+    assert chunks(d, 0) == [0, 1, 2]
+    assert bits(d.levels[0][2]) == "000"
     assert [d.access(i) for i in range(3)] == [0, 1, 2]
 
 
 def test_two_level_example():
     # 5 = 01|01 base 4, 9 = 10|01 base 4
     d = Dac.encode([5, 1, 9], chunk_bits=2)
-    assert list(d.levels[0][0]) == [1, 1, 1]
-    assert bits(d.levels[0][1]) == "101"
-    assert list(d.levels[1][0]) == [1, 2]
-    assert bits(d.levels[1][1]) == "00"
+    assert chunks(d, 0) == [1, 1, 1]
+    assert bits(d.levels[0][2]) == "101"
+    assert chunks(d, 1) == [1, 2]
+    assert bits(d.levels[1][2]) == "00"
     assert d.access(2) == 9
     assert [d.access(i) for i in range(3)] == [5, 1, 9]
 
@@ -38,14 +46,14 @@ def test_two_level_example():
 def test_zero_takes_one_chunk():
     d = Dac.encode([0], chunk_bits=4)
     assert d.access(0) == 0
-    assert sum(len(chunks) for chunks, _ in d.levels) == 1
+    assert sum(len(flags) for _, _, flags in d.levels) == 1
 
 
 def test_top_level_never_continues():
     rng = random.Random(3)
     values = [rng.randrange(1 << 20) for _ in range(500)]
     d = Dac.encode(values, chunk_bits=4)
-    assert d.levels[-1][1].ones == 0
+    assert d.levels[-1][2].ones == 0
 
 
 def test_chunk_count_is_sum_of_value_chunks():
@@ -53,7 +61,7 @@ def test_chunk_count_is_sum_of_value_chunks():
     for b in (1, 2, 4, 8):
         d = Dac.encode(values, chunk_bits=b)
         expected = sum((max(v.bit_length(), 1) + b - 1) // b for v in values)
-        assert sum(len(chunks) for chunks, _ in d.levels) == expected
+        assert sum(len(flags) for _, _, flags in d.levels) == expected
 
 
 @pytest.mark.parametrize("b", [1, 2, 4, 8])
@@ -79,11 +87,15 @@ def _levels_bytes(values, chunk_bits=2):
     return bytearray(buf.getvalue())
 
 
+def _level(width, chunk, more):
+    """One level of one chunk as a DAC file holds it."""
+    return bytes((width,)) + pack_fixed([chunk], width) + more.to_bytes(8, "little")
+
+
 def _continuing(chunk_bits, n_levels=100):
     """A DAC file of one value whose n_levels levels each hold a chunk of 1
     and a set continuation flag."""
-    level = (1).to_bytes((chunk_bits + 7) // 8, "little") + (1).to_bytes(8, "little")
-    return struct.pack("<BQ", chunk_bits, 1) + level * n_levels
+    return struct.pack("<Q", 1) + _level(chunk_bits, 1, 1) * n_levels
 
 
 @pytest.mark.parametrize("fault, message", [
@@ -94,9 +106,9 @@ def _continuing(chunk_bits, n_levels=100):
 def test_read_refuses_disagreeing_levels(fault, message):
     data = _levels_bytes([5, 1, 9])         # levels of 3 and 2 chunks
     if fault == "length":                   # the third chunk lies past two
-        data[1:9] = (2).to_bytes(8, "little")
+        data[0:8] = (2).to_bytes(8, "little")
     elif fault.startswith("width"):
-        data[0] = int(fault.split()[1])
+        data[8] = int(fault.split()[1])     # level 0's width
     else:
         data = _continuing(2)
     with pytest.raises(ValueError, match=message):
@@ -109,8 +121,8 @@ def test_flags_past_64_bit_values_are_refused(chunk_bits):
     that go on continuing: one level past what a 64-bit value takes is
     refused, however many follow, and the value that stops there loads."""
     top = -(-64 // chunk_bits)            # levels of a 64-bit value
-    with pytest.raises(ValueError, match=f"DAC has {top + 1} levels of"
-                                         f" {chunk_bits}-bit chunks, more than"):
+    with pytest.raises(ValueError, match=f"DAC level {top} starts at bit"
+                                         f" {top * chunk_bits}, more than"):
         Dac.read(io.BytesIO(_continuing(chunk_bits)))
     data = bytearray(_continuing(chunk_bits, top))
     data[-8] = 0                          # the last level's flag
@@ -125,14 +137,11 @@ def test_top_chunk_bits_past_bit_63_are_refused(chunk_bits):
     top = -(-64 // chunk_bits) - 1        # the level holding bit 63
     spare = 64 - top * chunk_bits         # its chunk bits below bit 64
 
-    def level(chunk, more):
-        return chunk.to_bytes((chunk_bits + 7) // 8, "little") + more.to_bytes(8, "little")
-
-    below = struct.pack("<BQ", chunk_bits, 1) + level(0, 1) * top
+    below = struct.pack("<Q", 1) + _level(chunk_bits, 0, 1) * top
     with pytest.raises(ValueError, match=f"DAC level {top} has a chunk with bits"
                                          " past bit 63"):
-        Dac.read(io.BytesIO(below + level(1 << spare, 0)))
-    d = Dac.read(io.BytesIO(below + level((1 << spare) - 1, 0)))
+        Dac.read(io.BytesIO(below + _level(chunk_bits, 1 << spare, 0)))
+    d = Dac.read(io.BytesIO(below + _level(chunk_bits, (1 << spare) - 1, 0)))
     assert d.values().tolist() == [d.access(0)] == [(1 << 64) - (1 << top * chunk_bits)]
 
 
@@ -140,7 +149,7 @@ def test_top_chunk_bits_past_bit_63_are_refused(chunk_bits):
 def test_widths_outside_1_to_64_are_refused(width):
     with pytest.raises(ValueError, match="1 to 64"):
         Dac.encode([1, 2], chunk_bits=width)
-    with pytest.raises(ValueError, match="1 to 64"):
+    with pytest.raises(TypeError):        # trees always take the optimal widths
         K2Config(dac_chunk_bits=width)
 
 
@@ -174,13 +183,14 @@ def test_serialization_round_trip():
         d.write(buf)
         buf.seek(0)
         back = Dac.read(buf)
-        assert back.chunk_bits == b and len(back) == len(values)
+        assert back.widths == d.widths and len(back) == len(values)
+        assert set(back.widths) <= {b}
         assert [back.access(i) for i in range(len(values))] == values
     buf = io.BytesIO()
     Dac.encode([], chunk_bits=3).write(buf)
-    assert buf.getvalue() == struct.pack("<BQ", 3, 0)     # no levels
+    assert buf.getvalue() == struct.pack("<Q", 0)     # no levels
     back = Dac.read(io.BytesIO(buf.getvalue()))
-    assert (back.chunk_bits, len(back), back.levels) == (3, 0, [])
+    assert (len(back), back.levels) == (0, [])
 
 
 @pytest.mark.parametrize("b", [1, 3, 8, 13, 16])
@@ -192,9 +202,10 @@ def test_built_and_loaded_dacs_hold_the_same_chunk_type(b):
     buf.seek(0)
     back = Dac.read(buf)
     assert len(back.levels) == len(d.levels) > 1
-    for (built, _), (loaded, _) in zip(d.levels, back.levels):
-        assert type(built) is type(loaded) is array
-        assert (loaded.typecode, list(loaded)) == (built.typecode, list(built))
+    # both hold each level's chunks as the packed bytes the file holds
+    for (w, built, _), (loaded_w, loaded, _) in zip(d.levels, back.levels):
+        assert type(built) is type(loaded) is bytes
+        assert (loaded_w, loaded) == (w, built) == (b, built)
 
 
 @pytest.mark.parametrize("values", [[], [7], [255] * 1000, [300] * 999,
@@ -222,3 +233,125 @@ def test_unpack_fixed_refuses_set_bits_past_its_values(width):
         bad[bit // 8] |= 1 << bit % 8
         with pytest.raises(ValueError, match=f"set bits past the {3 * width} bits"):
             unpack_fixed(bytes(bad), width, 3)
+
+
+def _plan_bits(values, widths):
+    """The bits of chunks and flags that `widths` give `values`, or None
+    when the widths stop short of some value's top bit."""
+    lengths = [max(v.bit_length(), 1) for v in values]
+    total = start = 0
+    for w in widths:
+        total += sum(n > start for n in lengths) * (w + 1)
+        start += w
+    return total if max(lengths) <= start else None
+
+
+def test_optimal_widths_match_brute_force():
+    """Against every width sequence of at most DAC_MAX_LEVELS levels, for
+    random value sets of up to 12-bit values."""
+    rng = random.Random(21)
+    for _ in range(150):
+        top = rng.randint(1, 12)
+        values = [rng.randrange(1 << rng.randint(0, top))
+                  for _ in range(rng.randint(1, 60))]
+        n_bits = max(max(v.bit_length(), 1) for v in values)
+        best = min(cost for levels in range(1, DAC_MAX_LEVELS + 1)
+                   for widths in itertools.product(range(1, n_bits + 1), repeat=levels)
+                   if (cost := _plan_bits(values, widths)) is not None)
+        widths = optimal_widths(bit_length_counts(np.array(values, dtype=np.uint64)))
+        assert len(widths) <= DAC_MAX_LEVELS
+        assert _plan_bits(values, widths) == best
+        d = Dac.encode(values)
+        assert d.widths == widths
+        assert [d.access(i) for i in range(len(values))] == values
+
+
+def test_optimal_widths_examples():
+    assert optimal_widths(bit_length_counts(np.array([], dtype=np.uint64))) == []
+    assert optimal_widths(bit_length_counts(np.zeros(5, dtype=np.uint64))) == [1]
+    # one level of 8 bits costs 4 * 9 bits; 1 + 7 bits costs 4 * 2 + 1 * 8
+    assert optimal_widths(bit_length_counts(np.array([1, 1, 0, 200], dtype=np.uint64))) == [1, 7]
+    assert optimal_widths(bit_length_counts(np.array([(1 << 64) - 1], dtype=np.uint64))) == [64]
+
+
+def test_bit_length_counts_is_exact_past_2_to_the_53():
+    values = [0, 1, 2, 3, (1 << 53) - 1, 1 << 53, (1 << 53) + 1, (1 << 54) - 1,
+              1 << 54, (1 << 63) - 1, 1 << 63, (1 << 64) - 2, (1 << 64) - 1]
+    expected = [0] * 65
+    for v in values:
+        expected[max(v.bit_length(), 1)] += 1
+    assert bit_length_counts(np.array(values, dtype=np.uint64)).tolist() == expected
+
+
+@pytest.mark.parametrize("width", range(1, 65))
+def test_fast_packing_matches_the_bit_matrix(width):
+    rng = np.random.default_rng(width)
+    for count in (1, 7, 9, 63, 1001):
+        values = rng.integers(0, 1 << 64, count, dtype=np.uint64) >> np.uint64(64 - width)
+        values[0] = (1 << width) - 1
+        data = pack_fixed(values, width)
+        assert data == _pack_bits(values, width)
+        assert len(data) == (count * width + 7) // 8
+        assert list(unpack_fixed(data, width, count)) == values.tolist()
+        raw = np.frombuffer(data, dtype=np.uint8)
+        assert _unpack_bits(raw, width, count).tolist() == values.tolist()
+
+
+def test_levels_are_capped_and_mixed_widths_round_trip():
+    rng = np.random.default_rng(7)
+    for values in (rng.geometric(0.05, 5000), rng.integers(0, 1 << 40, 3000),
+                   np.concatenate((rng.integers(0, 8, 4000).astype(np.uint64),
+                                   np.array([(1 << 64) - 1, 1 << 63], dtype=np.uint64)))):
+        values = np.asarray(values, dtype=np.uint64)
+        d = Dac.encode(values)
+        assert 1 <= len(d.levels) <= DAC_MAX_LEVELS
+        assert d.levels[-1][2].ones == 0
+        assert d.values().tolist() == values.tolist()
+        assert [d.access(i) for i in range(len(values))] == values.tolist()
+        buf = io.BytesIO()
+        d.write(buf)
+        back = Dac.read(io.BytesIO(buf.getvalue()))
+        assert back.widths == d.widths
+        assert [back.access(i) for i in range(0, len(values), 7)] == values[::7].tolist()
+        assert back.values().tolist() == values.tolist()
+    assert Dac.encode(values).widths == [3, 61]
+
+
+def test_a_level_starting_at_bit_64_is_refused():
+    """Levels of 40 and 24 bits reach bit 63, so flags that continue past
+    them ask for a level that starts at bit 64."""
+    data = struct.pack("<Q", 1) + _level(40, 1, 1) + _level(24, 1, 1) + _level(8, 1, 0)
+    with pytest.raises(ValueError, match="DAC level 2 starts at bit 64, more than"):
+        Dac.read(io.BytesIO(data))
+    last = struct.pack("<Q", 1) + _level(40, 1, 1) + _level(24, (1 << 24) - 1, 0)
+    assert Dac.read(io.BytesIO(last)).access(0) == (1 << 64) - (1 << 40) + 1
+
+
+@pytest.mark.parametrize("widths", [(6, 60), (60, 5), (30, 30, 7)])
+def test_bits_past_bit_63_at_a_mixed_width_boundary_are_refused(widths):
+    """The top level's shift is the sum of the widths below it, so its chunk
+    may hold 64 - shift bits and no more."""
+    shift = sum(widths[:-1])
+    below = struct.pack("<Q", 1) + b"".join(_level(w, 0, 1) for w in widths[:-1])
+    with pytest.raises(ValueError, match=f"DAC level {len(widths) - 1} has a chunk"
+                                         " with bits past bit 63"):
+        Dac.read(io.BytesIO(below + _level(widths[-1], 1 << 64 - shift, 0)))
+    top = (1 << 64 - shift) - 1
+    d = Dac.read(io.BytesIO(below + _level(widths[-1], top, 0)))
+    assert d.values().tolist() == [d.access(0)] == [top << shift]
+
+
+def test_flags_past_the_last_level_are_refused():
+    """A continuation flag on the last level makes the reader take what
+    follows for another level: the end of the input, or bytes that fail a
+    level's checks."""
+    good = struct.pack("<Q", 2) + bytes((3,)) + pack_fixed([5, 1], 3) + (0).to_bytes(8, "little")
+    assert Dac.read(io.BytesIO(good)).values().tolist() == [5, 1]
+    more = bytearray(good)
+    more[-8] = 0b10                       # the second value continues
+    with pytest.raises(ValueError, match="truncated input"):
+        Dac.read(io.BytesIO(bytes(more)))
+    with pytest.raises(ValueError, match="chunk width must be 1 to 64, not 0"):
+        Dac.read(io.BytesIO(bytes(more) + bytes(9)))
+    with pytest.raises(ValueError, match="set bits past the 3 bits"):
+        Dac.read(io.BytesIO(bytes(more) + bytes((3, 0xFF)) + bytes(8)))

@@ -1,10 +1,11 @@
 import io
+import random
 
 import numpy as np
 import pytest
 
 import pfc_reference
-from bmatrix.dictionary import Dictionary, TermPool
+from bmatrix.dictionary import Dictionary, TermPool, _front_code
 from bmatrix.store import TripleStore
 
 
@@ -221,3 +222,19 @@ def test_front_coded_pool_round_trip(n):
         for absent in ("\x00", "caf", "cafe", "é\x00", "\U0001F600y", "\uffff"):
             assert p.index(absent.encode()) == -1
 
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_front_code_matches_the_reference(seed):
+    """Random sorted pools whose shared prefixes and suffixes reach 128 and
+    16,384 bytes, so their vbytes take two and three bytes, with the empty
+    term at the front of every other pool."""
+    rng = random.Random(seed)
+    stems = ["", "a" * 127, "b" * 128, "c" * 300, "d" * 16_384]
+    terms = {rng.choice(stems) + "".join(rng.choice("xyé") for _ in range(rng.choice(
+        (0, 1, 5, 127, 128, 400, 16_400)))) for _ in range(rng.randrange(40, 120))}
+    terms.discard("")
+    if seed % 2:
+        terms.add("")
+    encoded = sorted(t.encode() for t in terms)
+    assert _front_code(encoded) == pfc_reference.front_code(encoded)

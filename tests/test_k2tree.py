@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from bmatrix._binio import unpack_fixed
+from bmatrix.dac import Dac
 from bmatrix.k2tree import (K2Config, K2Tree, LeafVocabulary,
                             VOCAB_COLS_FULL, VOCAB_COLS_RANK, VOCAB_PLAIN,
                             plan_levels)
@@ -238,7 +239,9 @@ def test_set_padding_bits_of_a_tree_are_refused(encoding):
     rng = np.random.default_rng(5)
     pts = np.column_stack((rng.integers(0, 60, 400), np.arange(400)))
     t = K2Tree.build(pts, 60, 400, K2Config(k1_levels=0, leaf_side=2,
-                                            vocab_encoding=encoding, dac_chunk_bits=1))
+                                            vocab_encoding=encoding))
+    # 1-bit levels, so the DAC has several, of one chunk width or another
+    t.leaf_ids = Dac.encode(t.leaf_ids.values(), chunk_bits=1)
     assert len(t.leaf_ids.levels) > 2
     buf = io.BytesIO()
     t.write(buf)
@@ -386,7 +389,7 @@ def test_serialization_round_trip():
         assert (back.leaf_side, back.sample_preset) == (cfg.leaf_side, cfg.sample_preset)
         if cfg.leaf_side > 1:
             assert back.vocab.encoding == cfg.vocab_encoding
-            assert back.leaf_ids.chunk_bits == cfg.dac_chunk_bits
+            assert back.leaf_ids.widths == t.leaf_ids.widths
         assert_matches_dense(back, dense(pts, 50, nc), rng, probes=20)
 
 

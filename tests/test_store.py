@@ -384,8 +384,8 @@ def test_strategy_matches_oracle_shapes():
 PACKED_CONFIGS = [
     K2Config(),
     K2Config(leaf_side=1),
-    K2Config(leaf_side=4, vocab_encoding=VOCAB_PLAIN, dac_chunk_bits=3),
-    K2Config(leaf_side=8, vocab_encoding=VOCAB_PLAIN, dac_chunk_bits=16),
+    K2Config(leaf_side=4, vocab_encoding=VOCAB_PLAIN),
+    K2Config(leaf_side=8, vocab_encoding=VOCAB_PLAIN),
     K2Config(leaf_side=2, vocab_encoding=VOCAB_COLS_RANK, sample_preset="dense"),
     K2Config(leaf_side=8, vocab_encoding=VOCAB_COLS_RANK),
     K2Config(leaf_side=4, vocab_encoding=VOCAB_COLS_FULL),

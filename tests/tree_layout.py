@@ -45,7 +45,7 @@ def tree_offsets(tree, at: int = 0) -> dict:
     offsets["tree bits"] = at             # u64 length, then the words
     at += 8 + len(tree.tree_bits.data)
     if tree.vocab is not None:
-        offsets["dac"] = at               # chunk bits, u64 length
+        offsets["dac"] = at               # u64 length, then the levels
         dac = io.BytesIO()
         tree.leaf_ids.write(dac)
         offsets["vocab"] = at + len(dac.getvalue())   # encoding byte, u64 count
@@ -61,9 +61,10 @@ def packed_fields(tree, at: int = 0) -> list:
     if tree.vocab is None:
         return out
     dac, vocab = tree.leaf_ids, tree.vocab
-    at = fields["dac"] + 9
-    for chunks, flags in dac.levels:
-        n = len(chunks) * dac.chunk_bits
+    at = fields["dac"] + 8
+    for width, _, flags in dac.levels:
+        at += 1                           # the level's width byte
+        n = len(flags) * width
         out.append((at, n, (n + 7) // 8))
         at += (n + 7) // 8
         out.append((at, len(flags), len(flags.data)))
