@@ -1,8 +1,11 @@
 """Little-endian binary helpers shared by the serializers.
 
-In memory, per-element integer buffers are `array.array`s of the smallest
-unsigned typecode that holds their largest value (native byte order, as
-`array` requires); on disk they are fixed-width little-endian slots.
+On disk, integer buffers are fixed-width little-endian slots. In memory,
+the buffers read one element at a time (vocabulary patterns, predicate
+run starts, pool offsets) are `array.array`s of the smallest unsigned
+typecode that holds their largest value (native byte order, as `array`
+requires); DAC chunks stay as the file's packed `bytes`, and
+`unpack_values` returns numpy arrays for whole-buffer decodes.
 """
 
 from __future__ import annotations

@@ -3,8 +3,9 @@
 Bits are packed LSB-first into one immutable `bytes` object, zero-padded
 to whole 64-bit words: the same bytes as the little-endian u64 words of
 the file format. Rank uses one cumulative 64-bit counter every
-`sample_rate` bits, so the overhead over the raw bits is 64/sample_rate:
-the "default" preset costs ~5% extra space, the "dense" preset 12.5% and
+`sample_rate` bits, a positive multiple of 64, so every sample starts on
+a word and the overhead over the raw bits is 64/sample_rate: the
+"default" preset costs 5% extra space, the "dense" preset 12.5% and
 shortens the popcount between samples.
 """
 
@@ -67,30 +68,25 @@ class BitVector:
         return bv
 
     def _wrap(self, data: bytes, length: int, sample_rate: int) -> None:
-        if sample_rate < 1:
-            raise ValueError("sample_rate must be >= 1")
+        if sample_rate < 1 or sample_rate % WORD_BITS:
+            raise ValueError(f"sample_rate must be a positive multiple of"
+                             f" {WORD_BITS}, not {sample_rate}")
         self.data = data
         self.length = int(length)
         self.sample_rate = int(sample_rate)
         self._build_samples()
 
     def _build_samples(self) -> None:
-        # samples[j] = number of ones in bits [0, j*sample_rate)
-        rate = self.sample_rate
-        n = self.length
-        if n == 0:
-            self._samples = array("Q", [0])
-            self.ones = 0
-            return
-        raw = np.frombuffer(self.data, dtype=np.uint8)
-        cum = np.zeros(raw.size + 1, dtype=np.int64)
-        np.cumsum(np.bitwise_count(raw), out=cum[1:])
-        bounds = np.arange(n // rate + 1, dtype=np.int64) * rate
-        at = bounds >> 3
-        below = (np.uint8(1) << (bounds & 7).astype(np.uint8)) - np.uint8(1)
-        partial = np.bitwise_count(raw[np.minimum(at, raw.size - 1)] & below)
-        self._samples = array("Q", (cum[at] + partial).astype("=u8").tobytes())
-        self.ones = int(cum[-1])
+        # samples[j] = number of ones in bits [0, j*sample_rate): the sum of
+        # the popcounts of the j*sample_rate/64 words before it
+        rows = self.length // self.sample_rate
+        words = self.sample_rate // WORD_BITS
+        counts = np.bitwise_count(np.frombuffer(self.data, dtype="<u8"))
+        samples = np.zeros(rows + 1, dtype=np.uint64)
+        per_row = counts[:rows * words].reshape(rows, words)
+        np.cumsum(per_row.sum(axis=1, dtype=np.uint64), out=samples[1:])
+        self._samples = array("Q", samples.tobytes())
+        self.ones = int(counts.sum(dtype=np.uint64))
 
     def __len__(self) -> int:
         return self.length
@@ -108,15 +104,14 @@ class BitVector:
         """Number of 1s in bits [0, i] (inclusive)."""
         if not 0 <= i < self.length:
             raise IndexError(f"bit position {i} out of range [0, {self.length})")
-        rate = self.sample_rate
-        j = i // rate
-        p = j * rate
+        j = i // self.sample_rate
         data = self.data
         b = i >> 3
-        # bytes from the sample's byte to i's byte, shifted to start at bit p,
-        # less the bits of i's byte above i
+        # bytes from the sample's word to i's byte, less the bits of i's
+        # byte above i
         return (self._samples[j]
-                + (int.from_bytes(data[p >> 3:b + 1], "little") >> (p & 7)).bit_count()
+                + int.from_bytes(data[j * self.sample_rate >> 3:b + 1],
+                                 "little").bit_count()
                 - (data[b] >> (i & 7) >> 1).bit_count())
 
     def rank0(self, i: int) -> int:
@@ -132,21 +127,7 @@ class BitVector:
         if j < 1 or j > self.ones:
             raise ValueError(f"no {j}-th occurrence of bit 1 (total {self.ones})")
         idx = bisect_left(self._samples, j) - 1
-        need = j - self._samples[idx]
-        pos = idx * self.sample_rate
-        wi = pos >> 6
-        w = self._word(wi) >> (pos & 63)
-        base = pos
-        while True:
-            c = w.bit_count()
-            if c >= need:
-                for _ in range(need - 1):
-                    w &= w - 1
-                return base + ((w & -w).bit_length() - 1)
-            need -= c
-            wi += 1
-            w = self._word(wi)
-            base = wi << 6
+        return self._scan(idx * self.sample_rate >> 6, j - self._samples[idx], False)
 
     def select0(self, j: int) -> int:
         """0-based position of the j-th 0 (j >= 1)."""
@@ -157,30 +138,23 @@ class BitVector:
         samples = self._samples
         idx = bisect_right(range(len(samples)), j - 1,
                            key=lambda x: x * rate - samples[x]) - 1
-        need = j - (idx * rate - samples[idx])
-        pos = idx * rate
-        wi = pos >> 6
-        shift = pos & 63
-        base = pos
+        return self._scan(idx * rate >> 6, j - (idx * rate - samples[idx]), True)
+
+    def _scan(self, wi: int, need: int, zeros: bool) -> int:
+        """Position of the need-th 1 (0 when `zeros`) from word wi on."""
         while True:
-            valid = min(WORD_BITS, self.length - (wi << 6))
-            w = (~self._word(wi) & ((1 << valid) - 1)) >> shift
+            w = self._word(wi)
+            if zeros:  # the padding's 0s lie past every 0 a caller asks for
+                w ^= (1 << WORD_BITS) - 1
             c = w.bit_count()
             if c >= need:
                 for _ in range(need - 1):
                     w &= w - 1
-                return base + ((w & -w).bit_length() - 1)
+                return (wi << 6) + (w & -w).bit_length() - 1
             need -= c
             wi += 1
-            shift = 0
-            base = wi << 6
 
     # -- space accounting ---------------------------------------------------
-
-    @property
-    def data_bytes(self) -> int:
-        """Bytes of packed bits, whole 64-bit words."""
-        return len(self.data)
 
     @property
     def accel_bytes(self) -> int:

@@ -207,12 +207,6 @@ class TermPool:
         offsets = self.offsets
         return _bucket_terms(self.blob, offsets[b], offsets[b + 1])
 
-    def __iter__(self):
-        """The terms in order, decoded."""
-        for b in range(len(self.headers)):
-            for term in self._bucket(b):
-                yield term.decode("utf-8")
-
     def index(self, key: bytes) -> int:
         """0-based position of the UTF-8 encoded term `key`, or -1."""
         b = bisect_right(self.headers, key) - 1

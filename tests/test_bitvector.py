@@ -7,6 +7,7 @@ import pytest
 
 from bmatrix.bitvector import (BitVector, SAMPLE_PRESETS, SAMPLE_RATE_DEFAULT,
                                SAMPLE_RATE_DENSE)
+from bmatrix.dac import Dac
 
 
 def naive_rank1(bits, i):
@@ -24,15 +25,15 @@ def naive_select(bits, value, j):
 
 
 def test_rank_examples():
-    bv = BitVector("10110", sample_rate=2)
+    bv = BitVector("10110")
     assert bv.rank1(0) == 1
     assert bv.rank1(4) == 3
-    assert BitVector("11111111", sample_rate=3).rank1(7) == 8
-    assert BitVector("0000", sample_rate=1).rank1(3) == 0
+    assert BitVector("11111111").rank1(7) == 8
+    assert BitVector("0000").rank1(3) == 0
 
 
 def test_select_examples():
-    bv = BitVector("10110", sample_rate=2)
+    bv = BitVector("10110")
     assert bv.select1(1) == 0
     assert bv.select1(2) == 2
     assert bv.select1(3) == 3
@@ -40,7 +41,7 @@ def test_select_examples():
 
 
 def test_access_examples():
-    bv = BitVector("10110", sample_rate=2)
+    bv = BitVector("10110")
     assert bv.access(2) is True
     assert bv.access(1) is False
     assert BitVector("0").access(0) is False
@@ -78,13 +79,47 @@ def test_presets():
     assert 64 / SAMPLE_RATE_DENSE == pytest.approx(0.125)
     n = 1 << 16
     bv = BitVector(np.ones(n, dtype=bool), SAMPLE_RATE_DEFAULT)
-    assert bv.accel_bytes / bv.data_bytes == pytest.approx(0.05, abs=0.002)
+    assert bv.accel_bytes / len(bv.data) == pytest.approx(0.05, abs=0.002)
     dense = BitVector(np.ones(n, dtype=bool), SAMPLE_RATE_DENSE)
-    assert dense.accel_bytes / dense.data_bytes == pytest.approx(0.125, abs=0.002)
+    assert dense.accel_bytes / len(dense.data) == pytest.approx(0.125, abs=0.002)
+
+
+@pytest.mark.parametrize("rate", [0, 1, 63, 65, 100, -64])
+def test_sample_rates_off_whole_words_are_refused(rate):
+    """A sample must start on a 64-bit word."""
+    bv = BitVector("10110")
+    buf = io.BytesIO()
+    bv.write(buf)
+    dac = io.BytesIO()
+    Dac.encode([1, 300, 70_000]).write(dac)
+    match = "sample_rate must be a positive multiple of 64"
+    with pytest.raises(ValueError, match=match):
+        BitVector("10110", sample_rate=rate)
+    with pytest.raises(ValueError, match=match):
+        BitVector.from_bytes(bv.data, len(bv), sample_rate=rate)
+    with pytest.raises(ValueError, match=match):
+        BitVector.read(io.BytesIO(buf.getvalue()), sample_rate=rate)
+    with pytest.raises(ValueError, match=match):
+        Dac.encode([1, 300, 70_000], sample_rate=rate)
+    with pytest.raises(ValueError, match=match):
+        Dac.read(io.BytesIO(dac.getvalue()), sample_rate=rate)
+
+
+@pytest.mark.parametrize("preset", sorted(SAMPLE_PRESETS))
+def test_samples_count_the_bits_before_them(preset):
+    # lengths that end on a sample and one bit to either side
+    rate = SAMPLE_PRESETS[preset]
+    rng = random.Random(preset)
+    for n in (rate - 1, rate, rate + 1, 3 * rate - 1, 3 * rate, 3 * rate + 1):
+        bits = [rng.random() < 0.4 for _ in range(n)]
+        bv = BitVector(bits, sample_rate=rate)
+        assert list(bv._samples) == [sum(bits[:j * rate])
+                                     for j in range(n // rate + 1)]
+        assert bv.ones == sum(bits)
 
 
 @pytest.mark.parametrize("density", [0.01, 0.5, 0.99])
-@pytest.mark.parametrize("rate", [1, 2, 7, 64, 512, 1280])
+@pytest.mark.parametrize("rate", [64, 128, 512, 1280])
 def test_matches_naive_scan(density, rate):
     rng = random.Random(f"{density}/{rate}")
     n = rng.randrange(1, 3000)
@@ -149,12 +184,12 @@ def test_set_bits_past_the_length_are_refused(n):
             BitVector.from_bytes(bytes(bad), n)
 
 
-@pytest.mark.parametrize("rate", [1, 3, 7, 100, 512, 1280])
+@pytest.mark.parametrize("rate", [64, 128, 512, 1280])
 def test_every_position_matches_naive_count(rate):
-    # lengths around byte, word and sample boundaries; rates 1, 3 and 7
-    # put samples inside bytes
+    # lengths around byte, word and sample boundaries
     rng = random.Random(rate)
-    for n in (1, 7, 8, 9, 63, 64, 65, 127, 128, 129, 1279, 1280, 1281, 2561):
+    for n in (1, 7, 8, 9, 63, 64, 65, 127, 128, 129, 511, 512, 513, 1279, 1280,
+              1281, 2561):
         for density in (0.1, 0.5):
             bits = [rng.random() < density for _ in range(n)]
             bv = BitVector(bits, sample_rate=rate)

@@ -13,6 +13,11 @@ def T(s, p, o):
     return s, p, o
 
 
+def pool_terms(pool):
+    """The pool's terms in order, read one at a time."""
+    return [pool.term(i) for i in range(pool.count)]
+
+
 def encode(triples):
     """Dictionary.from_triples over the term columns of (s, p, o) triples."""
     return Dictionary.from_triples(*([t[j] for t in triples] for j in range(3)))
@@ -20,9 +25,9 @@ def encode(triples):
 
 def test_shared_terms_get_one_id():
     d, ids = encode([T("a", "p", "b"), T("b", "p", "a")])
-    assert list(d.shared) == ["a", "b"]
-    assert list(d.subject_only) == [] and list(d.object_only) == []
-    assert list(d.predicates) == ["p"]
+    assert pool_terms(d.shared) == ["a", "b"]
+    assert pool_terms(d.subject_only) == [] and pool_terms(d.object_only) == []
+    assert pool_terms(d.predicates) == ["p"]
     assert d.subject_id("a") == d.object_id("a") == 1
     assert d.subject_id("b") == d.object_id("b") == 2
     assert d.predicate_id("p") == 1
@@ -31,8 +36,8 @@ def test_shared_terms_get_one_id():
 
 def test_disjoint_id_spaces_overlap_numerically():
     d, ids = encode([T("a", "p", "b")])
-    assert list(d.shared) == [] and list(d.subject_only) == ["a"]
-    assert list(d.object_only) == ["b"]
+    assert pool_terms(d.shared) == [] and pool_terms(d.subject_only) == ["a"]
+    assert pool_terms(d.object_only) == ["b"]
     assert d.subject_id("a") == 1
     assert d.object_id("b") == 1
     assert ids.tolist() == [[1, 1, 1]]
@@ -55,7 +60,7 @@ def test_id_ranges_and_round_trip_lookup():
         assert d.object_id(d.object_term(i)) == i
     for i in range(1, d.predicate_count + 1):
         assert d.predicate_id(d.predicate_term(i)) == i
-    for term in d.shared:
+    for term in pool_terms(d.shared):
         assert d.subject_id(term) == d.object_id(term) <= n_so
     # ids exactly cover [1, count]
     subjects = {s for s, _, _ in ids.tolist()}
@@ -78,9 +83,9 @@ def test_columns_match_per_triple_reference():
     want = [(s_pool.index(s) + 1, p_pool.index(p) + 1, o_pool.index(o) + 1)
             for s, p, o in triples]
     d, ids = encode(triples)
-    assert list(d.shared) + list(d.subject_only) == s_pool
-    assert list(d.shared) + list(d.object_only) == o_pool
-    assert list(d.predicates) == p_pool
+    assert pool_terms(d.shared) + pool_terms(d.subject_only) == s_pool
+    assert pool_terms(d.shared) + pool_terms(d.object_only) == o_pool
+    assert pool_terms(d.predicates) == p_pool
     assert list(map(tuple, ids.tolist())) == want
 
 
@@ -110,9 +115,9 @@ def test_not_found():
 def test_lexicographic_order():
     d, _ = encode(
         [T("zz", "q", "aa"), T("aa", "p", "zz"), T("mm", "p", "nn")])
-    assert list(d.shared) == ["aa", "zz"]
-    assert list(d.subject_only) == ["mm"] and list(d.object_only) == ["nn"]
-    assert list(d.predicates) == ["p", "q"]
+    assert pool_terms(d.shared) == ["aa", "zz"]
+    assert pool_terms(d.subject_only) == ["mm"] and pool_terms(d.object_only) == ["nn"]
+    assert pool_terms(d.predicates) == ["p", "q"]
 
 
 def test_serialization_round_trip():
@@ -123,10 +128,10 @@ def test_serialization_round_trip():
     d.write(buf)
     buf.seek(0)
     back = Dictionary.read(buf)
-    assert list(back.shared) == list(d.shared)
-    assert list(back.subject_only) == list(d.subject_only)
-    assert list(back.object_only) == list(d.object_only)
-    assert list(back.predicates) == list(d.predicates)
+    assert pool_terms(back.shared) == pool_terms(d.shared)
+    assert pool_terms(back.subject_only) == pool_terms(d.subject_only)
+    assert pool_terms(back.object_only) == pool_terms(d.object_only)
+    assert pool_terms(back.predicates) == pool_terms(d.predicates)
     empty = Dictionary.empty()
     buf = io.BytesIO()
     empty.write(buf)
@@ -154,8 +159,8 @@ def test_packed_pool_lookup_and_decode_round_trip():
     d.write(buf)
     buf.seek(0)
     for dd in (d, Dictionary.read(buf)):
-        assert list(dd.predicates) == sorted(MIXED)
-        assert list(dd.object_only) == sorted(OBJECT_ONLY)
+        assert pool_terms(dd.predicates) == sorted(MIXED)
+        assert pool_terms(dd.object_only) == sorted(OBJECT_ONLY)
         for i in range(1, dd.subject_count + 1):
             assert dd.subject_id(dd.subject_term(i)) == i
         for i in range(1, dd.object_count + 1):
@@ -216,7 +221,7 @@ def test_front_coded_pool_round_trip(n):
     back.write(second)
     assert second.getvalue() == first.getvalue()
     for p in (pool, back):
-        assert list(p) == terms
+        assert pool_terms(p) == terms
         for i, (term, key) in enumerate(zip(terms, encoded)):
             assert p.index(key) == i and p.term(i) == term
         for absent in ("\x00", "caf", "cafe", "é\x00", "\U0001F600y", "\uffff"):

@@ -466,4 +466,5 @@ def test_loaded_dictionary_pools_hold_no_lists_or_strs(tmp_path):
             assert isinstance(pool.offsets, array)
             # one header term per bucket, not one object per term
             assert len(pool.headers) == -(-pool.count // BUCKET)
-    assert list(loaded.shared) == list(dictionary.shared)
+    assert [loaded.shared.term(i) for i in range(loaded.shared.count)] == \
+        [dictionary.shared.term(i) for i in range(dictionary.shared.count)]
