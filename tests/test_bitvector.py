@@ -10,6 +10,14 @@ from bmatrix.bitvector import (BitVector, SAMPLE_PRESETS, SAMPLE_RATE_DEFAULT,
 from bmatrix.dac import Dac
 
 
+def rates(words=(), bits=()):
+    """Sample rates to parametrize on, each named as it is given: in 64-bit
+    words (rows of 3 or 7 words; 100 words puts no sample past 0 within the
+    lengths tested) or in bits (the presets)."""
+    return ([pytest.param(64 * w, id=str(w)) for w in words]
+            + [pytest.param(b, id=str(b)) for b in bits])
+
+
 def naive_rank1(bits, i):
     return sum(bits[:i + 1])
 
@@ -119,9 +127,10 @@ def test_samples_count_the_bits_before_them(preset):
 
 
 @pytest.mark.parametrize("density", [0.01, 0.5, 0.99])
-@pytest.mark.parametrize("rate", [64, 128, 512, 1280])
-def test_matches_naive_scan(density, rate):
-    rng = random.Random(f"{density}/{rate}")
+@pytest.mark.parametrize("rate", rates(words=(1, 2, 7), bits=(64, 512, 1280)))
+def test_matches_naive_scan(density, rate, request):
+    # seeded by the test's name, so a rate given both ways draws other bits
+    rng = random.Random(request.node.callspec.id)
     n = rng.randrange(1, 3000)
     bits = [rng.random() < density for _ in range(n)]
     bv = BitVector(bits, sample_rate=rate)
@@ -184,12 +193,14 @@ def test_set_bits_past_the_length_are_refused(n):
             BitVector.from_bytes(bytes(bad), n)
 
 
-@pytest.mark.parametrize("rate", [64, 128, 512, 1280])
+@pytest.mark.parametrize("rate", rates(words=(1, 3, 7, 100), bits=(512, 1280)))
 def test_every_position_matches_naive_count(rate):
     # lengths around byte, word and sample boundaries
     rng = random.Random(rate)
-    for n in (1, 7, 8, 9, 63, 64, 65, 127, 128, 129, 511, 512, 513, 1279, 1280,
-              1281, 2561):
+    lengths = {1, 7, 8, 9, 63, 64, 65, 127, 128, 129, 511, 512, 513, 1279, 1280,
+               1281, 2561}
+    lengths |= {m for m in (rate - 1, rate, rate + 1, 2 * rate + 1) if m <= 2561}
+    for n in sorted(lengths):
         for density in (0.1, 0.5):
             bits = [rng.random() < density for _ in range(n)]
             bv = BitVector(bits, sample_rate=rate)
