@@ -15,7 +15,10 @@ import random
 import re
 import sys
 import time
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import ntriples, store as store_mod
 from ._binio import written_size
@@ -139,18 +142,24 @@ def _print_counts(store: TripleStore, dictionary: Dictionary, out) -> None:
 # -- build ---------------------------------------------------------------------
 
 
-def _read_terms(columns: tuple[list[str], ...], path: str,
-                strict: bool = False) -> list:
-    """Appends the subject, predicate and object of each statement in the
-    N-Triples file `path` to the three `columns`; returns the bad lines'
-    ParseErrors, which it also prints to stderr."""
-    errors: list = []
-    for block in ntriples.iter_file(path, strict=strict, errors=errors):
-        for column, terms in zip(columns, block):
-            column += terms
-    for err in errors:
-        print(f"{path}:{err}", file=sys.stderr)
-    return errors
+def _read_inputs(paths: list[str], strict: bool = False):
+    """The stored terms of the N-Triples files `paths`, and their statements
+    as an (n, 3) int32 array of positions in those terms; prints each
+    file's bad lines and counts to stderr."""
+    terms: list[str] = []
+    blocks = [np.empty((0, 3), dtype=np.int32)]
+    for path in paths:
+        errors: list = []
+        first, before = len(terms), len(blocks)
+        for new, numbers in ntriples.iter_file(path, strict=strict, errors=errors):
+            terms += new
+            numbers += first
+            blocks.append(numbers)
+        for err in errors:
+            print(f"{path}:{err}", file=sys.stderr)
+        print(f"parsed {path}: {sum(map(len, blocks[before:]))} statements,"
+              f" {len(errors)} bad lines", file=sys.stderr)
+    return terms, np.concatenate(blocks)
 
 
 def build_config(args) -> K2Config:
@@ -163,15 +172,10 @@ def build_config(args) -> K2Config:
 def cmd_build(args) -> int:
     config = build_config(args)   # refuse bad options before reading the input
     t0 = time.perf_counter()
-    columns: tuple[list[str], ...] = ([], [], [])
-    for path in args.inputs:
-        before = len(columns[0])
-        errors = _read_terms(columns, path, args.strict)
-        print(f"parsed {path}: {len(columns[0]) - before} statements,"
-              f" {len(errors)} bad lines", file=sys.stderr)
+    terms, numbers = _read_inputs(args.inputs, args.strict)
     t1 = time.perf_counter()
-    dictionary, ids = Dictionary.from_triples(*columns)
-    del columns
+    dictionary, ids = Dictionary.from_triples(terms, numbers)
+    del terms, numbers
     t2 = time.perf_counter()
     store = TripleStore.build(
         ids, dictionary.subject_count, dictionary.object_count,
@@ -392,14 +396,21 @@ def _sample_patterns(rng, tl: TripleList, dims, count: int):
     return out
 
 
+def _looked_up(terms: list[str], column: np.ndarray, lookup) -> np.ndarray:
+    """lookup(term) for the term of each number in `column`, called once
+    per distinct number."""
+    distinct, inverse = np.unique(column, return_inverse=True)
+    return np.array([lookup(terms[i]) for i in distinct.tolist()],
+                    dtype=np.int64)[inverse]
+
+
 def cmd_verify(args) -> int:
     store, dictionary = store_mod.load(args.store)
-    subjects, predicates, objects = columns = ([], [], [])
-    _read_terms(columns, args.input)
+    terms, numbers = _read_inputs([args.input])
+    lookups = (dictionary.subject_id, dictionary.predicate_id, dictionary.object_id)
     try:
-        ids = list(zip(map(dictionary.subject_id, subjects),
-                       map(dictionary.predicate_id, predicates),
-                       map(dictionary.object_id, objects)))
+        ids = np.column_stack([_looked_up(terms, numbers[:, j], lookup)
+                               for j, lookup in enumerate(lookups)])
     except KeyError as err:
         print(f"MISMATCH: input term missing from store dictionary: {err}",
               file=sys.stderr)
@@ -499,7 +510,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError, EOFError) as err:  # gzip: EOFError if cut short
+    # gzip: EOFError if cut short; BrokenProcessPool if a parse worker dies
+    except (OSError, ValueError, EOFError, BrokenProcessPool) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -7,13 +7,17 @@ subject and object id spaces overlap numerically but denote different
 pools above n_so. Pools are sorted lexicographically, which makes builds
 deterministic and lookups a binary search.
 
-A dictionary is built from the triples as three term columns, with no
-Python step per triple: the distinct terms of each column are a `set`,
-the pools are the sorted set differences and intersection, each role's
-term -> id index is ``dict(zip(pool, count(1)))``, and the id columns
-are ``np.fromiter(map(index.__getitem__, column))``. Only the distinct
-terms pass through Python code, as in HDT's dictionary build. The id rows
-keep the statements' order and repeats; the store sorts them.
+A dictionary is built from terms and term numbers, as the N-Triples
+reader yields them: a list of stored terms and an (n, 3) array whose
+row i holds the positions in that list of statement i's subject,
+predicate and object. No Python step runs per statement. The distinct
+terms are sorted once; each number maps to its term's rank by one dict
+lookup per number; the ranks a role uses are marked in a boolean array,
+and the pools and each role's ids follow from those marks by numpy
+masks, cumulative sums and takes. A term that stands at two positions
+gets one id per role. Only the distinct terms pass through Python code,
+as in HDT's dictionary build. The id rows keep the statements' order
+and repeats; the store sorts them.
 
 Each pool is front-coded (plain front coding, as in HDT), in the layout
 the store file keeps it (format v2):
@@ -53,7 +57,7 @@ import operator
 import struct
 from array import array
 from bisect import bisect_right
-from itertools import chain, count, islice
+from itertools import compress, count, islice
 from typing import Sequence
 
 import numpy as np
@@ -198,10 +202,13 @@ class TermPool:
 
     @classmethod
     def from_terms(cls, terms: list[str]) -> "TermPool":
-        encoded = [term.encode("utf-8") for term in terms]
-        blob, offsets = _front_code(encoded)
-        return cls(blob, packed_array(offsets), tuple(encoded[::BUCKET]),
-                   len(encoded))
+        blob, offsets = _front_code([term.encode("utf-8") for term in terms])
+        # the headers are encoded again once the list above is freed: kept
+        # from it, every BUCKET-th object would pin the allocator pages of
+        # the terms around it, and the build's peak memory with them
+        return cls(blob, packed_array(offsets),
+                   tuple(term.encode("utf-8") for term in terms[::BUCKET]),
+                   len(terms))
 
     def _bucket(self, b: int):
         offsets = self.offsets
@@ -294,29 +301,37 @@ class Dictionary:
         return cls(*(TermPool.from_terms([]) for _ in range(4)))
 
     @classmethod
-    def from_triples(cls, subjects: Sequence[str], predicates: Sequence[str],
-                     objects: Sequence[str]):
-        """Classify terms and encode the triples given as three term columns,
-        row i being (subjects[i], predicates[i], objects[i]); returns
-        (dictionary, ids), with ids an (n, 3) int64 array whose row i is the
-        (s, p, o) ids of statement i. Nothing is sorted or dropped:
-        `TripleStore.build` orders the rows and collapses repeats.
+    def from_triples(cls, terms: Sequence[str], numbers: np.ndarray):
+        """Classify terms and encode the statements given as term numbers:
+        row i of the (n, 3) integer array `numbers` holds the positions in
+        `terms` of statement i's subject, predicate and object. A term may
+        stand at more than one position; it gets one id per role all the
+        same. Returns (dictionary, ids), with ids an (n, 3) int64 array
+        whose row i is the (s, p, o) ids of statement i. Nothing is sorted
+        or dropped: `TripleStore.build` orders the rows and collapses
+        repeats.
         """
-        s_terms, o_terms = set(subjects), set(objects)
-        shared = sorted(s_terms & o_terms)
-        subject_only = sorted(s_terms - o_terms)
-        object_only = sorted(o_terms - s_terms)
-        predicate_pool = sorted(set(predicates))
-        ids = np.empty((len(subjects), 3), dtype=np.int64)
-        for j, column, pool in ((0, subjects, chain(shared, subject_only)),
-                                (1, predicates, predicate_pool),
-                                (2, objects, chain(shared, object_only))):
-            index = dict(zip(pool, count(1)))
-            ids[:, j] = np.fromiter(map(index.__getitem__, column), np.int64,
-                                    len(column))
-        pools = map(TermPool.from_terms, (shared, subject_only, object_only,
-                                          predicate_pool))
-        return cls(*pools), ids
+        distinct = sorted(set(terms))
+        position = dict(zip(distinct, count()))
+        # term number -> the position of its term in `distinct`
+        rank = np.fromiter(map(position.__getitem__, terms), np.int32, len(terms))
+        del position
+        used = np.zeros((3, len(distinct)), dtype=bool)
+        for j in range(3):
+            used[j, rank[numbers[:, j]]] = True
+        is_s, is_p, is_o = used
+        shared = is_s & is_o
+        only = (is_s & ~is_o, is_o & ~is_s)
+        n_so = int(shared.sum())
+        # by rank: the shared pool's ids first, then the role's own pool's
+        s_ids, o_ids = (np.where(shared, np.cumsum(shared), n_so + np.cumsum(own))
+                        for own in only)
+        ids = np.empty((len(numbers), 3), dtype=np.int64)
+        for j, role_ids in enumerate((s_ids, np.cumsum(is_p), o_ids)):
+            ids[:, j] = role_ids[rank][numbers[:, j]]
+        pools = (list(compress(distinct, mask.tolist()))
+                 for mask in (shared, *only, is_p))
+        return cls(*map(TermPool.from_terms, pools)), ids
 
     # -- term -> id ----------------------------------------------------------
 

@@ -45,27 +45,56 @@ characters `str.splitlines` breaks at (U+2028, U+0085, ``\x0b``,
 `iter_file` recognises gzip input by its first two bytes, the gzip magic
 1f 8b; a ``.gz`` suffix means nothing to it. It reads about BLOCK_BYTES
 of whole lines at a time, decodes the block in one call and runs one
-``findall`` of the grammar over it.
-A memo maps each raw term the file has shown to its stored form, so each
-distinct raw term is unescaped once; the block comes back as three lists
-of stored terms. A block takes the line path instead, `parse_line` on
-one line at a time as `iter_triples` does, when it is not valid UTF-8,
-when it has a line the grammar does not match, or when a raw term new to
-the memo raises ParseError (a surrogate escape, or a language tag that
-does not start with a letter). The line path names each bad line's
-fault: a line the grammar rejects is walked term by term with the same
-pieces. So the triples, the errors, their line numbers and their order
-are the same on both paths. Malformed statements are skipped and
-reported by default; a strict mode aborts on the first error.
+``findall`` of the grammar over it. Statements leave it as term numbers,
+not terms: a memo maps each raw term the range has shown to a number,
+so each distinct raw term is unescaped once, and a block comes back as
+the stored terms of the raw terms new to the memo and a (k, 3) int32
+array of numbers, one row per statement. Only distinct terms pass
+through Python code, as in HDT's dictionary build; `Dictionary.from_triples`
+takes the terms and numbers as they are. A term can be numbered twice,
+when it is spelled two ways (``<a>``, ``<\u0061>``), or met in both
+ranges or on the line path; the dictionary gives it one id.
+
+A block takes the line path instead, `parse_line` on one line at a time
+as `iter_triples` does, when it is not valid UTF-8, when it has a line
+the grammar does not match, or when a raw term new to the memo raises
+ParseError (a surrogate escape, or a language tag that does not start
+with a letter). The line path names each bad line's fault: a line the
+grammar rejects is walked term by term with the same pieces. It numbers
+the block's own distinct stored terms and keeps no memo. So the
+triples, the errors, their line numbers and their order are the same on
+both paths. Malformed statements are skipped and reported by default; a
+strict mode aborts on the first error.
+
+A plain regular file of more than BLOCK_BYTES is parsed in two byte
+ranges at once when the process may run on two CPUs and can fork: the
+fork start method exists and no other thread is running. The
+second range starts at the first line start at or after the middle
+byte; one forked worker parses it, with its own memo, while the caller
+parses the first. Both ranges, and the one range of gzip input, pipes
+and small files, run the same range parser. The worker's blocks come
+back whole, its numbers raised past the first range's terms and its bad
+lines renumbered past the first range's lines, so the caller sees the
+blocks and errors of a one-range parse. In strict mode the first range's
+first bad line, else the second's, is raised.
 """
 
 from __future__ import annotations
 
 import gzip
+import math
+import multiprocessing
+import os
 import re
+import stat
+import threading
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import chain, count
 from operator import itemgetter
 from typing import Iterable, Iterator
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -330,11 +359,28 @@ BLOCK_BYTES = 1 << 20
 _has_subject = itemgetter(0)
 
 
-def _block_columns(lines: list[bytes], memo: dict[str, str]):
-    """The statements of a block of lines as (subjects, predicates, objects)
-    lists of stored terms, or None when the block must take the line path:
-    it is not UTF-8, a line does not match the statement grammar, or a
-    term not yet in `memo` (raw -> stored term) raises ParseError."""
+class _Memo(dict):
+    """Raw term -> term number, for one range. Looking up a raw term not yet
+    in it gives the raw term the next number and lists it in `new`."""
+
+    def __init__(self):
+        super().__init__()
+        self.numbered = 0         # the numbers given, the line path's too
+        self.new: list[str] = []
+
+    def __missing__(self, raw: str) -> int:
+        number = self[raw] = self.numbered
+        self.numbered += 1
+        self.new.append(raw)
+        return number
+
+
+def _numbered_block(lines: list[bytes], memo: _Memo):
+    """The statements of a block of lines as (the stored terms of the raw
+    terms new to `memo`, in order of first appearance, and (k, 3) term
+    numbers), or None when the block must take the line path: it is not
+    UTF-8, a line does not match the statement grammar, or a new raw term
+    raises ParseError. The memo is left as it was in that case."""
     try:
         text = b"".join(lines).decode("utf-8")
     except UnicodeDecodeError:
@@ -348,42 +394,131 @@ def _block_columns(lines: list[bytes], memo: dict[str, str]):
     rows = _STATEMENT.findall(text)
     if len(rows) < len(lines):
         return None
-    rows = list(filter(_has_subject, rows))   # blank and comment lines
-    if not rows:
-        return [], [], []
-    columns = list(zip(*rows))
+    # blank and comment lines have no subject
+    raws = list(chain.from_iterable(filter(_has_subject, rows)))
+    memo.new = []
+    numbers = np.fromiter(map(memo.__getitem__, raws), np.int32, len(raws))
     try:
-        for raw in set().union(*columns).difference(memo):
-            memo[raw] = _term(raw)
+        return list(map(_term, memo.new)), numbers.reshape(-1, 3)
     except ParseError:
+        for raw in memo.new:
+            del memo[raw]
+        memo.numbered -= len(memo.new)
         return None
-    return tuple(list(map(memo.__getitem__, column)) for column in columns)
+
+
+def _line_block(lines: list, line_no: int, strict: bool, errors: list | None,
+                memo: _Memo):
+    """The line path's (terms, numbers) for a block whose first line is
+    numbered `line_no`: the block's distinct stored terms, numbered next
+    after `memo`'s numbers and not kept in it."""
+    terms = [term for t in _line_triples(lines, line_no, strict, errors)
+             for term in (t.subject, t.predicate, t.object)]
+    index = dict(zip(dict.fromkeys(terms), count(memo.numbered)))
+    memo.numbered += len(index)
+    numbers = np.fromiter(map(index.__getitem__, terms), np.int32, len(terms))
+    return list(index), numbers.reshape(-1, 3)
+
+
+def _range_blocks(src, size, strict: bool, errors: list | None):
+    """The next `size` bytes of `src` (math.inf: the rest), which start at a
+    line start and end at one, block by block: yields (stored terms,
+    (k, 3) int32 term numbers) per block of about BLOCK_BYTES, the terms
+    numbered from 0 in the order they are yielded. Bad lines are numbered
+    from 1 at the range's first line. Returns the number of lines read and
+    the number of terms numbered."""
+    memo = _Memo()
+    line_no = 1
+    while size > 0 and (lines := src.readlines(min(BLOCK_BYTES, size))):
+        # readlines reads one line past a hint that ends on a line start
+        got = sum(map(len, lines))
+        while got > size:
+            got -= len(lines.pop())
+        size -= got
+        block = _numbered_block(lines, memo)
+        if block is None:
+            block = _line_block(lines, line_no, strict, errors, memo)
+        line_no += len(lines)
+        yield block
+    return line_no - 1, memo.numbered
+
+
+def _parse_range(path: str, start: int, strict: bool):
+    """The worker's side of a two-range parse, from byte `start` of `path`
+    to its end: the blocks, and the bad lines as (message, line_no, line)
+    tuples, numbered from the range's first line. After a strict failure
+    the blocks are those before it and the one bad line is the failure."""
+    blocks, errors = [], []
+    with open(path, "rb") as src:
+        src.seek(start)
+        try:
+            blocks += _range_blocks(src, math.inf, strict, errors)
+        except ParseError as err:
+            errors.append(err)
+    return blocks, [(err.message, err.line_no, err.line) for err in errors]
+
+
+def _second_range(raw) -> int | None:
+    """Where a worker starts parsing the open file `raw`: the first line
+    start at or after its middle byte. None, for one range, unless `raw`
+    is a regular file of more than BLOCK_BYTES with a line start past the
+    middle, and this process may run on two CPUs and can fork: it runs no
+    other thread, which might hold a lock the worker would wait on."""
+    st = os.fstat(raw.fileno())
+    if not (stat.S_ISREG(st.st_mode) and st.st_size > BLOCK_BYTES
+            and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) > 1
+            and "fork" in multiprocessing.get_all_start_methods()
+            and threading.active_count() == 1):
+        return None
+    raw.seek(st.st_size // 2 - 1)
+    raw.readline()
+    cut = raw.tell()
+    raw.seek(0)
+    return cut if cut < st.st_size else None
 
 
 def iter_file(path: str, *, strict: bool = False,
-              errors: list | None = None) -> Iterator[tuple[list, list, list]]:
-    """The statements of an N-Triples file, one (subjects, predicates,
-    objects) tuple of term lists per block of about BLOCK_BYTES.
+              errors: list | None = None) -> Iterator[tuple[list, np.ndarray]]:
+    """The statements of an N-Triples file, one (terms, numbers) pair per
+    block of about BLOCK_BYTES, in file order. `numbers` is a (k, 3) int32
+    array with one row per statement: the positions of its subject,
+    predicate and object in the concatenation of all the `terms` lists
+    yielded so far, this block's included. `terms` holds the stored terms
+    first numbered in the block. A term may be numbered more than once
+    (spelled two ways, or met in both ranges or on the line path).
 
     A file whose first two bytes are the gzip magic 1f 8b is gunzipped as
     it is read; the name, ".gz" or not, plays no part. The path is opened
     once and its first bytes are peeked, not reread, so a pipe works too.
+    A plain regular file of more than BLOCK_BYTES is parsed in two ranges
+    at once, by the caller and a forked worker, when the process may run
+    on two CPUs and can fork (see the module notes). The worker is joined
+    before the second range's blocks are yielded, and also when the
+    generator is closed or raises.
     Bad lines are skipped and appended to `errors` when given, in file
     order, as iter_triples reports them; strict mode raises the first.
     """
-    memo: dict[str, str] = {}
-    line_no = 1
-    with open(path, "rb") as raw, (gzip.GzipFile(fileobj=raw)
-                                   if raw.peek(2)[:2] == b"\x1f\x8b" else raw) as src:
-        while lines := src.readlines(BLOCK_BYTES):
-            columns = _block_columns(lines, memo)
-            if columns is None:
-                triples = list(_line_triples(lines, line_no, strict, errors))
-                columns = ([t.subject for t in triples],
-                           [t.predicate for t in triples],
-                           [t.object for t in triples])
-            line_no += len(lines)
-            yield columns
+    with open(path, "rb") as raw:
+        gzipped = raw.peek(2)[:2] == b"\x1f\x8b"
+        cut = None if gzipped else _second_range(raw)
+        if cut is None:
+            with (gzip.GzipFile(fileobj=raw) if gzipped else raw) as src:
+                yield from _range_blocks(src, math.inf, strict, errors)
+            return
+        with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork")
+                                 ) as worker:
+            second = worker.submit(_parse_range, path, cut, strict)
+            lines, numbered = yield from _range_blocks(raw, cut, strict, errors)
+            blocks, bad = second.result()
+    bad = [ParseError(message, lines + line_no, line) for message, line_no, line in bad]
+    if errors is not None and not strict:
+        errors += bad
+    for terms, numbers in blocks:
+        numbers += numbered
+        yield terms, numbers
+    if strict and bad:
+        raise bad[0]
 
 
 # -- formatting (canonical output) -----------------------------------------

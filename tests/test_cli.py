@@ -1,4 +1,5 @@
 import gzip
+import multiprocessing
 import os
 import random
 import re
@@ -14,7 +15,7 @@ import pfc_reference
 import bmatrix
 from bmatrix._binio import pack_fixed
 from tree_layout import packed_fields, reseal, section_offsets, tree_offsets
-from bmatrix import cli, store as store_mod
+from bmatrix import cli, ntriples, store as store_mod
 from bmatrix.k2tree import K2Config
 from bmatrix.store import TripleStore
 
@@ -821,3 +822,76 @@ def test_no_header_bit_is_ignored(built, capsys):
                 if outputs() == intact:
                     silent.append((options, bit))
     assert silent == []
+
+
+# -- two byte ranges at once -----------------------------------------------------
+
+SPLIT_CORPUS = CORPUS + "".join(
+    f'<http://x/n{i % 97}> <http://x/p{i % 7}> "v{i % 89}"@en .\n'
+    f"_:b{i % 53} <http://x/q> <http://x/n{i % 61}> .\n"
+    + ("<http://x/bad> <http://x/p>\n" if i % 37 == 5 else "") for i in range(300))
+
+
+def _parse_report(err: str, path) -> str:
+    (line,) = [line for line in err.splitlines() if line.startswith(f"parsed {path}:")]
+    return line[len(f"parsed {path}:"):]
+
+
+def test_plain_gzip_and_split_inputs_build_identical_stores(tmp_path, capsys, cuts):
+    lines = SPLIT_CORPUS.splitlines(keepends=True)
+    plain, zipped = tmp_path / "all.nt", tmp_path / "all.nt.gz"
+    plain.write_text(SPLIT_CORPUS)
+    zipped.write_bytes(gzip.compress(SPLIT_CORPUS.encode()))
+    head, tail = tmp_path / "head.nt", tmp_path / "tail.nt"
+    head.write_text("".join(lines[:250]))
+    tail.write_text("".join(lines[250:]))
+    stores, reports = [], []
+    for inputs in ([plain], [zipped], [head, tail]):
+        out = tmp_path / "out.bmx"
+        assert cli.main(["build", *map(str, inputs), "-o", str(out)]) == 0
+        stores.append(out.read_bytes())
+        err = capsys.readouterr().err
+        reports.append([_parse_report(err, path) for path in inputs])
+        assert multiprocessing.active_children() == []
+    # the plain files took two ranges; the gzip one took one
+    assert cuts[0] is not None and cuts[1:] != [None, None]
+    assert stores[0] == stores[1] == stores[2]
+    want = []
+    for part in (lines, lines[:250], lines[250:]):
+        errors = []
+        n = len(list(ntriples.iter_triples(part, errors=errors)))
+        want.append(f" {n} statements, {len(errors)} bad lines")
+    assert reports == [want[:1], want[:1], want[1:]]
+    assert want[0] == " 605 statements, 8 bad lines"
+
+
+@pytest.mark.parametrize("bad_half", [0, 1])
+def test_strict_build_fails_in_either_half(tmp_path, capsys, cuts, bad_half):
+    lines = CORPUS.splitlines(keepends=True) * 40
+    bad_at = len(lines) // 4 + bad_half * len(lines) // 2
+    lines[bad_at] = "<http://x/a> <http://x/p>\n"
+    src = tmp_path / "strict.nt"
+    src.write_text("".join(lines))
+    assert cli.main(["build", str(src), "-o", str(tmp_path / "x.bmx"), "--strict"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: line {bad_at + 1}: ") and "Traceback" not in err
+    assert cuts[-1] is not None
+    assert multiprocessing.active_children() == []
+
+
+def test_a_dead_parse_worker_is_a_clean_error(tmp_path, capsys, cuts, monkeypatch):
+    src = tmp_path / "x.nt"
+    src.write_text(CORPUS * 40)
+    parent, range_blocks = os.getpid(), ntriples._range_blocks
+
+    def dies_in_the_worker(*args):
+        if os.getpid() != parent:
+            os._exit(1)
+        return range_blocks(*args)
+
+    monkeypatch.setattr(ntriples, "_range_blocks", dies_in_the_worker)
+    assert cli.main(["build", str(src), "-o", str(tmp_path / "x.bmx")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert cuts[-1] is not None
+    assert multiprocessing.active_children() == []

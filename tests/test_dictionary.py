@@ -18,9 +18,17 @@ def pool_terms(pool):
     return [pool.term(i) for i in range(pool.count)]
 
 
+def numbered(triples):
+    """(terms, numbers) for Dictionary.from_triples, each term numbered
+    once, in order of first appearance."""
+    index = {}
+    numbers = [[index.setdefault(term, len(index)) for term in t] for t in triples]
+    return list(index), np.array(numbers, dtype=np.int32).reshape(-1, 3)
+
+
 def encode(triples):
-    """Dictionary.from_triples over the term columns of (s, p, o) triples."""
-    return Dictionary.from_triples(*([t[j] for t in triples] for j in range(3)))
+    """Dictionary.from_triples over (s, p, o) triples of terms."""
+    return Dictionary.from_triples(*numbered(triples))
 
 
 def test_shared_terms_get_one_id():
@@ -68,8 +76,29 @@ def test_id_ranges_and_round_trip_lookup():
     assert {p for _, p, _ in ids.tolist()} == set(range(1, d.predicate_count + 1))
 
 
+def every_position_numbered(triples):
+    """(terms, numbers) with a number for each term of each triple."""
+    terms = [term for t in triples for term in t]
+    return terms, np.arange(len(terms), dtype=np.int32).reshape(-1, 3)
+
+
+def shuffled_with_copies(triples):
+    """(terms, numbers) with each term at two or three shuffled positions,
+    each use of it numbered by one of them at random."""
+    rng = random.Random(7)
+    first, numbers = numbered(triples)
+    slots = [t for t in range(len(first)) for _ in range(rng.randint(2, 3))]
+    rng.shuffle(slots)          # the first number of the term at each position
+    copies = [[] for _ in first]
+    for position, t in enumerate(slots):
+        copies[t].append(position)
+    numbers = [[rng.choice(copies[n]) for n in row] for row in numbers.tolist()]
+    return [first[t] for t in slots], np.array(numbers, dtype=np.int32).reshape(-1, 3)
+
+
 def test_columns_match_per_triple_reference():
-    # the reference encodes one triple at a time by position in the pools
+    # the reference encodes one triple at a time by position in the pools;
+    # a term that arrives under more than one number gets one id per role
     rng = np.random.default_rng(5)
     vocab = [f"t{i}" for i in range(60)] + ["caf\u00e9", "☃", "\U0001F600", ""]
     triples = [(vocab[a], vocab[b % 7], vocab[c])
@@ -82,11 +111,12 @@ def test_columns_match_per_triple_reference():
     # one row per statement, in statement order, repeats kept
     want = [(s_pool.index(s) + 1, p_pool.index(p) + 1, o_pool.index(o) + 1)
             for s, p, o in triples]
-    d, ids = encode(triples)
-    assert pool_terms(d.shared) + pool_terms(d.subject_only) == s_pool
-    assert pool_terms(d.shared) + pool_terms(d.object_only) == o_pool
-    assert pool_terms(d.predicates) == p_pool
-    assert list(map(tuple, ids.tolist())) == want
+    for numbering in (numbered, every_position_numbered, shuffled_with_copies):
+        d, ids = Dictionary.from_triples(*numbering(triples))
+        assert pool_terms(d.shared) + pool_terms(d.subject_only) == s_pool
+        assert pool_terms(d.shared) + pool_terms(d.object_only) == o_pool
+        assert pool_terms(d.predicates) == p_pool
+        assert list(map(tuple, ids.tolist())) == want
 
 
 def test_dedup_set_semantics():

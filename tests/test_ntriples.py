@@ -1,7 +1,10 @@
 import gzip
+import multiprocessing
 import random
+import threading
 from dataclasses import astuple
 
+import numpy as np
 import pytest
 
 import ntriples_reference as reference
@@ -90,10 +93,19 @@ def test_round_trip_identity():
     assert first == second
 
 
+def numbered_triples(blocks) -> list[RawTriple]:
+    """iter_file's (terms, numbers) blocks as triples of terms."""
+    terms, triples = [], []
+    for new, numbers in blocks:
+        assert numbers.dtype == np.int32 and numbers.shape[1:] == (3,)
+        terms += new
+        triples += (RawTriple(*map(terms.__getitem__, row)) for row in numbers.tolist())
+    return triples
+
+
 def file_triples(path, **kwargs) -> list[RawTriple]:
-    """iter_file's term columns, flattened into triples."""
-    return [RawTriple(*row) for block in iter_file(str(path), **kwargs)
-            for row in zip(*block)]
+    """iter_file's statements, as triples of terms."""
+    return numbered_triples(iter_file(str(path), **kwargs))
 
 
 def test_gzip_input(tmp_path):
@@ -278,15 +290,17 @@ def test_block_reader_matches_line_path_on_mutated_lines(tmp_path, monkeypatch):
         want = list(iter_triples(src, errors=want_errors))
     assert len(want) > len(lines) // 10 and len(want_errors) > len(lines) // 10
 
-    block_columns = ntriples._block_columns
+    numbered_block = ntriples._numbered_block
     took_block_path = []
 
     def counted(lines, memo):
-        out = block_columns(lines, memo)
+        out = numbered_block(lines, memo)
         took_block_path.append(out is not None)
         return out
 
-    monkeypatch.setattr(ntriples, "_block_columns", counted)
+    # one range: a worker's blocks would not be counted here
+    monkeypatch.setattr(ntriples, "_second_range", lambda raw: None)
+    monkeypatch.setattr(ntriples, "_numbered_block", counted)
     # one line, then a few lines to a block, so that many blocks take each path
     for size, least in ((1, 10_000), (200, 10)):
         monkeypatch.setattr(ntriples, "BLOCK_BYTES", size)
@@ -298,10 +312,10 @@ def test_block_reader_matches_line_path_on_mutated_lines(tmp_path, monkeypatch):
 
     with pytest.raises(ParseError) as line_err, path.open("rb") as src:
         list(iter_triples(src, strict=True))
-    got = []
+    blocks = []
     with pytest.raises(ParseError) as block_err:
-        for block in iter_file(str(path), strict=True):
-            got += map(RawTriple, *block)
+        blocks += iter_file(str(path), strict=True)
+    got = numbered_triples(blocks)
     assert _errors([block_err.value]) == _errors([line_err.value])
     assert got == want[:len(got)]
 
@@ -348,3 +362,136 @@ def test_parse_line_rejects_a_line_break():
                  "<a> <p> <b> .\n<c> <p> <d> ."):
         with pytest.raises(ParseError, match="line break"):
             parse_line(text)
+
+
+# -- two byte ranges at once -----------------------------------------------------
+
+# every kind of line, bad ones included: a grammar error, a surrogate
+# escape, a block that is not UTF-8, a comment, a blank line, and a term
+# spelled two ways
+_SPLIT_LINES = [
+    b"<a> <p> <b> .",
+    b"# comment",
+    b"",
+    b'_:x <p> "l\\u00e9"@fr . # c',
+    b"<a> <p>",
+    b'<a> <p> "\\uD800" .',
+    b"<c> <q> \xff\xfe .",
+    b'<c> <q> "5"^^<http://t/int> .',
+    b"<\\u0061> <p> <b> .",
+    b"<a> <p> <b> .",
+]
+
+
+def _write_lines(path, lines, last_end=b"\n"):
+    """`lines` ended by LF and CRLF in turn, the last one by `last_end`."""
+    ends = [(b"\n", b"\r\n")[i % 2] for i in range(len(lines) - 1)] + [last_end]
+    path.write_bytes(b"".join(line + end for line, end in zip(lines, ends)))
+    return path
+
+
+def _line_path(path, strict=False):
+    """The statements and bad lines of `path` as iter_triples finds them."""
+    errors = []
+    with path.open("rb") as src:
+        return list(iter_triples(src, strict=strict, errors=errors)), errors
+
+
+@pytest.mark.parametrize("last_end", [b"\n", b""])
+@pytest.mark.parametrize("pad", range(0, 48, 3))
+def test_two_ranges_parse_like_one(tmp_path, cuts, pad, last_end):
+    # the padding comment moves the cut through several lines
+    path = _write_lines(tmp_path / "split.nt",
+                        [b"#" * pad] + _SPLIT_LINES * 4, last_end)
+    want, want_errors = _line_path(path)
+    errors = []
+    assert file_triples(path, errors=errors) == want
+    assert _errors(errors) == _errors(want_errors)
+    assert cuts[-1] is not None and 0 < cuts[-1] < path.stat().st_size
+    lines_before_cut = path.read_bytes()[:cuts[-1]].count(b"\n")
+    bad_lines = [err.line_no for err in errors]
+    assert min(bad_lines) <= lines_before_cut < max(bad_lines)
+
+
+def test_cut_exactly_on_a_line_start(tmp_path, cuts):
+    # the middle byte starts a line, and the first range's last block ends
+    # on the cut: no line is read twice or lost there
+    half = b"".join(line + b"\n" for line in _SPLIT_LINES)
+    path = tmp_path / "halves.nt"
+    path.write_bytes(half + half.replace(b"<a>", b"<A>"))
+    want, want_errors = _line_path(path)
+    errors = []
+    got = file_triples(path, errors=errors)
+    assert cuts == [len(half)]
+    assert len(got) == len(want) == 10
+    assert got == want and _errors(errors) == _errors(want_errors)
+
+
+def _parses(line: bytes) -> bool:
+    try:
+        parse_line(line.decode("utf-8"))
+    except (ParseError, UnicodeDecodeError):
+        return False
+    return True
+
+
+@pytest.mark.parametrize("bad_in", ["first", "second", "both"])
+def test_strict_two_ranges_raise_the_first_bad_line(tmp_path, cuts, bad_in):
+    good = [line for line in _SPLIT_LINES if _parses(line)]
+    bad = b"<a> <p> <b> . junk"
+    first, second = good * 3, good * 3
+    if bad_in in ("first", "both"):
+        first[5] = bad
+    if bad_in in ("second", "both"):
+        second[4] = bad
+    path = _write_lines(tmp_path / "strict.nt", first + second)
+    want, _ = _line_path(path)
+    with pytest.raises(ParseError) as want_err:
+        _line_path(path, strict=True)
+    blocks = []
+    with pytest.raises(ParseError) as got_err:
+        blocks += iter_file(str(path), strict=True)
+    lines_before_cut = path.read_bytes()[:cuts[-1]].count(b"\n")
+    assert (got_err.value.line_no > lines_before_cut) == (bad_in == "second")
+    assert _errors([got_err.value]) == _errors([want_err.value])
+    got = numbered_triples(blocks)
+    assert got == want[:len(got)]
+
+
+def test_two_ranges_number_every_term(tmp_path, cuts):
+    # a term met on both sides of the cut, or spelled two ways, takes more
+    # than one number; every number names its term
+    path = _write_lines(tmp_path / "twice.nt", _SPLIT_LINES * 4)
+    terms, rows = [], 0
+    for new, numbers in iter_file(str(path)):
+        terms += new
+        rows += len(numbers)
+        assert numbers.size == 0 or numbers.max() < len(terms)
+    assert cuts[-1] is not None
+    assert rows == len(_line_path(path)[0])
+    assert terms.count("a") >= 2 and len(set(terms)) < len(terms)
+
+
+def test_worker_is_joined_when_the_generator_closes_early(tmp_path, cuts):
+    path = _write_lines(tmp_path / "close.nt", _SPLIT_LINES * 40)
+    blocks = iter_file(str(path))
+    next(blocks)
+    assert multiprocessing.active_children()
+    blocks.close()
+    assert cuts[-1] is not None
+    assert multiprocessing.active_children() == []
+
+
+def test_one_range_while_another_thread_runs(tmp_path, cuts):
+    # a forked worker could wait forever on a lock that thread holds
+    path = _write_lines(tmp_path / "threads.nt", _SPLIT_LINES * 4)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(60,))
+    other.start()
+    try:
+        assert file_triples(path) == _line_path(path)[0]
+    finally:
+        release.set()
+        other.join(timeout=60)
+    assert not other.is_alive()
+    assert cuts == [None]

@@ -305,7 +305,7 @@ def test_pattern_query_dispatch(store_e):
 
 
 def test_store_file_round_trip(store_e):
-    d, _ = Dictionary.from_triples([], [], [])
+    d, _ = Dictionary.from_triples([], np.empty((0, 3), dtype=np.int32))
     buf = io.BytesIO()
     write_store(buf, store_e, d)
     data = buf.getvalue()
@@ -395,9 +395,11 @@ PACKED_CONFIGS = [
 def term_store(config, n=2500, seed=11):
     rng = np.random.default_rng(seed)
     s, p, o = (rng.integers(0, m, n).tolist() for m in (300, 40, 300))
-    dictionary, ids = Dictionary.from_triples([f"<http://x/n{i}>" for i in s],
-                                              [f"<http://x/p{i}>" for i in p],
-                                              [f"<http://x/n{i}>" for i in o])
+    # terms 0..299 are nodes, 300..339 predicates
+    terms = [f"<http://x/n{i}>" for i in range(300)]
+    terms += [f"<http://x/p{i}>" for i in range(40)]
+    numbers = np.column_stack((s, np.add(p, 300), o)).astype(np.int32)
+    dictionary, ids = Dictionary.from_triples(terms, numbers)
     store = TripleStore.build(ids, dictionary.subject_count,
                               dictionary.object_count,
                               dictionary.predicate_count, config=config)
