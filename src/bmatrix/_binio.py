@@ -56,8 +56,6 @@ def pack_fixed(values, width: int) -> bytes:
         return b""
     if width in (8, 16, 32, 64):
         return arr.astype(f"<u{width // 8}").tobytes()
-    if width == 1:
-        return np.packbits(arr.astype(bool), bitorder="little").tobytes()
     if width < 8:
         # eight slots fill `width` bytes: build them as one u64 and keep its
         # low `width` bytes
@@ -102,8 +100,6 @@ def unpack_values(data: bytes, width: int, count: int) -> np.ndarray:
     if width in (8, 16, 32, 64):
         return np.frombuffer(data, dtype=f"<u{width // 8}", count=count)
     raw = np.frombuffer(data, dtype=np.uint8)
-    if width == 1:
-        return np.unpackbits(raw, count=count, bitorder="little")
     if width < 8:
         # each `width` bytes hold eight slots: widen them to one u64 and
         # shift each slot out of it

@@ -15,7 +15,6 @@ import random
 import re
 import sys
 import time
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 import numpy as np
@@ -510,8 +509,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    # gzip: EOFError if cut short; BrokenProcessPool if a parse worker dies
-    except (OSError, ValueError, EOFError, BrokenProcessPool) as err:
+    # gzip: EOFError if cut short
+    except (OSError, ValueError, EOFError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -145,16 +145,6 @@ def _level_bits(codes: np.ndarray, ks: list[int]) -> list[np.ndarray]:
     return level_bits
 
 
-def _set_bits(bits: int) -> list[int]:
-    """Positions of the set bits, ascending."""
-    out = []
-    while bits:
-        low = bits & -bits
-        out.append(low.bit_length() - 1)
-        bits ^= low
-    return out
-
-
 def _col_mask(side: int) -> int:
     """Bit r*side set for every row r: column 0 of a side x side leaf."""
     return ((1 << side * side) - 1) // ((1 << side) - 1)
@@ -166,8 +156,8 @@ class LeafVocabulary:
     In memory there is one form: `patterns[e]` is leaf e as a side*side-bit
     int, bit r*side + c set for a 1, so its set bits from low to high are
     the cells in row-major order; `patterns` is an `array.array` of the
-    smallest unsigned typecode that holds them. `cells(e)` is that int, and
-    `bit`, `row_cols`, `col_rows` and the tree walk mask it.
+    smallest unsigned typecode that holds them. `cells(e)` is that int;
+    `bit` and the tree walk mask it, and `row_cols`/`col_rows` call `bit`.
 
     The encoding names one of three file forms, written by `write` and
     decoded back to the plain ints by `read`. Each is the encoding byte and
@@ -219,11 +209,11 @@ class LeafVocabulary:
 
     def row_cols(self, e: int, r: int) -> list[int]:
         """Columns set in row r of leaf e, ascending."""
-        return _set_bits(self.cells(e) >> (r * self.side) & ((1 << self.side) - 1))
+        return [c for c in range(self.side) if self.bit(e, r, c)]
 
     def col_rows(self, e: int, c: int) -> list[int]:
         """Rows set in column c of leaf e, ascending."""
-        return [b // self.side for b in _set_bits(self.cells(e) & _col_mask(self.side) << c)]
+        return [r for r in range(self.side) if self.bit(e, r, c)]
 
     @property
     def row_index_bits(self) -> int:

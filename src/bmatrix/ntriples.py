@@ -73,10 +73,12 @@ second range starts at the first line start at or after the middle
 byte; one forked worker parses it, with its own memo, while the caller
 parses the first. Both ranges, and the one range of gzip input, pipes
 and small files, run the same range parser. The worker's blocks come
-back whole, its numbers raised past the first range's terms and its bad
-lines renumbered past the first range's lines, so the caller sees the
-blocks and errors of a one-range parse. In strict mode the first range's
-first bad line, else the second's, is raised.
+back whole over a one-way pipe, its numbers raised past the first
+range's terms and its bad lines renumbered past the first range's lines,
+so the caller sees the blocks and errors of a one-range parse. In strict
+mode the first range's first bad line, else the second's, is raised. The
+worker is stopped, not joined: it is killed once its result is in or the
+caller stops early (a strict failure, an early close).
 """
 
 from __future__ import annotations
@@ -88,7 +90,6 @@ import os
 import re
 import stat
 import threading
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import chain, count
 from operator import itemgetter
@@ -320,19 +321,14 @@ def _line_triples(lines: Iterable, first: int, strict: bool,
     """The line path: each line decoded and parsed on its own, the first
     one numbered `first`."""
     for line_no, line in enumerate(lines, first):
-        if isinstance(line, bytes):
-            try:
-                line = line.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                err = ParseError(f"invalid UTF-8 ({exc.reason})", line_no, repr(line))
-                if strict:
-                    raise err from None
-                if errors is not None:
-                    errors.append(err)
-                continue
-        line = line.rstrip("\r\n")
         try:
-            triple = parse_line(line, line_no)
+            if isinstance(line, bytes):
+                try:
+                    line = line.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise ParseError(f"invalid UTF-8 ({exc.reason})", line_no,
+                                     repr(line)) from None
+            triple = parse_line(line.rstrip("\r\n"), line_no)
         except ParseError as err:
             if strict:
                 raise
@@ -443,19 +439,23 @@ def _range_blocks(src, size, strict: bool, errors: list | None):
     return line_no - 1, memo.numbered
 
 
-def _parse_range(path: str, start: int, strict: bool):
-    """The worker's side of a two-range parse, from byte `start` of `path`
-    to its end: the blocks, and the bad lines as (message, line_no, line)
-    tuples, numbered from the range's first line. After a strict failure
-    the blocks are those before it and the one bad line is the failure."""
+def _parse_range(send, path: str, start: int, strict: bool) -> None:
+    """The worker process of a two-range parse, from byte `start` of `path`
+    to its end. Sends down the connection `send` the blocks and the bad
+    lines as (message, line_no, line) tuples, numbered from the range's
+    first line (after a strict failure: the blocks before it, and it), or
+    the exception that stopped the parse."""
     blocks, errors = [], []
-    with open(path, "rb") as src:
-        src.seek(start)
-        try:
+    try:
+        with open(path, "rb") as src:
+            src.seek(start)
             blocks += _range_blocks(src, math.inf, strict, errors)
-        except ParseError as err:
-            errors.append(err)
-    return blocks, [(err.message, err.line_no, err.line) for err in errors]
+    except ParseError as err:
+        errors.append(err)
+    except Exception as exc:
+        send.send(exc)
+        return
+    send.send((blocks, [(err.message, err.line_no, err.line) for err in errors]))
 
 
 def _second_range(raw) -> int | None:
@@ -493,9 +493,9 @@ def iter_file(path: str, *, strict: bool = False,
     once and its first bytes are peeked, not reread, so a pipe works too.
     A plain regular file of more than BLOCK_BYTES is parsed in two ranges
     at once, by the caller and a forked worker, when the process may run
-    on two CPUs and can fork (see the module notes). The worker is joined
-    before the second range's blocks are yielded, and also when the
-    generator is closed or raises.
+    on two CPUs and can fork (see the module notes). The worker is killed
+    once its result is in, or when the generator is closed or raises; one
+    that dies without a result raises OSError.
     Bad lines are skipped and appended to `errors` when given, in file
     order, as iter_triples reports them; strict mode raises the first.
     """
@@ -506,11 +506,24 @@ def iter_file(path: str, *, strict: bool = False,
             with (gzip.GzipFile(fileobj=raw) if gzipped else raw) as src:
                 yield from _range_blocks(src, math.inf, strict, errors)
             return
-        with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork")
-                                 ) as worker:
-            second = worker.submit(_parse_range, path, cut, strict)
+        fork = multiprocessing.get_context("fork")
+        results, send = fork.Pipe(duplex=False)
+        worker = fork.Process(target=_parse_range, args=(send, path, cut, strict))
+        worker.start()
+        send.close()      # else the worker's death would not end recv
+        try:
             lines, numbered = yield from _range_blocks(raw, cut, strict, errors)
-            blocks, bad = second.result()
+            try:
+                second = results.recv()
+            except EOFError:
+                raise OSError(f"{path}: the parse worker ended without a result") from None
+        finally:
+            worker.kill()
+            worker.join()
+            results.close()
+    if isinstance(second, Exception):
+        raise second
+    blocks, bad = second
     bad = [ParseError(message, lines + line_no, line) for message, line_no, line in bad]
     if errors is not None and not strict:
         errors += bad

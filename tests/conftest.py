@@ -1,3 +1,5 @@
+import multiprocessing
+
 import pytest
 
 from bmatrix import ntriples
@@ -20,3 +22,10 @@ def cuts(monkeypatch):
 
     monkeypatch.setattr(ntriples, "_second_range", spied)
     return out
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Every test ends with no child process running."""
+    yield
+    assert multiprocessing.active_children() == []

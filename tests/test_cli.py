@@ -892,6 +892,6 @@ def test_a_dead_parse_worker_is_a_clean_error(tmp_path, capsys, cuts, monkeypatc
     monkeypatch.setattr(ntriples, "_range_blocks", dies_in_the_worker)
     assert cli.main(["build", str(src), "-o", str(tmp_path / "x.bmx")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "Traceback" not in err
+    assert err.startswith(f"error: {src}: ") and "Traceback" not in err
     assert cuts[-1] is not None
     assert multiprocessing.active_children() == []

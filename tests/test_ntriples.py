@@ -2,6 +2,7 @@ import gzip
 import multiprocessing
 import random
 import threading
+import time
 from dataclasses import astuple
 
 import numpy as np
@@ -478,6 +479,33 @@ def test_worker_is_joined_when_the_generator_closes_early(tmp_path, cuts):
     next(blocks)
     assert multiprocessing.active_children()
     blocks.close()
+    assert cuts[-1] is not None
+    assert multiprocessing.active_children() == []
+
+
+def _sleeps(*args):
+    time.sleep(30)
+
+
+def test_strict_failure_stops_the_worker_at_once(tmp_path, cuts, monkeypatch):
+    monkeypatch.setattr(ntriples, "_parse_range", _sleeps)
+    path = _write_lines(tmp_path / "stop.nt", [b"<a> <p>"] + _SPLIT_LINES * 40)
+    began = time.monotonic()
+    with pytest.raises(ParseError, match="^line 1: "):
+        list(iter_file(str(path), strict=True))
+    assert time.monotonic() - began < 10
+    assert cuts[-1] is not None
+    assert multiprocessing.active_children() == []
+
+
+def test_early_close_stops_the_worker_at_once(tmp_path, cuts, monkeypatch):
+    monkeypatch.setattr(ntriples, "_parse_range", _sleeps)
+    path = _write_lines(tmp_path / "stop.nt", _SPLIT_LINES * 40)
+    began = time.monotonic()
+    blocks = iter_file(str(path))
+    next(blocks)
+    blocks.close()
+    assert time.monotonic() - began < 10
     assert cuts[-1] is not None
     assert multiprocessing.active_children() == []
 
