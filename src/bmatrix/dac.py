@@ -140,18 +140,17 @@ class Dac:
             lvl += 1
             shift += w
 
-    def values(self) -> np.ndarray:
-        """All encoded values in order, as uint64, decoded a level at a time
-        from the last: level l+1's chunks, and the higher bits decoded with
-        them, belong to the values at level l's continuation ones."""
-        values = np.zeros(0, dtype=np.uint64)
+    def top(self) -> int:
+        """The largest value, -1 with none. A value that reaches the last level
+        is longer than every value that stops before it, so only those are
+        decoded, through the continuation ones that lead up to them."""
+        top, at = np.uint64(0), None
         for w, chunks, flags in reversed(self.levels):
             more = np.unpackbits(np.frombuffer(flags.data, dtype=np.uint8),
-                                 count=flags.length, bitorder="little")
-            higher = values << np.uint64(w)
-            values = unpack_values(chunks, w, flags.length).astype(np.uint64)
-            values[np.flatnonzero(more.view(bool))] |= higher
-        return values
+                                 count=flags.length, bitorder="little").view(bool)
+            at = np.arange(flags.length) if at is None else np.flatnonzero(more)[at]
+            top = top << np.uint64(w) | unpack_values(chunks, w, flags.length)[at]
+        return int(top.max()) if self.length else -1
 
     @property
     def widths(self) -> list[int]:
@@ -192,7 +191,7 @@ class Dac:
             _check_width(w)
             chunks = read_exact(src, (count * w + 7) // 8)
             check_padding(chunks, count * w)
-            # values() would drop those bits, and access() would keep them
+            # top() would drop those bits, and access() would keep them
             if shift + w > 64 and int(unpack_values(chunks, w, count).max()) >> 64 - shift:
                 raise ValueError(f"DAC level {len(levels)} has a chunk with bits past bit 63")
             flags = BitVector.from_bytes(read_exact(src, padded_size(count)), count,

@@ -107,42 +107,65 @@ def plan_levels(config: K2Config, max_dim: int) -> list[int]:
 def _path_part(coords: np.ndarray, extent: int, ks: list[int],
                weights: list[int]) -> np.ndarray:
     """sum(digit_l * weights[l]) over the digits of each coordinate in the
-    mixed radix ks, most significant first; coords lie in [0, extent).
-
-    When extent is no larger than the number of coordinates the sum is
-    tabulated over range(extent) and gathered, so the table never outgrows
-    the coordinates.
-    """
+    mixed radix ks, most significant first; coords lie in [0, extent). A
+    digit is x - q * k for q = x // k (int64 `%` is several times slower).
+    When extent is at most the number of coordinates, the sum is tabulated
+    over range(extent) and gathered, so the table never outgrows them."""
     tabulate = extent <= coords.size
     x = np.arange(extent, dtype=np.int64) if tabulate else coords
     part = np.zeros(x.size, dtype=np.int64)
     for k, w in zip(reversed(ks), reversed(weights)):
-        x, digit = np.divmod(x, k)
-        part += digit * w
+        x, rest = x // k, x
+        part += (rest - x * k) * w
     return part[coords] if tabulate else part
+
+
+def _run_starts(a: np.ndarray) -> np.ndarray:
+    """Flags of the elements of `a` that differ from the one before."""
+    new = np.empty(a.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(a[1:], a[:-1], out=new[1:])
+    return new
 
 
 def _level_bits(codes: np.ndarray, ks: list[int]) -> list[np.ndarray]:
     """Per-level node bits, top level first, from the ascending distinct
-    path codes of the last level's set cells."""
-    level_bits: list[np.ndarray] = [None] * len(ks)  # type: ignore[list-item]
+    path codes of the last level's set cells. It overwrites `codes` and
+    reuses arrays in place, since fresh ones cost page faults."""
+    level_bits: list[np.ndarray] = []
     for lvl in range(len(ks) - 1, -1, -1):
         arity = ks[lvl] * ks[lvl]
-        digit = codes % arity
         parent = codes // arity
-        if lvl == 0:
-            bits = np.zeros(arity, dtype=bool)
-            bits[digit] = True
-        else:
-            # codes ascend, so parent does too: a new parent starts each run
-            new = np.empty(parent.size, dtype=bool)
-            new[:1] = True
-            np.not_equal(parent[1:], parent[:-1], out=new[1:])
-            codes = parent[new]
-            bits = np.zeros(codes.size * arity, dtype=bool)
-            bits[(np.cumsum(new) - 1) * arity + digit] = True
-        level_bits[lvl] = bits
+        codes -= parent * arity                      # now the digits
+        # codes ascend, so parent does too: a new parent starts each run
+        new = _run_starts(parent)
+        digit, codes = codes, parent[np.flatnonzero(new)]
+        new[:1] = False                  # so new's running count is the block
+        pos = np.cumsum(new, out=parent)
+        pos *= arity
+        pos += digit
+        # the top level is the root's one block, an empty matrix's too
+        bits = np.zeros((codes.size if lvl else 1) * arity, dtype=bool)
+        bits[pos] = True
+        level_bits.insert(0, bits)
     return level_bits
+
+
+def _stable_order(values: np.ndarray, value_bits: int) -> np.ndarray:
+    """np.argsort(values, kind="stable") for uint64 values below 2^value_bits,
+    by LSD passes. A pass sorts distinct keys, a digit of the values above
+    the position, so a plain sort is stable. Positions take b bits and a
+    digit the other 64 - b: two passes for 64-bit values below 2^32 of them."""
+    pos_bits = (values.size - 1).bit_length()
+    order = None
+    for lo in range(0, value_bits, 64 - pos_bits):
+        key = (values if order is None else values[order]) >> np.uint64(lo)
+        key <<= np.uint64(pos_bits)
+        key |= np.arange(values.size, dtype=np.uint64)
+        key.sort()
+        key &= np.uint64((1 << pos_bits) - 1)
+        order = key.view(np.int64) if order is None else order[key.view(np.int64)]
+    return order
 
 
 def _col_mask(side: int) -> int:
@@ -318,7 +341,9 @@ class K2Tree:
         of row // leaf_side and col // leaf_side in the mixed radix ks. The
         code is therefore a row part plus a column part, each a function of
         one coordinate (`_path_part`); the points are then sorted by code and
-        the levels built bottom-up from the distinct codes.
+        the levels built bottom-up from the distinct codes. The vocabulary
+        ranks the leaf patterns by count, ties by first leaf, from a stable
+        order of packed keys (`_stable_order`: two passes at leaf side 8).
         """
         pts = np.asarray(list(points) if not isinstance(points, np.ndarray) else points,
                          dtype=np.int64)
@@ -342,29 +367,30 @@ class K2Tree:
         col_weight = [prod(k * k for k in ks[lvl + 1:]) for lvl in range(len(ks))]
         row_weight = [k * w for k, w in zip(ks, col_weight)]
         leaf_rows, leaf_cols = -(-n_rows // leaf_side), -(-n_cols // leaf_side)
-        leaf_code = (_path_part(rows // leaf_side, leaf_rows, ks, row_weight)
-                     + _path_part(cols // leaf_side, leaf_cols, ks, col_weight))
-
-        # one sort of (code, bit in leaf) keys; codes are below
-        # (MAX_SIDE / leaf_side)^2, so the keys are below 2^62
-        shift = 2 * (leaf_side.bit_length() - 1)
-        key = leaf_code << shift | (rows % leaf_side) * leaf_side + cols % leaf_side
+        # (code, cell in leaf) keys; codes < (MAX_SIDE / leaf_side)^2, so keys < 2^62
+        lb = leaf_side.bit_length() - 1
+        key = _path_part(rows >> lb, leaf_rows, ks, row_weight)
+        key += _path_part(cols >> lb, leaf_cols, ks, col_weight)
+        key <<= 2 * lb
+        key |= (rows & (leaf_side - 1)) << lb | cols & (leaf_side - 1)
         key.sort()
-        lc = key >> shift
-        starts = np.flatnonzero(np.diff(lc, prepend=-1))  # each code's first key
+        lc = key >> 2 * lb
+        starts = np.flatnonzero(_run_starts(lc))  # each code's first key
         tree = BitVector(np.concatenate(_level_bits(lc[starts], ks)), rate)
         if leaf_side == 1:
             return cls(int(n_rows), int(n_cols), ks, leaf_side, tree)
 
-        patterns = np.bitwise_or.reduceat(
-            np.uint64(1) << (key & ((1 << shift) - 1)).astype(np.uint64), starts)
-        uniq_pat, first, inverse, counts = np.unique(
-            patterns, return_index=True, return_inverse=True, return_counts=True)
+        cell = (key & ((1 << 2 * lb) - 1)).view(np.uint64)
+        patterns = np.bitwise_or.reduceat(np.left_shift(1, cell, out=cell), starts)
+        order = _stable_order(patterns, leaf_side * leaf_side)
+        group = np.flatnonzero(_run_starts(patterns[order]))
+        counts = np.diff(group, append=patterns.size)
+        first = order[group]
         by_freq = np.lexsort((first, -counts))
-        rank_of = np.empty(len(uniq_pat), dtype=np.int64)
-        rank_of[by_freq] = np.arange(len(uniq_pat))
-        ids = rank_of[inverse]
-        vocab = LeafVocabulary.build(uniq_pat[by_freq], leaf_side, config.vocab_encoding)
+        ids = np.empty(patterns.size, dtype=np.uint64)
+        ids[order] = np.repeat(np.argsort(by_freq), counts)   # each group's rank
+        vocab = LeafVocabulary.build(patterns[first[by_freq]], leaf_side,
+                                     config.vocab_encoding)
         leaf_ids = Dac.encode(ids, sample_rate=rate)
         return cls(int(n_rows), int(n_cols), ks, leaf_side, tree,
                    leaf_ids=leaf_ids, vocab=vocab)
@@ -625,7 +651,7 @@ class K2Tree:
             return cls(n_rows, n_cols, ks, leaf_side, tree)
         leaf_ids = Dac.read(src, rate)
         vocab = LeafVocabulary.read(src, leaf_side)
-        top = int(leaf_ids.values().max()) if len(leaf_ids) else -1
+        top = leaf_ids.top()
         if top >= vocab.count:
             raise ValueError(f"leaf id {top} is past the {vocab.count}-leaf vocabulary")
         return cls(n_rows, n_cols, ks, leaf_side, tree, leaf_ids=leaf_ids, vocab=vocab)

@@ -72,13 +72,24 @@ def test_round_trip_random(b):
     d = Dac.encode(values, chunk_bits=b)
     assert len(d) == len(values)
     assert [d.access(i) for i in range(len(values))] == values
-    assert d.values().tolist() == values
+    assert d.top() == max(values)
 
 
 def test_values_of_wide_and_empty():
     values = [(1 << 64) - 1, 0, 1 << 63, 12345]
-    assert Dac.encode(values, chunk_bits=3).values().tolist() == values
-    assert Dac.encode([], chunk_bits=3).values().tolist() == []
+    d = Dac.encode(values, chunk_bits=3)
+    assert [d.access(i) for i in range(len(values))] == values
+    assert d.top() == (1 << 64) - 1
+    assert len(Dac.encode([], chunk_bits=3)) == 0
+    assert Dac.encode([], chunk_bits=3).top() == -1 == Dac.encode([]).top()
+
+
+def test_top_is_decided_by_the_lower_chunks_of_the_longest_values():
+    """Values that share their last-level chunk differ only in the chunks
+    below it, which `top` reads through the continuation ones."""
+    for values in ([5, 4, 0, 6, 7, 1], [7, 6, 4, 5], [4, 5, 1, 0], [0, 0, 0]):
+        for b in (1, 2):
+            assert Dac.encode(values, chunk_bits=b).top() == max(values)
 
 
 def _levels_bytes(values, chunk_bits=2):
@@ -127,12 +138,13 @@ def test_flags_past_64_bit_values_are_refused(chunk_bits):
     data = bytearray(_continuing(chunk_bits, top))
     data[-8] = 0                          # the last level's flag
     value = sum(1 << lvl * chunk_bits for lvl in range(top))
-    assert Dac.read(io.BytesIO(bytes(data))).values().tolist() == [value]
+    d = Dac.read(io.BytesIO(bytes(data)))
+    assert [d.access(0)] == [value] == [d.top()]
 
 
 @pytest.mark.parametrize("chunk_bits", [3, 5, 7, 10])
 def test_top_chunk_bits_past_bit_63_are_refused(chunk_bits):
-    """values() would drop the bits of a top chunk past bit 63 and access()
+    """top() would drop the bits of a top chunk past bit 63 and access()
     keep them; the top chunk may reach bit 63 and no further."""
     top = -(-64 // chunk_bits) - 1        # the level holding bit 63
     spare = 64 - top * chunk_bits         # its chunk bits below bit 64
@@ -142,7 +154,7 @@ def test_top_chunk_bits_past_bit_63_are_refused(chunk_bits):
                                          " past bit 63"):
         Dac.read(io.BytesIO(below + _level(chunk_bits, 1 << spare, 0)))
     d = Dac.read(io.BytesIO(below + _level(chunk_bits, (1 << spare) - 1, 0)))
-    assert d.values().tolist() == [d.access(0)] == [(1 << 64) - (1 << top * chunk_bits)]
+    assert d.top() == d.access(0) == (1 << 64) - (1 << top * chunk_bits)
 
 
 @pytest.mark.parametrize("width", [0, 65, 256])
@@ -159,7 +171,8 @@ def test_width_64_holds_any_value_without_overflow():
         warnings.simplefilter("error")
         d = Dac.encode(values, chunk_bits=64)
     assert len(d.levels) == 1
-    assert d.values().tolist() == values == [d.access(i) for i in range(4)]
+    assert [d.access(i) for i in range(4)] == values
+    assert d.top() == max(values)
 
 
 def test_bounds():
@@ -306,14 +319,14 @@ def test_levels_are_capped_and_mixed_widths_round_trip():
         d = Dac.encode(values)
         assert 1 <= len(d.levels) <= DAC_MAX_LEVELS
         assert d.levels[-1][2].ones == 0
-        assert d.values().tolist() == values.tolist()
         assert [d.access(i) for i in range(len(values))] == values.tolist()
         buf = io.BytesIO()
         d.write(buf)
         back = Dac.read(io.BytesIO(buf.getvalue()))
         assert back.widths == d.widths
         assert [back.access(i) for i in range(0, len(values), 7)] == values[::7].tolist()
-        assert back.values().tolist() == values.tolist()
+        assert [back.access(i) for i in range(len(values))] == values.tolist()
+        assert back.top() == d.top() == int(values.max())
     assert Dac.encode(values).widths == [3, 61]
 
 
@@ -338,7 +351,7 @@ def test_bits_past_bit_63_at_a_mixed_width_boundary_are_refused(widths):
         Dac.read(io.BytesIO(below + _level(widths[-1], 1 << 64 - shift, 0)))
     top = (1 << 64 - shift) - 1
     d = Dac.read(io.BytesIO(below + _level(widths[-1], top, 0)))
-    assert d.values().tolist() == [d.access(0)] == [top << shift]
+    assert d.top() == d.access(0) == top << shift
 
 
 def test_flags_past_the_last_level_are_refused():
@@ -346,7 +359,8 @@ def test_flags_past_the_last_level_are_refused():
     follows for another level: the end of the input, or bytes that fail a
     level's checks."""
     good = struct.pack("<Q", 2) + bytes((3,)) + pack_fixed([5, 1], 3) + (0).to_bytes(8, "little")
-    assert Dac.read(io.BytesIO(good)).values().tolist() == [5, 1]
+    d = Dac.read(io.BytesIO(good))
+    assert [d.access(0), d.access(1)] == [5, 1]
     more = bytearray(good)
     more[-8] = 0b10                       # the second value continues
     with pytest.raises(ValueError, match="truncated input"):

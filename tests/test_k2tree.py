@@ -7,9 +7,9 @@ import pytest
 
 from bmatrix._binio import unpack_fixed
 from bmatrix.dac import Dac
-from bmatrix.k2tree import (K2Config, K2Tree, LeafVocabulary,
+from bmatrix.k2tree import (MAX_SIDE, K2Config, K2Tree, LeafVocabulary,
                             VOCAB_COLS_FULL, VOCAB_COLS_RANK, VOCAB_PLAIN,
-                            plan_levels)
+                            _stable_order, plan_levels)
 from tree_layout import packed_fields, tree_offsets
 
 K2_PLAIN = K2Config(k1_levels=0, leaf_side=1)
@@ -18,6 +18,10 @@ HYBRID = K2Config(leaf_side=1)
 
 def bits(bv):
     return "".join("1" if bv.access(i) else "0" for i in range(len(bv)))
+
+
+def leaf_ids(tree):
+    return [tree.leaf_ids.access(i) for i in range(len(tree.leaf_ids))]
 
 
 def dense(pts, nr, nc):
@@ -241,7 +245,7 @@ def test_set_padding_bits_of_a_tree_are_refused(encoding):
     t = K2Tree.build(pts, 60, 400, K2Config(k1_levels=0, leaf_side=2,
                                             vocab_encoding=encoding))
     # 1-bit levels, so the DAC has several, of one chunk width or another
-    t.leaf_ids = Dac.encode(t.leaf_ids.values(), chunk_bits=1)
+    t.leaf_ids = Dac.encode(leaf_ids(t), chunk_bits=1)
     assert len(t.leaf_ids.levels) > 2
     buf = io.BytesIO()
     t.write(buf)
@@ -296,6 +300,99 @@ def test_vocab_frequency_ranked_ids():
     assert set(counts) == set(range(t.vocab.count))
     ranked = sorted(counts.items(), key=lambda kv: -kv[1])
     assert [e for e, _ in ranked] == sorted(counts)
+
+
+def ranked_vocab_reference(pts, n_rows, n_cols, config):
+    """Leaf ids and vocabulary patterns by the ranking rule, from dicts:
+    the leaves' patterns in path-code order, ranked by descending count,
+    ties by first appearance."""
+    ks = plan_levels(config, max(n_rows, n_cols))
+    side = config.leaf_side
+    leaves = {}
+    for r, c in pts.tolist():
+        code, block = 0, prod(ks) * side
+        for k in ks:
+            block //= k
+            code = code * k * k + (r // block % k) * k + c // block % k
+        leaves[code] = leaves.get(code, 0) | 1 << (r % side * side + c % side)
+    patterns = [leaves[code] for code in sorted(leaves)]
+    count, first = {}, {}
+    for i, pattern in enumerate(patterns):
+        count[pattern] = count.get(pattern, 0) + 1
+        first.setdefault(pattern, i)
+    ranked = sorted(count, key=lambda pattern: (-count[pattern], first[pattern]))
+    rank = {pattern: e for e, pattern in enumerate(ranked)}
+    return [rank[pattern] for pattern in patterns], ranked
+
+
+@pytest.mark.parametrize("encoding", [VOCAB_PLAIN, VOCAB_COLS_FULL, VOCAB_COLS_RANK])
+@pytest.mark.parametrize("leaf_side", [2, 4, 8])
+def test_vocab_ranks_ties_by_first_appearance(encoding, leaf_side):
+    rng = np.random.default_rng(leaf_side * 17 + len(encoding))
+    config = K2Config(k1_levels=1, leaf_side=leaf_side, vocab_encoding=encoding)
+    tied = 0
+    for n_rows, n_cols in [(0, 0), (9, 0), (1, 1)] + [
+            (int(rng.integers(1, 40)), int(rng.integers(1, 120))) for _ in range(12)]:
+        # few leaves, rows from a palette of three and at most one 1 per
+        # column (as the column encodings need): patterns repeat, counts tie
+        cols = np.flatnonzero(rng.random(n_cols) < 0.6)
+        pts = np.column_stack((rng.choice(rng.integers(0, max(n_rows, 1), 3), cols.size),
+                               cols)).astype(np.int64)
+        # duplicated points, in no particular order
+        pts = rng.permutation(np.concatenate((pts, pts[rng.random(len(pts)) < 0.3])))
+        tree = K2Tree.build(pts, n_rows, n_cols, config)
+        ids, patterns = ranked_vocab_reference(pts, n_rows, n_cols, config)
+        assert leaf_ids(tree) == ids
+        assert list(tree.vocab.patterns) == patterns
+        counts = np.bincount(ids, minlength=len(patterns))
+        tied += len(patterns) - len(set(counts.tolist()))
+    assert tied >= 5
+
+
+@pytest.mark.parametrize("values", [
+    pytest.param([], id="empty"),
+    pytest.param([7], id="one value"),
+    pytest.param([5] * 300, id="all equal"),
+    pytest.param([1 << 63] * 40 + [3] * 40, id="two values"),
+    pytest.param([(i % 5) << 32 | 9 for i in range(777)], id="high 32 bits differ"),
+    pytest.param([(1 << 40) | (i * 7919) % 13 for i in range(1025)],
+                 id="low 32 bits differ"),
+    pytest.param([0, (1 << 64) - 1] * 50 + [1 << 63, 0], id="0 and 2^64-1"),
+    pytest.param("heavy duplicates", id="heavy duplicates")])
+def test_stable_order_matches_numpy_stable_argsort(values):
+    if values == "heavy duplicates":
+        rng = np.random.default_rng(3)
+        pool = rng.integers(0, 1 << 63, 6, dtype=np.uint64) << np.uint64(1)
+        values = pool[rng.integers(0, 6, 70_000)] | rng.integers(0, 2, 70_000,
+                                                                  dtype=np.uint64)
+    values = np.asarray(values, dtype=np.uint64)
+    order = _stable_order(values, 64)
+    assert order.tolist() == np.argsort(values, kind="stable").tolist()
+    # one pass over the low 16 bits orders those bits alone
+    low = values & np.uint64(0xFFFF)
+    assert _stable_order(low, 16).tolist() == np.argsort(low, kind="stable").tolist()
+
+
+@pytest.mark.parametrize("ids, chunk_bits, levels, message", [
+    # 4 and 5 both reach the last level, with the same chunk there
+    ([0, 1, 2, 5, 4], 1, 3, "leaf id 5 is past the 5-leaf vocabulary"),
+    ([0, 1, 2, 3, 4], 1, 3, None),
+    ([0, 9, 2, 3, 4], 4, 1, "leaf id 9 is past the 5-leaf vocabulary")])
+def test_a_leaf_id_past_the_vocabulary_is_refused(ids, chunk_bits, levels, message):
+    # five leaves of five patterns
+    pts = [(0, 0), (0, 3), (1, 4), (1, 7), (0, 8), (1, 9)]
+    t = K2Tree.build(pts, 2, 10, K2Config(k1_levels=0, leaf_side=2,
+                                          vocab_encoding=VOCAB_PLAIN))
+    assert t.vocab.count == len(t.leaf_ids) == 5
+    t.leaf_ids = Dac.encode(ids, chunk_bits=chunk_bits)
+    assert len(t.leaf_ids.levels) == levels
+    buf = io.BytesIO()
+    t.write(buf)
+    if message is None:
+        assert leaf_ids(K2Tree.read(io.BytesIO(buf.getvalue()))) == ids
+        return
+    with pytest.raises(ValueError, match=message):
+        K2Tree.read(io.BytesIO(buf.getvalue()))
 
 
 @pytest.mark.parametrize("encoding", [VOCAB_PLAIN, VOCAB_COLS_FULL, VOCAB_COLS_RANK])
@@ -457,16 +554,23 @@ def unique_level_bits(pts, n_rows, n_cols, config):
 @pytest.mark.parametrize("config", [K2Config(vocab_encoding=VOCAB_PLAIN),
                                     K2_PLAIN, HYBRID,
                                     K2Config(k1=3, k1_levels=2,
-                                             leaf_side=4, vocab_encoding=VOCAB_PLAIN)])
+                                             leaf_side=4, vocab_encoding=VOCAB_PLAIN),
+                                    # arity 9 below; 15 k1 levels alone plan
+                                    # the largest matrix
+                                    K2Config(k1_levels=15, k2=3, leaf_side=2,
+                                             vocab_encoding=VOCAB_PLAIN)])
 def test_level_bits_match_unique_reference(config):
     rng = np.random.default_rng(23)
-    # the last input has far more leaf rows and columns than points, so the
-    # path codes are computed without tables
+    # the last two inputs have far more leaf rows and columns than points,
+    # so the path codes are computed without tables; the last one is the
+    # largest matrix, whose far corner's path code is near 2^62 at leaf side 1
     for size, low, high in ([(n, 1, 700) for n in (0, 1, 2, 17, 400, 3000)]
-                            + [(40, 1 << 28, 1 << 30)]):
+                            + [(40, 1 << 28, 1 << 30), (40, MAX_SIDE - 1, MAX_SIDE)]):
         n_rows, n_cols = (int(x) for x in rng.integers(low, high, 2))
         pts = np.column_stack([rng.integers(0, n_rows, size),
                                rng.integers(0, n_cols, size)])
+        if low == MAX_SIDE - 1:
+            pts = np.vstack([pts, [n_rows - 1, n_cols - 1]])
         tree = K2Tree.build(pts, n_rows, n_cols, config)
         got = bits(tree.tree_bits)
         want = unique_level_bits(pts, n_rows, n_cols, config)
