@@ -142,13 +142,13 @@ class Dac:
 
     def top(self) -> int:
         """The largest value, -1 with none. A value that reaches the last level
-        is longer than every value that stops before it, so only those are
-        decoded, through the continuation ones that lead up to them."""
+        is longer than every value that stops before it (its chunk there is not
+        0), so only those are decoded, through the continuation ones before."""
         top, at = np.uint64(0), None
         for w, chunks, flags in reversed(self.levels):
-            more = np.unpackbits(np.frombuffer(flags.data, dtype=np.uint8),
-                                 count=flags.length, bitorder="little").view(bool)
-            at = np.arange(flags.length) if at is None else np.flatnonzero(more)[at]
+            at = np.arange(flags.length) if at is None else np.flatnonzero(np.unpackbits(
+                np.frombuffer(flags.data, dtype=np.uint8), count=flags.length,
+                bitorder="little"))[at]
             top = top << np.uint64(w) | unpack_values(chunks, w, flags.length)[at]
         return int(top.max()) if self.length else -1
 
@@ -175,10 +175,10 @@ class Dac:
 
     @classmethod
     def read(cls, src, sample_rate: int = SAMPLE_RATE_DEFAULT) -> "Dac":
-        """Refuses, with a ValueError, a width outside 1 to 64, a level that
-        starts at bit 64 or later, and a chunk with bits past bit 63. Flags
-        that run past the last level make the next bytes read as a level,
-        which runs out of input or breaks one of these checks."""
+        """Refuses, with a ValueError, a width outside 1 to 64, a level from bit
+        64 on, a chunk with bits past bit 63, and a 0 chunk on a last level past
+        level 0, which `encode` never writes and `top()` cannot take. Flags past
+        the last level make the next bytes read as a level, which fails a check."""
         length = int.from_bytes(read_exact(src, 8), "little")
         levels = []
         count = length  # level 0 holds a chunk per value
@@ -196,6 +196,8 @@ class Dac:
                 raise ValueError(f"DAC level {len(levels)} has a chunk with bits past bit 63")
             flags = BitVector.from_bytes(read_exact(src, padded_size(count)), count,
                                          sample_rate)
+            if levels and not flags.ones and not unpack_values(chunks, w, count).all():
+                raise ValueError(f"DAC level {len(levels)} is the last and has a 0 chunk")
             levels.append((w, chunks, flags))
             count = flags.ones
             shift += w

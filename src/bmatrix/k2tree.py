@@ -342,8 +342,7 @@ class K2Tree:
         code is therefore a row part plus a column part, each a function of
         one coordinate (`_path_part`); the points are then sorted by code and
         the levels built bottom-up from the distinct codes. The vocabulary
-        ranks the leaf patterns by count, ties by first leaf, from a stable
-        order of packed keys (`_stable_order`: two passes at leaf side 8).
+        ranks leaf patterns by count, ties by first leaf (`_stable_order`).
         """
         pts = np.asarray(list(points) if not isinstance(points, np.ndarray) else points,
                          dtype=np.int64)
@@ -391,9 +390,8 @@ class K2Tree:
         ids[order] = np.repeat(np.argsort(by_freq), counts)   # each group's rank
         vocab = LeafVocabulary.build(patterns[first[by_freq]], leaf_side,
                                      config.vocab_encoding)
-        leaf_ids = Dac.encode(ids, sample_rate=rate)
         return cls(int(n_rows), int(n_cols), ks, leaf_side, tree,
-                   leaf_ids=leaf_ids, vocab=vocab)
+                   leaf_ids=Dac.encode(ids, sample_rate=rate), vocab=vocab)
 
     def _index_levels(self) -> None:
         """Per level: its arity, block side, start in T:L and the ones of T:L

@@ -581,7 +581,10 @@ def test_zero_k_or_period_is_a_clean_error(built, capsys, field, message, comman
     # the flag makes the reader take the bytes after the DAC for more
     # levels, until a level's flag word has set bits past its one flag
     ("level continues past the last", "set bits past the 1 bits"),
-    ("length 2^62", "truncated input")])
+    ("length 2^62", "truncated input"),
+    # the first id 0 goes on to a 0 chunk on a second level, a file that
+    # encode never writes and on which the reader's top id would not hold
+    ("0 chunk on the last level", "DAC level 1 is the last and has a 0 chunk")])
 @pytest.mark.parametrize("command", [["stats"], ["query", "?", "?", "?"]])
 def test_corrupt_leaf_ids_are_a_clean_error(built, capsys, fault, message, command):
     _, out = built
@@ -602,6 +605,11 @@ def test_corrupt_leaf_ids_are_a_clean_error(built, capsys, fault, message, comma
         data[at:fields["vocab"]] = dac_bytes
     elif fault == "level continues past the last":
         data[flags_at] |= 1
+    elif fault == "0 chunk on the last level":
+        dac_bytes = (struct.pack("<QB", n, 4) + pack_fixed([0] * n, 4)
+                     + (1).to_bytes(8, "little") + bytes((4,)) + pack_fixed([0], 4)
+                     + bytes(8))
+        data[at:fields["vocab"]] = dac_bytes
     else:
         data[at:at + 8] = (1 << 62).to_bytes(8, "little")
     out.write_bytes(reseal(data))

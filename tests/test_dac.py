@@ -354,6 +354,29 @@ def test_bits_past_bit_63_at_a_mixed_width_boundary_are_refused(widths):
     assert d.top() == d.access(0) == top << shift
 
 
+@pytest.mark.parametrize("widths", [(4, 4), (4, 4, 4), (4, 60)])
+def test_a_0_chunk_on_the_last_level_is_refused(widths):
+    """encode never ends a value with a 0 chunk past level 0, and top()
+    relies on it: with 9 stopping at level 0 and 1 going on with 0 chunks,
+    the values that reach the last level would not hold the largest."""
+    below = struct.pack("<Q", 2) + bytes((widths[0],)) + pack_fixed([9, 1], widths[0])
+    below += (0b10).to_bytes(8, "little")
+    below += b"".join(_level(w, 0, 1) for w in widths[1:-1])
+    with pytest.raises(ValueError, match=f"DAC level {len(widths) - 1} is the last"
+                                         " and has a 0 chunk"):
+        Dac.read(io.BytesIO(below + _level(widths[-1], 0, 0)))
+    d = Dac.read(io.BytesIO(below + _level(widths[-1], 1, 0)))
+    big = 1 + (1 << sum(widths[:-1]))
+    assert [d.access(0), d.access(1)] == [9, big] and d.top() == big
+    # level 0 may hold 0 chunks, whether one level or more
+    zeros = Dac.read(io.BytesIO(struct.pack("<Q", 1) + _level(widths[0], 0, 0)))
+    assert zeros.access(0) == zeros.top() == 0
+    # encode's files keep 0 chunks below the last level
+    values = [0, 16, 0, 1 << 20]
+    back = Dac.read(io.BytesIO(bytes(_levels_bytes(values, chunk_bits=4))))
+    assert [back.access(i) for i in range(4)] == values and back.top() == 1 << 20
+
+
 def test_flags_past_the_last_level_are_refused():
     """A continuation flag on the last level makes the reader take what
     follows for another level: the end of the input, or bytes that fail a

@@ -5,7 +5,8 @@ from math import prod
 import numpy as np
 import pytest
 
-from bmatrix._binio import unpack_fixed
+from bmatrix._binio import pack_fixed, unpack_fixed
+from bmatrix.bitvector import BitVector
 from bmatrix.dac import Dac
 from bmatrix.k2tree import (MAX_SIDE, K2Config, K2Tree, LeafVocabulary,
                             VOCAB_COLS_FULL, VOCAB_COLS_RANK, VOCAB_PLAIN,
@@ -392,6 +393,23 @@ def test_a_leaf_id_past_the_vocabulary_is_refused(ids, chunk_bits, levels, messa
         assert leaf_ids(K2Tree.read(io.BytesIO(buf.getvalue()))) == ids
         return
     with pytest.raises(ValueError, match=message):
+        K2Tree.read(io.BytesIO(buf.getvalue()))
+
+
+def test_leaf_ids_whose_last_chunk_is_0_are_refused():
+    """Ids 9, 1, 2, 3, 4 in 4-bit chunks, 9 stopping at level 0 and 1 going
+    on with a 0 chunk: the values that reach the last level do not hold the
+    largest id, so the reader refuses the DAC itself."""
+    pts = [(0, 0), (0, 3), (1, 4), (1, 7), (0, 8), (1, 9)]
+    t = K2Tree.build(pts, 2, 10, K2Config(k1_levels=0, leaf_side=2,
+                                          vocab_encoding=VOCAB_PLAIN))
+    t.leaf_ids = Dac(5, [(4, pack_fixed([9, 1, 2, 3, 4], 4),
+                          BitVector(np.array([0, 1, 0, 0, 0], dtype=bool))),
+                         (4, pack_fixed([0], 4), BitVector(np.zeros(1, dtype=bool)))])
+    assert leaf_ids(t) == [9, 1, 2, 3, 4]
+    buf = io.BytesIO()
+    t.write(buf)
+    with pytest.raises(ValueError, match="DAC level 1 is the last and has a 0 chunk"):
         K2Tree.read(io.BytesIO(buf.getvalue()))
 
 
