@@ -490,7 +490,8 @@ def build_parser() -> argparse.ArgumentParser:
     n.add_argument("--min-time", type=float, default=0.2,
                    help="minimum total seconds per shape")
     n.add_argument("--thresholds", default=None,
-                   help="merge thresholds for this run, as 'N' or 'SORTED,UNSORTED'")
+                   help="merge thresholds, 'N' or 'SORTED,UNSORTED': s?o intersects rows above"
+                        " SORTED candidates; a run of more than UNSORTED columns is one rect")
     n.add_argument("--decode", action="store_true",
                    help="include dictionary decode in the timed region")
     n.set_defaults(func=cmd_bench)

@@ -115,7 +115,7 @@ class Dac:
             more = rest != 0
             levels.append((w, pack_fixed(cur & np.uint64((1 << w) - 1), w),
                            BitVector(more, sample_rate)))
-            cur = rest[more]
+            cur = rest[np.flatnonzero(more)]
         return cls(int(arr.size), levels)
 
     def access(self, i: int) -> int:

@@ -10,10 +10,11 @@ by the predicate index.
 All eight bound/unbound triple patterns reduce to row, column, cell and
 rectangle queries on the two trees plus rank/select on the predicate
 runs. The store is immutable after build and safe for unlimited
-concurrent readers; the two merge thresholds only steer query strategy
-and may be changed between queries. They start at
-DEFAULT_MERGE_THRESHOLD and are not stored, since no answer depends on
-them.
+concurrent readers. Two thresholds, not stored since no answer depends
+on them, steer query strategy and may change between queries: (s, ?, o)
+intersects two rows above merge_sorted candidates (DEFAULT_MERGE_SORTED),
+and column-to-row lookups read a run of more than merge_unsorted
+(DEFAULT_MERGE_UNSORTED) consecutive columns by one rect.
 
 `TripleStore.build` builds the subject tree on a worker thread while the
 calling thread builds the object tree; numpy releases the GIL for most of
@@ -62,7 +63,8 @@ still refuses a file, with a ValueError, when:
   which then breaks one of these checks or another part's;
 - the predicate index's run starts do not rise from 0.
 
-A query that meets a column with no 1 in a tree raises a ValueError too.
+A query that meets a column with no 1 in a tree, or a run of columns
+whose rect does not give exactly one 1 per column, raises a ValueError.
 """
 
 from __future__ import annotations
@@ -83,7 +85,8 @@ from .k2tree import K2Config, K2Tree
 MAGIC = b"BMX1"
 FORMAT_VERSION = 9
 
-DEFAULT_MERGE_THRESHOLD = 10
+DEFAULT_MERGE_SORTED = 700
+DEFAULT_MERGE_UNSORTED = 2
 
 # The eight triple patterns: shape (the bound slots' letters, "?" for an
 # unbound slot) -> the TripleStore method that takes the bound ids in
@@ -135,14 +138,6 @@ def sort_unique(ids: np.ndarray) -> np.ndarray:
     out[:, 1] = key >> (bo + bs)
     out[:, 2] = key >> bs & ((1 << bo) - 1)
     return out
-
-
-def _row_of(tree: K2Tree, i: int) -> int:
-    """The 1-based row of the one 1 in column i of a store tree."""
-    rows = tree.col(i, limit=1)
-    if not rows:
-        raise ValueError(f"column {i} holds no 1: the store is damaged")
-    return rows[0] + 1
 
 
 class PredicateIndex:
@@ -215,8 +210,7 @@ class TripleStore:
         self.n_subjects = subject_tree.n_rows
         self.n_objects = object_tree.n_rows
         self.n_predicates = pred_index.n_predicates
-        self.merge_sorted = DEFAULT_MERGE_THRESHOLD
-        self.merge_unsorted = DEFAULT_MERGE_THRESHOLD
+        self.merge_sorted, self.merge_unsorted = DEFAULT_MERGE_SORTED, DEFAULT_MERGE_UNSORTED
 
     @classmethod
     def build(cls, triples, n_subjects: int, n_objects: int, n_predicates: int,
@@ -284,15 +278,13 @@ class TripleStore:
         """(s, p, ?): object ids, ascending."""
         self._check_s(s)
         lo, hi = self.pred_index.col_range(p)
-        tree = self.object_tree
-        return [_row_of(tree, i) for i in self.subject_tree.row(s - 1, lo, hi)]
+        return self._rows_of(self.object_tree, self.subject_tree.row(s - 1, lo, hi))
 
     def subjects(self, p: int, o: int) -> list[int]:
         """(?, p, o): subject ids, ascending."""
         lo, hi = self.pred_index.col_range(p)
         self._check_o(o)
-        tree = self.subject_tree
-        return [_row_of(tree, i) for i in self.object_tree.row(o - 1, lo, hi)]
+        return self._rows_of(self.subject_tree, self.object_tree.row(o - 1, lo, hi))
 
     def predicates(self, s: int, o: int) -> list[int]:
         """(s, ?, o): predicate ids, ascending.
@@ -305,8 +297,7 @@ class TripleStore:
         self._check_o(o)
         by_object = self.object_tree.row(o - 1)
         if len(by_object) <= self.merge_sorted:
-            s_row = s - 1
-            cell = self.subject_tree.cell
+            cell, s_row = self.subject_tree.cell, s - 1
             cols = [i for i in by_object if cell(s_row, i)]
         else:
             cols = sorted(set(by_object).intersection(self.subject_tree.row(s - 1)))
@@ -316,42 +307,51 @@ class TripleStore:
     def by_subject(self, s: int) -> list[tuple[int, int]]:
         """(s, ?, ?): (predicate, object) pairs, ascending by column."""
         self._check_s(s)
-        predicate_of = self.pred_index.predicate_of
-        tree = self.object_tree
-        return [(predicate_of(i), _row_of(tree, i))
-                for i in self.subject_tree.row(s - 1)]
+        cols = self.subject_tree.row(s - 1)
+        return list(zip(map(self.pred_index.predicate_of, cols),
+                        self._rows_of(self.object_tree, cols)))
 
     def by_object(self, o: int) -> list[tuple[int, int]]:
         """(?, ?, o): (subject, predicate) pairs, ascending by column."""
         self._check_o(o)
-        predicate_of = self.pred_index.predicate_of
-        tree = self.subject_tree
-        return [(_row_of(tree, i), predicate_of(i))
-                for i in self.object_tree.row(o - 1)]
+        cols = self.object_tree.row(o - 1)
+        return list(zip(self._rows_of(self.subject_tree, cols),
+                        map(self.pred_index.predicate_of, cols)))
 
     def by_predicate(self, p: int) -> list[tuple[int, int]]:
-        """(?, p, ?): (subject, object) pairs, ascending by column.
-
-        Few matches -> per-column object lookups; many -> a second
-        rectangle query on the object tree, with both DFS result lists
-        sorted by column before zipping (threshold: merge_unsorted).
-        """
+        """(?, p, ?): (subject, object) pairs, ascending by column: one run per tree."""
         lo, hi = self.pred_index.col_range(p)
-        with_subject = self.subject_tree.rect(0, self.n_subjects - 1, lo, hi)
-        with_subject.sort(key=lambda rc: rc[1])
-        if len(with_subject) <= self.merge_unsorted:
-            tree = self.object_tree
-            return [(r + 1, _row_of(tree, i)) for r, i in with_subject]
-        with_object = self.object_tree.rect(0, self.n_objects - 1, lo, hi)
-        with_object.sort(key=lambda rc: rc[1])
-        return [(sr + 1, orow + 1)
-                for (sr, _), (orow, _) in zip(with_subject, with_object)]
+        cols = range(lo, hi + 1)
+        return list(zip(self._rows_of(self.subject_tree, cols),
+                        self._rows_of(self.object_tree, cols)))
 
     def all_triples(self) -> list[tuple[int, int, int]]:
         """(?, ?, ?): every stored triple, ascending by column."""
-        out = []
-        for p in range(1, self.n_predicates + 1):
-            out.extend((s, p, o) for s, o in self.by_predicate(p))
+        starts, cols = self.pred_index.starts, range(self.n)
+        preds = [p for p in range(1, len(starts)) for _ in range(starts[p - 1], starts[p])]
+        return list(zip(self._rows_of(self.subject_tree, cols), preds,
+                        self._rows_of(self.object_tree, cols)))
+
+    def _rows_of(self, tree: K2Tree, cols) -> list[int]:
+        """The 1-based row of the 1 in each of the ascending columns `cols` of
+        a store tree: a run of more than merge_unsorted consecutive columns by
+        one rect, sorted by column, every other column by a walk to its 1."""
+        out, start = [], 0
+        for end in range(1, len(cols) + 1):
+            if end < len(cols) and cols[end] == cols[end - 1] + 1:
+                continue
+            lo, hi, start = cols[start], cols[end - 1], end
+            if hi - lo < self.merge_unsorted:
+                for i in range(lo, hi + 1):
+                    rows = tree.col(i, limit=1)
+                    if not rows:
+                        raise ValueError(f"column {i} holds no 1: the store is damaged")
+                    out.append(rows[0] + 1)
+                continue
+            cells = sorted(tree.rect(0, tree.n_rows - 1, lo, hi), key=lambda rc: rc[1])
+            if [i for _, i in cells] != [*range(lo, hi + 1)]:
+                raise ValueError(f"not one 1 per column in {lo}-{hi}: the store is damaged")
+            out += [r + 1 for r, _ in cells]
         return out
 
     def pattern_query(self, s: int | None = None, p: int | None = None,

@@ -6,7 +6,7 @@ from array import array
 import numpy as np
 import pytest
 
-from bmatrix import store as store_mod
+from bmatrix import cli, store as store_mod
 from bmatrix.k2tree import (K2Config, K2Tree, MAX_SIDE, VOCAB_COLS_FULL,
                             VOCAB_COLS_RANK, VOCAB_ENCODINGS, VOCAB_PLAIN,
                             plan_levels)
@@ -14,6 +14,7 @@ from bmatrix.oracle import TripleList
 from bmatrix.store import (SHAPES, PredicateIndex, TripleStore, read_store,
                            sort_unique, write_store)
 from bmatrix.dictionary import BUCKET, Dictionary
+from datagen import skewed_dataset
 
 # running example: triples {(1,1,1),(2,1,2),(1,2,2),(2,2,1)} as (s,p,o);
 # (p,o,s) order puts them in columns 0..3 as (1,1,1),(2,1,2),(2,2,1),(1,2,2)
@@ -289,6 +290,93 @@ def test_threshold_invariance_small():
             assert store.predicates(s, o) == expect
         for p, expect in preds.items():
             assert store.by_predicate(p) == expect
+
+
+@pytest.fixture(scope="module")
+def many_runs():
+    """A store whose predicates own runs of 1 to hundreds of columns."""
+    tr = skewed_dataset(np.random.default_rng(26), 8000, 2000, 2400, 4000)
+    return TripleStore.build(tr, 2000, 2400, 4000), TripleList(tr)
+
+
+def test_rows_of_matches_oracle_at_every_threshold(many_runs):
+    store, tl = many_runs
+    starts = np.asarray(store.pred_index.starts)
+    lengths = np.diff(starts)
+    assert all((lengths == k).any() for k in (1, 2, 3)) and lengths.max() > 100
+    rng = np.random.default_rng(27)
+    picks = tl.pattern_query()
+    picks = [picks[i] for i in rng.integers(len(picks), size=40)]
+    preds = [int(p) for p in rng.permutation(np.flatnonzero(lengths) + 1)[:40]]
+    preds.append(int(lengths.argmax()) + 1)
+    patterns = ([(s, p, None) for s, p, _ in picks] + [(None, p, o) for _, p, o in picks]
+                + [(s, None, None) for s, _, _ in picks]
+                + [(None, None, o) for _, _, o in picks]
+                + [(None, p, None) for p in preds] + [(None, None, None)])
+    expected = [tl.pattern_query(*pat) for pat in patterns]
+    for threshold in (-1, 0, 1, store_mod.DEFAULT_MERGE_UNSORTED, store.n):
+        store.merge_unsorted = threshold
+        for pat, want in zip(patterns, expected):
+            assert store.pattern_query(*pat) == want, (threshold, pat)
+    store.merge_unsorted = store_mod.DEFAULT_MERGE_UNSORTED
+
+
+def test_a_run_costs_one_rect_or_one_walk_per_column(many_runs, monkeypatch):
+    store = many_runs[0]
+    calls = {"rect": 0, "col": 0}
+    for name in calls:
+        def counted(self, *args, _method=getattr(K2Tree, name), _name=name, **kw):
+            calls[_name] += 1
+            return _method(self, *args, **kw)
+        monkeypatch.setattr(K2Tree, name, counted)
+    tree = store.subject_tree
+    # runs [0, 4], [6], [8, 9] and [20, 22]
+    cols = [0, 1, 2, 3, 4, 6, 8, 9, 20, 21, 22]
+    want = [tree.col(i, limit=1)[0] + 1 for i in cols]
+    for threshold, rects, walks in ((-1, 4, 0), (0, 4, 0), (1, 3, 1), (2, 2, 3),
+                                    (3, 1, 6), (4, 1, 6), (5, 0, 11)):
+        store.merge_unsorted = threshold
+        calls.update(rect=0, col=0)
+        assert store._rows_of(tree, cols) == want
+        assert calls == {"rect": rects, "col": walks}, threshold
+    lengths = np.diff(np.asarray(store.pred_index.starts))
+    p = int(np.flatnonzero(lengths == 3)[0]) + 1
+    for threshold, rects, walks in ((2, 2, 0), (3, 0, 6)):
+        store.merge_unsorted = threshold
+        calls.update(rect=0, col=0)
+        store.by_predicate(p)
+        assert calls == {"rect": rects, "col": walks}
+    store.merge_unsorted = store_mod.DEFAULT_MERGE_UNSORTED
+
+
+def two_ones_in_one_column(drop: int | None):
+    """Subjects 1-5 with (p, o) = (1, 1) fill columns 0-4, a run that is read
+    by one rect. The subject tree also holds a 1 at (7, 2), in the leaf of
+    (2, 2), which takes a plain vocabulary. With `drop` it also loses that
+    column's 1, so that the run holds five 1s but not one per column."""
+    tr = [(s, 1, 1) for s in range(1, 6)] + [(1, 2, 2), (2, 2, 3)]
+    good = TripleStore.build(tr, 8, 3, 2)
+    points = [(s - 1, i) for i, (s, _, _) in enumerate(tr) if i != drop] + [(7, 2)]
+    bad = K2Tree.build(np.array(points), 8, len(tr), K2Config(vocab_encoding=VOCAB_PLAIN))
+    return TripleStore(bad, good.object_tree, good.pred_index)
+
+
+@pytest.mark.parametrize("drop", [None, 3])
+@pytest.mark.parametrize("pattern", [(None, 1, None), (None, 1, 1), (None, None, 1)])
+def test_a_run_without_one_1_per_column_is_a_damaged_store(pattern, drop, tmp_path,
+                                                           capsys):
+    store = two_ones_in_one_column(drop)
+    assert store.merge_unsorted < 5
+    with pytest.raises(ValueError, match="not one 1 per column in 0-4: the store is damaged"):
+        store.pattern_query(*pattern)
+    path = tmp_path / "bad.bmx"
+    store_mod.save(str(path), store)
+    capsys.readouterr()
+    ids = ["?" if x is None else f"#{x}" for x in pattern]
+    assert cli.main(["query", str(path), *ids, "--ids"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "the store is damaged" in err
+    assert "Traceback" not in err
 
 
 def test_pattern_query_dispatch(store_e):
