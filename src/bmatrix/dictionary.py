@@ -20,11 +20,9 @@ as in HDT's dictionary build. The id rows keep the statements' order
 and repeats; the store sorts them.
 
 Each pool is front-coded (plain front coding, as in HDT), in the layout
-the store file keeps it (format v2):
+the store file keeps it (format v10):
 
-    count                          u64
-    bucket offsets                 u64 x (buckets + 1), from 0 up to the
-                                   blob length; buckets = ceil(count / 16)
+    blob length                    u64
     blob                           the buckets back to back
 
 The sorted UTF-8 terms are cut into buckets of BUCKET = 16. A bucket
@@ -34,16 +32,16 @@ it, a vbyte suffix length and the suffix. A vbyte is 7 bits per byte,
 least significant group first, high bit set on every byte but the last.
 
 In memory a pool is the blob, the bucket offsets (an `array.array` of
-the smallest unsigned typecode) and a tuple of the header terms as
-`bytes`. A lookup bisects the headers and scans one bucket; an id->term
-decode walks one bucket up to the term. No other term exists as a
-Python object until it is decoded.
+the smallest unsigned typecode, from 0 up to the blob length) and a
+tuple of the header terms as `bytes`. A lookup bisects the headers and
+scans one bucket; an id->term decode walks one bucket up to the term. No
+other term exists as a Python object until it is decoded.
 
-Loading walks every bucket once and refuses a pool unless the bucket
-offsets ascend strictly from 0, every vbyte and suffix stays inside its
-bucket, no shared prefix is longer than the term before it, each bucket
-but the last holds BUCKET terms and the last the rest, the terms are
-UTF-8 cut at character boundaries, and they ascend strictly.
+The file holds no term count and no bucket offsets: loading walks the
+whole blob once, counting the terms and noting where every BUCKET-th one,
+a header, starts. It refuses a pool unless every vbyte and suffix stays
+inside the blob, no shared prefix is longer than the term before it, the
+terms are UTF-8 cut at character boundaries, and they ascend strictly.
 
 Lookups compare UTF-8 bytes. That agrees with the `str` order the pools
 are sorted by, because UTF-8 byte order is code-point order for Unicode
@@ -62,7 +60,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._binio import pack_fixed, packed_array, read_exact
+from ._binio import packed_array, read_exact
 
 BUCKET = 16
 
@@ -154,7 +152,7 @@ def _read_vbyte(blob: bytes, pos: int, end: int) -> tuple[int, int]:
     value = shift = 0
     while True:
         if pos >= end:
-            raise ValueError("dictionary pool vbyte runs past its bucket")
+            raise ValueError("dictionary pool vbyte runs past its blob")
         byte = blob[pos]
         pos += 1
         value |= (byte & 0x7F) << shift
@@ -163,29 +161,33 @@ def _read_vbyte(blob: bytes, pos: int, end: int) -> tuple[int, int]:
         shift += 7
 
 
-def _bucket_terms(blob: bytes, pos: int, end: int):
-    """The terms of the bucket blob[pos:end], rebuilt as bytes, in order."""
-    size, pos = _read_vbyte(blob, pos, end)
-    term = blob[pos:pos + size]
-    pos += size
-    if pos > end:
-        raise ValueError("dictionary pool term runs past its bucket")
-    yield term
+def _terms(blob: bytes, pos: int, end: int, heads: list | None = None):
+    """The terms from the bucket header at `pos` to `end`; `heads` gets each header's start."""
     while pos < end:
-        shared = blob[pos]
-        if shared < 0x80 and pos + 1 < end and (size := blob[pos + 1]) < 0x80:
-            pos += 2
-        else:
-            shared, pos = _read_vbyte(blob, pos, end)
-            size, pos = _read_vbyte(blob, pos, end)
-        if shared > len(term):
-            raise ValueError("dictionary pool shared prefix is longer than the"
-                             " previous term")
-        term = term[:shared] + blob[pos:pos + size]
+        if heads is not None:
+            heads.append(pos)
+        size, pos = _read_vbyte(blob, pos, end)
+        term, left = blob[pos:pos + size], BUCKET - 1
         pos += size
         if pos > end:
-            raise ValueError("dictionary pool term runs past its bucket")
+            raise ValueError("dictionary pool term runs past its blob")
         yield term
+        while left and pos < end:
+            left -= 1
+            shared = blob[pos]
+            if shared < 0x80 and pos + 1 < end and (size := blob[pos + 1]) < 0x80:
+                pos += 2
+            else:
+                shared, pos = _read_vbyte(blob, pos, end)
+                size, pos = _read_vbyte(blob, pos, end)
+            if shared > len(term):
+                raise ValueError("dictionary pool shared prefix is longer than the"
+                                 " previous term")
+            term = term[:shared] + blob[pos:pos + size]
+            pos += size
+            if pos > end:
+                raise ValueError("dictionary pool term runs past its blob")
+            yield term
 
 
 class TermPool:
@@ -212,7 +214,7 @@ class TermPool:
 
     def _bucket(self, b: int):
         offsets = self.offsets
-        return _bucket_terms(self.blob, offsets[b], offsets[b + 1])
+        return _terms(self.blob, offsets[b], offsets[b + 1])
 
     def index(self, key: bytes) -> int:
         """0-based position of the UTF-8 encoded term `key`, or -1."""
@@ -230,30 +232,18 @@ class TermPool:
         return next(islice(self._bucket(b), r, None)).decode("utf-8")
 
     def write(self, out) -> None:
-        out.write(struct.pack("<Q", self.count))
-        out.write(pack_fixed(self.offsets, 64))
+        out.write(struct.pack("<Q", len(self.blob)))
         out.write(self.blob)
 
     @classmethod
     def read(cls, src) -> "TermPool":
-        """One pool as the file holds it, refused unless every check in the
-        module notes holds."""
-        (count,) = struct.unpack("<Q", read_exact(src, 8))
-        n_buckets = -(-count // BUCKET)
-        offsets = np.frombuffer(read_exact(src, 8 * (n_buckets + 1)), dtype="<u8")
-        if offsets[0] != 0 or (offsets[1:] <= offsets[:-1]).any():
-            raise ValueError("dictionary pool bucket offsets are not ascending from 0")
-        blob = read_exact(src, int(offsets[-1]))
-        offsets = packed_array(offsets)
-        terms: list[bytes] = []
-        for b in range(n_buckets):
-            terms += islice(_bucket_terms(blob, offsets[b], offsets[b + 1]),
-                            BUCKET + 1)
-            if len(terms) != min(count, BUCKET * (b + 1)):
-                raise ValueError(f"dictionary pool bucket {b} holds the wrong"
-                                 f" number of terms")
+        """One pool as the file holds it, refused unless the module notes' checks hold."""
+        blob = read_exact(src, int.from_bytes(read_exact(src, 8), "little"))
+        heads: list[int] = []
+        terms = list(_terms(blob, 0, len(blob), heads))
         _check_terms(terms)
-        return cls(blob, offsets, tuple(terms[::BUCKET]), count)
+        return cls(blob, packed_array(heads + [len(blob)]), tuple(terms[::BUCKET]),
+                   len(terms))
 
 
 def _check_terms(terms: list[bytes]) -> None:

@@ -183,8 +183,8 @@ class LeafVocabulary:
     `bit` and the tree walk mask it, and `row_cols`/`col_rows` call `bit`.
 
     The encoding names one of three file forms, written by `write` and
-    decoded back to the plain ints by `read`. Each is the encoding byte and
-    the leaf count (u64), then packed bits:
+    decoded back to the plain ints by `read`. Each is the encoding byte,
+    then packed bits for as many leaves as the tree's largest leaf id + 1:
 
     plain      -- each matrix as side*side bits.
     cols-full  -- per column a presence bit, count*side bits C, then per
@@ -255,7 +255,7 @@ class LeafVocabulary:
 
     def write(self, out) -> None:
         side = self.side
-        out.write(struct.pack("<BQ", VOCAB_ENCODINGS.index(self.encoding), self.count))
+        out.write(bytes((VOCAB_ENCODINGS.index(self.encoding),)))
         if self.encoding == VOCAB_PLAIN:
             out.write(pack_fixed(self.patterns, side * side))
             return
@@ -273,10 +273,9 @@ class LeafVocabulary:
         out.write(pack_fixed(rows.ravel(), self.row_index_bits))
 
     @classmethod
-    def read(cls, src, side: int) -> "LeafVocabulary":
-        """The vocabulary written next in `src`, of side x side leaves; the
-        file holds no side, since its tree's leaf side gives it."""
-        tag, count = struct.unpack("<BQ", read_exact(src, 9))
+    def read(cls, src, side: int, count: int) -> "LeafVocabulary":
+        """The vocabulary of `count` side x side leaves written next in `src`."""
+        tag = read_exact(src, 1)[0]
         if tag >= len(VOCAB_ENCODINGS):
             raise ValueError(f"unknown vocabulary encoding tag byte {tag}")
         encoding = VOCAB_ENCODINGS[tag]
@@ -648,8 +647,7 @@ class K2Tree:
         if leaf_side == 1:
             return cls(n_rows, n_cols, ks, leaf_side, tree)
         leaf_ids = Dac.read(src, rate)
-        vocab = LeafVocabulary.read(src, leaf_side)
-        top = leaf_ids.top()
-        if top >= vocab.count:
-            raise ValueError(f"leaf id {top} is past the {vocab.count}-leaf vocabulary")
+        vocab = LeafVocabulary.read(src, leaf_side, leaf_ids.top() + 1)
+        if not as_uint(vocab.patterns).all():
+            raise ValueError(f"vocabulary leaf {as_uint(vocab.patterns).argmin()} holds no 1")
         return cls(n_rows, n_cols, ks, leaf_side, tree, leaf_ids=leaf_ids, vocab=vocab)

@@ -14,7 +14,7 @@ concurrent readers. Two thresholds, not stored since no answer depends
 on them, steer query strategy and may change between queries: (s, ?, o)
 intersects two rows above merge_sorted candidates (DEFAULT_MERGE_SORTED),
 and column-to-row lookups read a run of more than merge_unsorted
-(DEFAULT_MERGE_UNSORTED) consecutive columns by one rect.
+(DEFAULT_MERGE_UNSORTED) consecutive columns by rects of up to _SLICE columns.
 
 `TripleStore.build` builds the subject tree on a worker thread while the
 calling thread builds the object tree; numpy releases the GIL for most of
@@ -22,20 +22,23 @@ a tree build. Both builds only read their inputs and the build path keeps
 no module state, so the trees are a sequential build's, bit for bit.
 Errors surface in subject-then-object order.
 
-A store file (format version 9) is, little-endian throughout: the magic
+A store file (format version 10) is, little-endian throughout: the magic
 "BMX1" and the u16 format version, then the dictionary's four pools
-(shared, subject-only, object-only, predicates; front-coded, see
-`dictionary`), the predicate index (u64 start count, u64 run starts),
-the subject tree and the object tree, then a u32 CRC32 (`zlib.crc32`) of
-every byte before it, and nothing after that. Each tree is its leaf side
-(u8), sampling preset byte (u8), rows and columns (u64 each), level count
-(u16), one k byte per level and its tree bits T:L (u64 bit count, then
-u64 words), every level in one bitmap; a tree with a leaf side above 1
-then holds its DAC leaf ids, with one chunk width per DAC level, and its
-leaf vocabulary (see `Dac` and `LeafVocabulary`). Each count is written
-once, in the part that owns it: the store's triples are the last run
-start, its predicates one fewer than the run starts, and its subjects and
-objects the rows of their trees.
+(shared, subject-only, object-only, predicates; each a u64 blob length
+and the blob, see `dictionary`), the predicate index (u64 start count,
+u64 run starts), the subject tree and the object tree, then a u32 CRC32
+(`zlib.crc32`) of every byte before it, and nothing after that. Each
+tree is its leaf side (u8), sampling preset byte (u8), rows and columns
+(u64 each), level count (u16), one k byte per level and its tree bits
+T:L (u64 bit count, then u64 words), every level in one bitmap; a tree
+with a leaf side above 1 then holds its DAC leaf ids, with one chunk
+width per DAC level, and its leaf vocabulary, an encoding byte and the
+leaves (see `Dac` and `LeafVocabulary`). A count is written once, where
+no other part implies it: triples are the last run start, predicates one
+fewer than the run starts, subjects and objects the rows of their trees,
+a pool's terms those in its blob, a vocabulary's leaves the largest leaf
+id + 1. No index is stored; loading rebuilds them all: rank samples,
+each tree's level table and each pool's bucket offsets.
 Files of older versions are refused with a request to rebuild them.
 
 Loading reads the whole file and checks the magic, then the version,
@@ -55,12 +58,13 @@ still refuses a file, with a ValueError, when:
   8, no level, a k below 2, a side prod(ks) * leaf side below its rows
   or columns or above MAX_SIDE, or a tree-bit or leaf count other than
   its levels need;
-- a tree's leaf id is at or past its vocabulary's count;
+- a vocabulary leaf holds no 1, as one read from padding does;
 - a DAC level's chunk width is outside 1 to 64, a DAC level starts at
   bit 64 or later (the widths of the levels before it add up to 64 or
-  more), or a chunk has bits past bit 63; continuation flags on a DAC's
-  last level make the reader take the bytes after it for another level,
-  which then breaks one of these checks or another part's;
+  more), a chunk has bits past bit 63, or the last of two or more levels
+  has a 0 chunk; continuation flags on a DAC's last level make the reader
+  take the bytes after it for another level, which then breaks one of
+  these checks or another part's;
 - the predicate index's run starts do not rise from 0.
 
 A query that meets a column with no 1 in a tree, or a run of columns
@@ -83,10 +87,11 @@ from .dictionary import Dictionary
 from .k2tree import K2Config, K2Tree
 
 MAGIC = b"BMX1"
-FORMAT_VERSION = 9
+FORMAT_VERSION = 10
 
 DEFAULT_MERGE_SORTED = 700
 DEFAULT_MERGE_UNSORTED = 2
+_SLICE = 4096   # most columns per `_rows_of` rect: ??? peaks grow above 8,192
 
 # The eight triple patterns: shape (the bound slots' letters, "?" for an
 # unbound slot) -> the TripleStore method that takes the bound ids in
@@ -335,7 +340,8 @@ class TripleStore:
     def _rows_of(self, tree: K2Tree, cols) -> list[int]:
         """The 1-based row of the 1 in each of the ascending columns `cols` of
         a store tree: a run of more than merge_unsorted consecutive columns by
-        one rect, sorted by column, every other column by a walk to its 1."""
+        rects of at most _SLICE columns, each cell put in its column's slot,
+        every other column by a walk to its 1."""
         out, start = [], 0
         for end in range(1, len(cols) + 1):
             if end < len(cols) and cols[end] == cols[end - 1] + 1:
@@ -348,10 +354,15 @@ class TripleStore:
                         raise ValueError(f"column {i} holds no 1: the store is damaged")
                     out.append(rows[0] + 1)
                 continue
-            cells = sorted(tree.rect(0, tree.n_rows - 1, lo, hi), key=lambda rc: rc[1])
-            if [i for _, i in cells] != [*range(lo, hi + 1)]:
-                raise ValueError(f"not one 1 per column in {lo}-{hi}: the store is damaged")
-            out += [r + 1 for r, _ in cells]
+            for lo in range(lo, hi + 1, _SLICE):
+                top = min(lo + _SLICE, hi + 1)
+                cells, rows = tree.rect(0, tree.n_rows - 1, lo, top - 1), [0] * (top - lo)
+                for r, i in cells:
+                    rows[i - lo] = r + 1
+                if len(cells) != len(rows) or 0 in rows:
+                    raise ValueError(f"not one 1 per column in {lo}-{top - 1}: the store"
+                                     " is damaged")
+                out += rows
         return out
 
     def pattern_query(self, s: int | None = None, p: int | None = None,

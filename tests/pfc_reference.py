@@ -40,7 +40,6 @@ def front_code(terms: list[bytes]) -> tuple[bytes, list[int]]:
 
 
 def pool_bytes(terms: list[bytes]) -> bytes:
-    """One pool as a store file holds it: count, bucket offsets, blob."""
-    blob, offsets = front_code(terms)
-    return (struct.pack("<Q", len(terms))
-            + struct.pack(f"<{len(offsets)}Q", *offsets) + blob)
+    """One pool as a store file holds it: the blob length, then the blob."""
+    blob, _ = front_code(terms)
+    return struct.pack("<Q", len(blob)) + blob

@@ -457,8 +457,8 @@ POOL_TERMS = [f"http://x/t{i:02d}" for i in range(38)] + [
 
 def _pool_store(tmp_path):
     """A built store whose shared pool spans three buckets, and where that
-    pool sits in the file: (bytes, offsets position, blob position,
-    bucket offsets, the pool's terms as bytes)."""
+    pool sits in the file: (bytes, blob position, bucket offsets, the
+    pool's terms as bytes)."""
     src = tmp_path / "pool.nt"
     terms = POOL_TERMS
     src.write_text("".join(f"<{a}> <http://x/p> <{b}> .\n"
@@ -467,61 +467,46 @@ def _pool_store(tmp_path):
     assert cli.main(["build", str(src), "-o", str(path)]) == 0
     data = bytearray(path.read_bytes())
     at = section_offsets(path)["dictionary"]
-    count = int.from_bytes(data[at:at + 8], "little")
-    assert count == len(terms)
-    offsets = [int.from_bytes(data[at + 8 + 8 * i:at + 16 + 8 * i], "little")
-               for i in range(4)]
     encoded = sorted(t.encode() for t in terms)
-    blob_at = at + 8 + 8 * len(offsets)
-    assert (bytes(data[at:blob_at + offsets[-1]])
+    _, offsets = pfc_reference.front_code(encoded)
+    assert len(offsets) == 4
+    assert (bytes(data[at:at + 8 + offsets[-1]])
             == pfc_reference.pool_bytes(encoded))
-    return data, at + 8, blob_at, offsets, encoded
+    return data, at + 8, offsets, encoded
 
 
-def _set_offset(data, offsets_at, i, value):
-    data[offsets_at + 8 * i:offsets_at + 8 * i + 8] = value.to_bytes(8, "little")
-
-
-def _corrupt_pool(data, offsets_at, blob_at, offsets, terms, fault):
-    if fault == "offsets decrease":
-        _set_offset(data, offsets_at, 1, offsets[2] + 1)
-    elif fault == "offset past the blob":
-        _set_offset(data, offsets_at, 2, offsets[3] + 1)
-    elif fault == "offsets do not start at 0":
-        _set_offset(data, offsets_at, 0, 1)
-    elif fault == "blob length past the file":
-        _set_offset(data, offsets_at, 3, 1 << 62)
+def _corrupt_pool(data, blob_at, offsets, terms, fault):
+    blob_end = blob_at + offsets[-1]
+    if fault == "blob length past the file":
+        data[blob_at - 8:blob_at] = (1 << 62).to_bytes(8, "little")
     elif fault == "invalid UTF-8":
-        data[blob_at + offsets[-1] - 1] = 0xFF
+        data[blob_end - 1] = 0xFF
     elif fault == "shared prefix past the previous term":
         # the second term's shared-prefix vbyte follows the header term
         data[blob_at + 1 + len(terms[0])] = len(terms[0]) + 1
-    elif fault == "vbyte past its bucket":
-        # the first bucket ends after the second term's shared-prefix vbyte
-        _set_offset(data, offsets_at, 1, 1 + len(terms[0]) + 1)
+    elif fault == "suffix past the blob":
+        # the last term's suffix is its last byte, after its suffix length
+        assert terms[-1][-1:] == data[blob_end - 1:blob_end] and data[blob_end - 2] == 1
+        data[blob_end - 2] = 2
     else:
         if fault == "two terms swapped":
             terms[5], terms[6] = terms[6], terms[5]
         else:  # a term ends inside its "é", and the next term starts there
             terms[-2:] = [terms[-2] + b"caf\xc3", b"\xa9!"]
-        pool_at = offsets_at - 8
-        data[pool_at:blob_at + offsets[-1]] = pfc_reference.pool_bytes(terms)
+        data[blob_at - 8:blob_end] = pfc_reference.pool_bytes(terms)
 
 
 @pytest.mark.parametrize("fault, message", [
-    ("offsets decrease", "not ascending"),
-    ("offset past the blob", "not ascending"),
-    ("offsets do not start at 0", "not ascending"),
     ("blob length past the file", "truncated input"),
     ("invalid UTF-8", "not valid UTF-8"),
     ("boundary inside a character", "starts inside a character"),
     ("shared prefix past the previous term", "longer than the previous term"),
-    ("vbyte past its bucket", "vbyte runs past its bucket"),
+    ("suffix past the blob", "term runs past"),
     ("two terms swapped", "not in strictly ascending order")])
 def test_corrupt_dictionary_pool_is_a_clean_error(tmp_path, capsys, fault,
                                                    message):
-    data, offsets_at, blob_at, offsets, terms = _pool_store(tmp_path)
-    _corrupt_pool(data, offsets_at, blob_at, offsets, terms, fault)
+    data, blob_at, offsets, terms = _pool_store(tmp_path)
+    _corrupt_pool(data, blob_at, offsets, terms, fault)
     bad = tmp_path / "bad.bmx"
     bad.write_bytes(reseal(data))
     capsys.readouterr()
@@ -577,7 +562,8 @@ def test_zero_k_or_period_is_a_clean_error(built, capsys, field, message, comman
 
 
 @pytest.mark.parametrize("fault, message", [
-    ("leaf id past the vocabulary", "leaf id 255 is past the"),
+    # the tree's leaf ids claim 256 leaves, and the file ends before them
+    ("leaf id past the leaves", "truncated"),
     # the flag makes the reader take the bytes after the DAC for more
     # levels, until a level's flag word has set bits past its one flag
     ("level continues past the last", "set bits past the 1 bits"),
@@ -598,7 +584,7 @@ def test_corrupt_leaf_ids_are_a_clean_error(built, capsys, fault, message, comma
     chunks_at = at + 8 + 1              # length, the level's width
     flags_at = chunks_at + 1            # a level's flag words follow its chunks
     data = bytearray(out.read_bytes())
-    if fault == "leaf id past the vocabulary":
+    if fault == "leaf id past the leaves":
         # the same ids as one level of 8-bit chunks, the first one 255
         dac_bytes = (struct.pack("<QB", n, 8) + bytes([255] + [0] * (n - 1))
                      + bytes(8))
@@ -643,7 +629,7 @@ def test_leaf_id_bits_past_bit_63_are_a_clean_error(built, capsys, command):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7, 8])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7, 8, 9])
 def test_old_store_version_asks_for_a_rebuild(built, capsys, version):
     _, out = built
     data = bytearray(out.read_bytes())

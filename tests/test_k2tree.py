@@ -214,7 +214,7 @@ def written_cols(v):
     """The column flags, as a bit string, and the rows of v's cols file form."""
     buf = io.BytesIO()
     v.write(buf)
-    buf.seek(9)                           # encoding tag, leaf count
+    buf.seek(1)                           # encoding tag
     n_flags = v.count * v.side
     flags = unpack_fixed(buf.read((n_flags + 7) // 8), 1, n_flags)
     n_rows = sum(flags) if v.encoding == VOCAB_COLS_RANK else n_flags
@@ -374,25 +374,49 @@ def test_stable_order_matches_numpy_stable_argsort(values):
     assert _stable_order(low, 16).tolist() == np.argsort(low, kind="stable").tolist()
 
 
-@pytest.mark.parametrize("ids, chunk_bits, levels, message", [
-    # 4 and 5 both reach the last level, with the same chunk there
-    ([0, 1, 2, 5, 4], 1, 3, "leaf id 5 is past the 5-leaf vocabulary"),
-    ([0, 1, 2, 3, 4], 1, 3, None),
-    ([0, 9, 2, 3, 4], 4, 1, "leaf id 9 is past the 5-leaf vocabulary")])
-def test_a_leaf_id_past_the_vocabulary_is_refused(ids, chunk_bits, levels, message):
-    # five leaves of five patterns
+def five_leaf_tree(encoding=VOCAB_PLAIN):
+    """A 2 x 10 tree of five 2 x 2 leaves of five patterns."""
     pts = [(0, 0), (0, 3), (1, 4), (1, 7), (0, 8), (1, 9)]
     t = K2Tree.build(pts, 2, 10, K2Config(k1_levels=0, leaf_side=2,
-                                          vocab_encoding=VOCAB_PLAIN))
+                                          vocab_encoding=encoding))
     assert t.vocab.count == len(t.leaf_ids) == 5
+    return t
+
+
+@pytest.mark.parametrize("ids, chunk_bits, levels, message", [
+    # 4 and 5 both reach the last level, with the same chunk there; a sixth
+    # leaf fits in the bytes of five, so it is read from their padding
+    ([0, 1, 2, 5, 4], 1, 3, "leaf 5 holds no 1"),
+    ([0, 1, 2, 3, 4], 1, 3, None),
+    # ten leaves take 5 bytes, and the tree ends 3 bytes on
+    ([0, 9, 2, 3, 4], 4, 1, "truncated input")])
+def test_a_leaf_id_past_the_vocabulary_is_refused(ids, chunk_bits, levels, message):
+    """The file holds no leaf count: the tree's largest leaf id + 1 gives
+    it, so ids past the leaves written make the reader take more leaves
+    than there are, from padding, which holds no 1, or past the end."""
+    t = five_leaf_tree()
     t.leaf_ids = Dac.encode(ids, chunk_bits=chunk_bits)
     assert len(t.leaf_ids.levels) == levels
     buf = io.BytesIO()
     t.write(buf)
     if message is None:
-        assert leaf_ids(K2Tree.read(io.BytesIO(buf.getvalue()))) == ids
+        back = K2Tree.read(io.BytesIO(buf.getvalue()))
+        assert leaf_ids(back) == ids and back.vocab.count == 5
         return
     with pytest.raises(ValueError, match=message):
+        K2Tree.read(io.BytesIO(buf.getvalue()))
+
+
+@pytest.mark.parametrize("encoding", [VOCAB_COLS_FULL, VOCAB_COLS_RANK])
+def test_a_leaf_read_from_padding_is_refused(encoding):
+    """As for the plain form above: ids 0, 1, 2, 5, 4 claim six leaves, and
+    the column flags and rows of the sixth lie in the padding bits after
+    the five written."""
+    t = five_leaf_tree(encoding)
+    t.leaf_ids = Dac.encode([0, 1, 2, 5, 4])
+    buf = io.BytesIO()
+    t.write(buf)
+    with pytest.raises(ValueError, match="vocabulary leaf 5 holds no 1"):
         K2Tree.read(io.BytesIO(buf.getvalue()))
 
 
@@ -400,9 +424,7 @@ def test_leaf_ids_whose_last_chunk_is_0_are_refused():
     """Ids 9, 1, 2, 3, 4 in 4-bit chunks, 9 stopping at level 0 and 1 going
     on with a 0 chunk: the values that reach the last level do not hold the
     largest id, so the reader refuses the DAC itself."""
-    pts = [(0, 0), (0, 3), (1, 4), (1, 7), (0, 8), (1, 9)]
-    t = K2Tree.build(pts, 2, 10, K2Config(k1_levels=0, leaf_side=2,
-                                          vocab_encoding=VOCAB_PLAIN))
+    t = five_leaf_tree()
     t.leaf_ids = Dac(5, [(4, pack_fixed([9, 1, 2, 3, 4], 4),
                           BitVector(np.array([0, 1, 0, 0, 0], dtype=bool))),
                          (4, pack_fixed([0], 4), BitVector(np.zeros(1, dtype=bool)))])

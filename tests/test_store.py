@@ -121,6 +121,23 @@ def test_spo(store_e):
             assert store_bytes(read_store(io.BytesIO(saved))[0]) == saved
 
 
+def test_an_empty_store_round_trips():
+    """An empty store's file holds no count or offset that its data gives:
+    a pool is its blob length, a vocabulary its encoding byte."""
+    empty = TripleStore.build([], 0, 0, 0)
+    saved = store_bytes(empty)
+    # magic and version, a blob length per pool, the start count and start
+    # 0, then per tree its header, k byte, tree-bit length and word, DAC
+    # length and encoding byte, and the CRC32
+    assert len(saved) == 6 + 4 * 8 + 16 + 2 * (20 + 1 + 16 + 8 + 1) + 4 == 150
+    store, dictionary = read_store(io.BytesIO(saved))
+    assert store_bytes(store) == saved
+    assert (store.n, store.all_triples(), dictionary.subject_count,
+            dictionary.predicate_count, dictionary.object_count) == (0, [], 0, 0, 0)
+    for tree in (store.subject_tree, store.object_tree):
+        assert (len(tree.leaf_ids), tree.vocab.count) == (0, 0)
+
+
 def test_sp(store_e):
     assert store_e.objects(2, 2) == [1]
     assert store_e.objects(1, 1) == [1]
@@ -377,6 +394,35 @@ def test_a_run_without_one_1_per_column_is_a_damaged_store(pattern, drop, tmp_pa
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "the store is damaged" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 7, 100])
+def test_a_long_run_is_read_in_slices(many_runs, monkeypatch, size):
+    """A run of more than _SLICE columns takes one rect per slice of at most
+    _SLICE columns, and ?p? and ??? still give the oracle's answers."""
+    store, tl = many_runs
+    monkeypatch.setattr(store_mod, "_SLICE", size)
+    widths = []
+
+    def counted(self, r_lo, r_hi, c_lo, c_hi, _rect=K2Tree.rect):
+        widths.append(c_hi - c_lo + 1)
+        return _rect(self, r_lo, r_hi, c_lo, c_hi)
+    monkeypatch.setattr(K2Tree, "rect", counted)
+    lengths = np.diff(np.asarray(store.pred_index.starts))
+    p, n = int(lengths.argmax()) + 1, int(lengths.max())
+    assert store.pattern_query(None, p, None) == tl.pattern_query(None, p, None)
+    slices = [size] * (n // size) + [n % size] * (n % size > 0)
+    assert widths == slices * 2                 # the subject tree, then the object tree
+    assert store.pattern_query() == tl.pattern_query()
+
+
+@pytest.mark.parametrize("drop", [None, 3])
+def test_a_damaged_slice_names_its_columns(monkeypatch, drop):
+    """Read in slices of 2, columns 0-4 are fine but for the slice 2-3."""
+    monkeypatch.setattr(store_mod, "_SLICE", 2)
+    store = two_ones_in_one_column(drop)
+    with pytest.raises(ValueError, match="not one 1 per column in 2-3: the store is damaged"):
+        store.pattern_query(None, 1, None)
 
 
 def test_pattern_query_dispatch(store_e):

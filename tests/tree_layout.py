@@ -48,7 +48,7 @@ def tree_offsets(tree, at: int = 0) -> dict:
         offsets["dac"] = at               # u64 length, then the levels
         dac = io.BytesIO()
         tree.leaf_ids.write(dac)
-        offsets["vocab"] = at + len(dac.getvalue())   # encoding byte, u64 count
+        offsets["vocab"] = at + len(dac.getvalue())   # encoding byte, leaves
     return offsets
 
 
@@ -70,7 +70,7 @@ def packed_fields(tree, at: int = 0) -> list:
         out.append((at, len(flags), len(flags.data)))
         at += len(flags.data)
     side, count = vocab.side, vocab.count
-    at = fields["vocab"] + 9
+    at = fields["vocab"] + 1
     if vocab.encoding == VOCAB_PLAIN:
         n = count * side * side
         return out + [(at, n, (n + 7) // 8)]
