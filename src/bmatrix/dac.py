@@ -17,16 +17,16 @@ w_l-bit slots (LSB first) that the file holds, and its flags as a
 `BitVector`; `access` reads a slot with one `int.from_bytes`, or two byte
 reads when the slot is at most 9 bits wide.
 
-A DAC file is its length (u64), then per level its width (u8), its chunks
-in w_l-bit slots and its continuation flags in u64 words, as many flags as
-chunks. Level 0 holds `length` chunks, each later level one chunk per
-continuation one of the level before, and the first level whose flags hold
-no ones is the last, so the file holds no level or chunk counts.
+A DAC file is its levels alone: per level its width (u8), its chunks in
+w_l-bit slots and its continuation flags in u64 words, as many flags as
+chunks. The owner supplies the length, as a k2-tree does with its last
+level's set bits. Level 0 holds `length` chunks, each later level one
+chunk per continuation one of the level before, and the first level whose
+flags hold no ones is the last, so the file holds no length, level or
+chunk counts.
 """
 
 from __future__ import annotations
-
-import struct
 
 import numpy as np
 
@@ -167,19 +167,18 @@ class Dac:
         return sum(flags.accel_bytes for _, _, flags in self.levels)
 
     def write(self, out) -> None:
-        out.write(struct.pack("<Q", self.length))
         for w, chunks, flags in self.levels:
             out.write(bytes((w,)))
             out.write(chunks)
             out.write(flags.data)
 
     @classmethod
-    def read(cls, src, sample_rate: int = SAMPLE_RATE_DEFAULT) -> "Dac":
-        """Refuses, with a ValueError, a width outside 1 to 64, a level from bit
-        64 on, a chunk with bits past bit 63, and a 0 chunk on a last level past
-        level 0, which `encode` never writes and `top()` cannot take. Flags past
-        the last level make the next bytes read as a level, which fails a check."""
-        length = int.from_bytes(read_exact(src, 8), "little")
+    def read(cls, src, length: int, sample_rate: int = SAMPLE_RATE_DEFAULT) -> "Dac":
+        """The DAC of `length` values written next in `src`. Refuses, with a
+        ValueError, a width outside 1 to 64, a level from bit 64 on, a chunk with
+        bits past bit 63, and a 0 chunk on a last level past level 0, which
+        `encode` never writes and `top()` cannot take. Flags past the last level
+        make the next bytes read as a level, which fails a check."""
         levels = []
         count = length  # level 0 holds a chunk per value
         shift = 0       # the bits of the levels before

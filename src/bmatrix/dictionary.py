@@ -20,7 +20,7 @@ as in HDT's dictionary build. The id rows keep the statements' order
 and repeats; the store sorts them.
 
 Each pool is front-coded (plain front coding, as in HDT), in the layout
-the store file keeps it (format v10):
+the store file keeps it (since format v10):
 
     blob length                    u64
     blob                           the buckets back to back

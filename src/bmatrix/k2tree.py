@@ -414,8 +414,6 @@ class K2Tree:
         if len(self.tree_bits) != start[-1]:
             raise ValueError(f"{len(self.tree_bits)} tree bits, but the levels"
                              f" take {start[-1]}")
-        if self.vocab is not None and len(self.leaf_ids) != nodes:
-            raise ValueError("leaf count does not match the tree's last level")
         self._level_start = start
         self._ones_before = ones_before
 
@@ -621,9 +619,9 @@ class K2Tree:
     # -- serialization ----------------------------------------------------
 
     def write(self, out) -> None:
-        out.write(struct.pack("<BBQQH", self.leaf_side,
+        out.write(struct.pack("<BBQH", self.leaf_side,
                               PRESET_BYTES.index(self.sample_preset),
-                              self.n_rows, self.n_cols, len(self.ks)))
+                              self.n_rows, len(self.ks)))
         out.write(bytes(self.ks))
         self.tree_bits.write(out)
         if self.vocab is not None:
@@ -631,9 +629,10 @@ class K2Tree:
             self.vocab.write(out)
 
     @classmethod
-    def read(cls, src) -> "K2Tree":
-        leaf_side, preset, n_rows, n_cols, depth = struct.unpack(
-            "<BBQQH", read_exact(src, 20))
+    def read(cls, src, n_cols: int) -> "K2Tree":
+        """The tree of `n_cols` columns written next in `src`: a leaf id per
+        set bit of its last level, and leaves up to the largest id."""
+        leaf_side, preset, n_rows, depth = struct.unpack("<BBQH", read_exact(src, 12))
         if preset >= len(PRESET_BYTES):
             raise ValueError(f"unknown sample preset byte {preset}")
         rate = SAMPLE_PRESETS[PRESET_BYTES[preset]]
@@ -643,11 +642,12 @@ class K2Tree:
                 or not max(n_rows, n_cols) <= side <= MAX_SIDE):
             raise ValueError(f"tree geometry does not add up: side {side}, leaf side"
                              f" {leaf_side}, {depth} levels, {n_rows}x{n_cols} matrix")
-        tree = BitVector.read(src, rate)
+        tree = cls(n_rows, n_cols, ks, leaf_side, BitVector.read(src, rate))
         if leaf_side == 1:
-            return cls(n_rows, n_cols, ks, leaf_side, tree)
-        leaf_ids = Dac.read(src, rate)
-        vocab = LeafVocabulary.read(src, leaf_side, leaf_ids.top() + 1)
+            return tree
+        ones = tree._ones_before
+        tree.leaf_ids = Dac.read(src, ones[-1] - ones[-2], rate)
+        vocab = tree.vocab = LeafVocabulary.read(src, leaf_side, tree.leaf_ids.top() + 1)
         if not as_uint(vocab.patterns).all():
             raise ValueError(f"vocabulary leaf {as_uint(vocab.patterns).argmin()} holds no 1")
-        return cls(n_rows, n_cols, ks, leaf_side, tree, leaf_ids=leaf_ids, vocab=vocab)
+        return tree

@@ -22,23 +22,24 @@ a tree build. Both builds only read their inputs and the build path keeps
 no module state, so the trees are a sequential build's, bit for bit.
 Errors surface in subject-then-object order.
 
-A store file (format version 10) is, little-endian throughout: the magic
+A store file (format version 11) is, little-endian throughout: the magic
 "BMX1" and the u16 format version, then the dictionary's four pools
 (shared, subject-only, object-only, predicates; each a u64 blob length
 and the blob, see `dictionary`), the predicate index (u64 start count,
 u64 run starts), the subject tree and the object tree, then a u32 CRC32
 (`zlib.crc32`) of every byte before it, and nothing after that. Each
-tree is its leaf side (u8), sampling preset byte (u8), rows and columns
-(u64 each), level count (u16), one k byte per level and its tree bits
-T:L (u64 bit count, then u64 words), every level in one bitmap; a tree
-with a leaf side above 1 then holds its DAC leaf ids, with one chunk
-width per DAC level, and its leaf vocabulary, an encoding byte and the
+tree is its leaf side (u8), sampling preset byte (u8), rows (u64), level
+count (u16), one k byte per level and its tree bits T:L (u64 bit count,
+then u64 words), every level in one bitmap; a tree with a leaf side
+above 1 then holds its DAC leaf ids, the DAC's levels alone with one
+chunk width per level, and its leaf vocabulary, an encoding byte and the
 leaves (see `Dac` and `LeafVocabulary`). A count is written once, where
 no other part implies it: triples are the last run start, predicates one
 fewer than the run starts, subjects and objects the rows of their trees,
-a pool's terms those in its blob, a vocabulary's leaves the largest leaf
-id + 1. No index is stored; loading rebuilds them all: rank samples,
-each tree's level table and each pool's bucket offsets.
+a pool's terms those in its blob, a tree's columns the triples, a DAC's
+leaf ids the set bits of its tree's last level, a vocabulary's leaves
+the largest leaf id + 1. No index is stored; loading rebuilds them all:
+rank samples, each tree's level table and each pool's bucket offsets.
 Files of older versions are refused with a request to rebuild them.
 
 Loading reads the whole file and checks the magic, then the version,
@@ -53,11 +54,10 @@ still refuses a file, with a ValueError, when:
 - a packed field (a bitmap, DAC chunks, vocabulary leaves, flags or
   rows) has a set bit past its length;
 - a tag byte names no known sampling preset or vocabulary encoding;
-- the two trees' columns and the predicate index's triples differ;
 - a tree's geometry does not add up: a leaf side other than 1, 2, 4 or
   8, no level, a k below 2, a side prod(ks) * leaf side below its rows
-  or columns or above MAX_SIDE, or a tree-bit or leaf count other than
-  its levels need;
+  or columns or above MAX_SIDE, or a tree-bit count other than its
+  levels need;
 - a vocabulary leaf holds no 1, as one read from padding does;
 - a DAC level's chunk width is outside 1 to 64, a DAC level starts at
   bit 64 or later (the widths of the levels before it add up to 64 or
@@ -87,7 +87,7 @@ from .dictionary import Dictionary
 from .k2tree import K2Config, K2Tree
 
 MAGIC = b"BMX1"
-FORMAT_VERSION = 10
+FORMAT_VERSION = 11
 
 DEFAULT_MERGE_SORTED = 700
 DEFAULT_MERGE_UNSORTED = 2
@@ -431,17 +431,12 @@ def read_store(src) -> tuple[TripleStore, Dictionary]:
                          " match its bytes")
     dictionary = Dictionary.read(src)
     pidx = PredicateIndex.read(src)
-    subject_tree = K2Tree.read(src)
-    object_tree = K2Tree.read(src)
+    subject_tree = K2Tree.read(src, pidx.n)
+    object_tree = K2Tree.read(src, pidx.n)
     end = len(data) - 4                 # where the checksum starts
     if src.tell() != end:
         raise ValueError("truncated input: the store runs into its checksum"
                          if src.tell() > end else "trailing bytes after the store")
-    if not subject_tree.n_cols == object_tree.n_cols == pidx.n:
-        raise ValueError(
-            f"the subject tree's {subject_tree.n_cols} columns, the object tree's"
-            f" {object_tree.n_cols} and the predicate index's {pidx.n} triples"
-            " are not one triple count")
     d = dictionary
     if (d.subject_count or d.predicate_count or d.object_count) and not (
             d.subject_count == subject_tree.n_rows and d.object_count == object_tree.n_rows

@@ -110,7 +110,7 @@ def test_sample_rates_off_whole_words_are_refused(rate):
     with pytest.raises(ValueError, match=match):
         Dac.encode([1, 300, 70_000], sample_rate=rate)
     with pytest.raises(ValueError, match=match):
-        Dac.read(io.BytesIO(dac.getvalue()), sample_rate=rate)
+        Dac.read(io.BytesIO(dac.getvalue()), 3, sample_rate=rate)
 
 
 @pytest.mark.parametrize("preset", sorted(SAMPLE_PRESETS))

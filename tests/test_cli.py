@@ -3,7 +3,6 @@ import multiprocessing
 import os
 import random
 import re
-import struct
 import subprocess
 import sys
 import threading
@@ -539,18 +538,24 @@ def test_store_survives_every_cut_and_huge_count(built, capsys, with_dictionary)
 
 @pytest.mark.parametrize("field, message", [
     ("zero k", "tree geometry does not add up"),
-    ("run start past the columns", "predicate index run starts do not rise")])
+    ("run start past the columns", "predicate index run starts do not rise"),
+    ("triple count past the trees' side", "tree geometry does not add up")])
 @pytest.mark.parametrize("command", [["stats"], ["query", "?", "?", "?", "--ids"]])
 def test_zero_k_or_period_is_a_clean_error(built, capsys, field, message, command):
     _, out = built
     store = store_mod.load(str(out))[0]
     tree, offsets = store.subject_tree, section_offsets(out)
-    # the second run start follows the index's start count and first start
+    side = max(tree.side, store.object_tree.side)
+    # the second run start follows the index's start count and first start;
+    # the last, the triple count, gives both trees their columns
     at, width, value, new = {
         "zero k": (tree_offsets(tree, offsets["subject_tree"])["ks"], 1,
                    tree.ks[0], 0),
         "run start past the columns": (offsets["pred_index"] + 8 + 8, 8,
-                                       store.pred_index.starts[1], store.n + 1)}[field]
+                                       store.pred_index.starts[1], store.n + 1),
+        "triple count past the trees' side": (
+            offsets["pred_index"] + 8 * len(store.pred_index.starts), 8,
+            store.n, side + 1)}[field]
     data = bytearray(out.read_bytes())
     assert int.from_bytes(data[at:at + width], "little") == value
     data[at:at + width] = new.to_bytes(width, "little")
@@ -561,13 +566,31 @@ def test_zero_k_or_period_is_a_clean_error(built, capsys, field, message, comman
     assert err.startswith("error: ") and message in err and "Traceback" not in err
 
 
+def test_a_triple_count_one_too_high_is_a_damaged_store(built, capsys):
+    """The trees take their columns from the predicate index's last run
+    start. One more, inside the trees' side, loads, and the last column,
+    which holds no 1 in either tree, fails the query that reads it."""
+    _, out = built
+    store = store_mod.load(str(out))[0]
+    assert store.n + 1 <= min(store.subject_tree.side, store.object_tree.side)
+    at = section_offsets(out)["pred_index"] + 8 * len(store.pred_index.starts)
+    data = bytearray(out.read_bytes())
+    assert int.from_bytes(data[at:at + 8], "little") == store.n
+    data[at:at + 8] = (store.n + 1).to_bytes(8, "little")
+    out.write_bytes(reseal(data))
+    capsys.readouterr()
+    assert cli.main(["query", str(out), "?", "?", "?", "--ids"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.rstrip().endswith("the store is damaged")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("fault, message", [
     # the tree's leaf ids claim 256 leaves, and the file ends before them
     ("leaf id past the leaves", "truncated"),
     # the flag makes the reader take the bytes after the DAC for more
     # levels, until a level's flag word has set bits past its one flag
     ("level continues past the last", "set bits past the 1 bits"),
-    ("length 2^62", "truncated input"),
     # the first id 0 goes on to a 0 chunk on a second level, a file that
     # encode never writes and on which the reader's top id would not hold
     ("0 chunk on the last level", "DAC level 1 is the last and has a 0 chunk")])
@@ -581,23 +604,20 @@ def test_corrupt_leaf_ids_are_a_clean_error(built, capsys, fault, message, comma
     n = len(dac)
     # every leaf id is 0: one level of 1-bit chunks
     assert (dac.widths, tree.vocab.count) == ([1], 1) and n <= 64
-    chunks_at = at + 8 + 1              # length, the level's width
+    chunks_at = at + 1                  # the level's width
     flags_at = chunks_at + 1            # a level's flag words follow its chunks
     data = bytearray(out.read_bytes())
     if fault == "leaf id past the leaves":
         # the same ids as one level of 8-bit chunks, the first one 255
-        dac_bytes = (struct.pack("<QB", n, 8) + bytes([255] + [0] * (n - 1))
-                     + bytes(8))
+        dac_bytes = bytes([8, 255] + [0] * (n - 1)) + bytes(8)
         data[at:fields["vocab"]] = dac_bytes
     elif fault == "level continues past the last":
         data[flags_at] |= 1
     elif fault == "0 chunk on the last level":
-        dac_bytes = (struct.pack("<QB", n, 4) + pack_fixed([0] * n, 4)
+        dac_bytes = (bytes((4,)) + pack_fixed([0] * n, 4)
                      + (1).to_bytes(8, "little") + bytes((4,)) + pack_fixed([0], 4)
                      + bytes(8))
         data[at:fields["vocab"]] = dac_bytes
-    else:
-        data[at:at + 8] = (1 << 62).to_bytes(8, "little")
     out.write_bytes(reseal(data))
     capsys.readouterr()
     assert cli.main([command[0], str(out), *command[1:]]) == 1
@@ -618,8 +638,7 @@ def test_leaf_id_bits_past_bit_63_are_a_clean_error(built, capsys, command):
     def level(chunks, flags):
         return bytes((3,)) + pack_fixed(chunks, 3) + flags.to_bytes(8, "little")
 
-    dac = (struct.pack("<Q", n) + level([0] * n, 1)
-           + level([0], 1) * 20 + level([2], 0))
+    dac = level([0] * n, 1) + level([0], 1) * 20 + level([2], 0)
     data = out.read_bytes()
     out.write_bytes(reseal(data[:fields["dac"]] + dac + data[fields["vocab"]:]))
     capsys.readouterr()
@@ -629,7 +648,7 @@ def test_leaf_id_bits_past_bit_63_are_a_clean_error(built, capsys, command):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7, 8, 9])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7, 8, 9, 10])
 def test_old_store_version_asks_for_a_rebuild(built, capsys, version):
     _, out = built
     data = bytearray(out.read_bytes())

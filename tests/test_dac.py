@@ -1,7 +1,6 @@
 import io
 import itertools
 import random
-import struct
 import sys
 import warnings
 from array import array
@@ -106,7 +105,7 @@ def _level(width, chunk, more):
 def _continuing(chunk_bits, n_levels=100):
     """A DAC file of one value whose n_levels levels each hold a chunk of 1
     and a set continuation flag."""
-    return struct.pack("<Q", 1) + _level(chunk_bits, 1, 1) * n_levels
+    return _level(chunk_bits, 1, 1) * n_levels
 
 
 @pytest.mark.parametrize("fault, message", [
@@ -116,14 +115,15 @@ def _continuing(chunk_bits, n_levels=100):
     ("width 65", "chunk width must be 1 to 64, not 65")])
 def test_read_refuses_disagreeing_levels(fault, message):
     data = _levels_bytes([5, 1, 9])         # levels of 3 and 2 chunks
+    length = 3
     if fault == "length":                   # the third chunk lies past two
-        data[0:8] = (2).to_bytes(8, "little")
+        length = 2
     elif fault.startswith("width"):
-        data[8] = int(fault.split()[1])     # level 0's width
+        data[0] = int(fault.split()[1])     # level 0's width
     else:
-        data = _continuing(2)
+        data, length = _continuing(2), 1
     with pytest.raises(ValueError, match=message):
-        Dac.read(io.BytesIO(bytes(data)))
+        Dac.read(io.BytesIO(bytes(data)), length)
 
 
 @pytest.mark.parametrize("chunk_bits", [1, 2, 3, 7, 8, 64])
@@ -134,11 +134,11 @@ def test_flags_past_64_bit_values_are_refused(chunk_bits):
     top = -(-64 // chunk_bits)            # levels of a 64-bit value
     with pytest.raises(ValueError, match=f"DAC level {top} starts at bit"
                                          f" {top * chunk_bits}, more than"):
-        Dac.read(io.BytesIO(_continuing(chunk_bits)))
+        Dac.read(io.BytesIO(_continuing(chunk_bits)), 1)
     data = bytearray(_continuing(chunk_bits, top))
     data[-8] = 0                          # the last level's flag
     value = sum(1 << lvl * chunk_bits for lvl in range(top))
-    d = Dac.read(io.BytesIO(bytes(data)))
+    d = Dac.read(io.BytesIO(bytes(data)), 1)
     assert [d.access(0)] == [value] == [d.top()]
 
 
@@ -149,11 +149,11 @@ def test_top_chunk_bits_past_bit_63_are_refused(chunk_bits):
     top = -(-64 // chunk_bits) - 1        # the level holding bit 63
     spare = 64 - top * chunk_bits         # its chunk bits below bit 64
 
-    below = struct.pack("<Q", 1) + _level(chunk_bits, 0, 1) * top
+    below = _level(chunk_bits, 0, 1) * top
     with pytest.raises(ValueError, match=f"DAC level {top} has a chunk with bits"
                                          " past bit 63"):
-        Dac.read(io.BytesIO(below + _level(chunk_bits, 1 << spare, 0)))
-    d = Dac.read(io.BytesIO(below + _level(chunk_bits, (1 << spare) - 1, 0)))
+        Dac.read(io.BytesIO(below + _level(chunk_bits, 1 << spare, 0)), 1)
+    d = Dac.read(io.BytesIO(below + _level(chunk_bits, (1 << spare) - 1, 0)), 1)
     assert d.top() == d.access(0) == (1 << 64) - (1 << top * chunk_bits)
 
 
@@ -195,14 +195,14 @@ def test_serialization_round_trip():
         buf = io.BytesIO()
         d.write(buf)
         buf.seek(0)
-        back = Dac.read(buf)
+        back = Dac.read(buf, len(values))
         assert back.widths == d.widths and len(back) == len(values)
         assert set(back.widths) <= {b}
         assert [back.access(i) for i in range(len(values))] == values
     buf = io.BytesIO()
     Dac.encode([], chunk_bits=3).write(buf)
-    assert buf.getvalue() == struct.pack("<Q", 0)     # no levels
-    back = Dac.read(io.BytesIO(buf.getvalue()))
+    assert buf.getvalue() == b""          # no levels
+    back = Dac.read(io.BytesIO(buf.getvalue()), 0)
     assert (len(back), back.levels) == (0, [])
 
 
@@ -213,7 +213,7 @@ def test_built_and_loaded_dacs_hold_the_same_chunk_type(b):
     buf = io.BytesIO()
     d.write(buf)
     buf.seek(0)
-    back = Dac.read(buf)
+    back = Dac.read(buf, len(d))
     assert len(back.levels) == len(d.levels) > 1
     # both hold each level's chunks as the packed bytes the file holds
     for (w, built, _), (loaded_w, loaded, _) in zip(d.levels, back.levels):
@@ -322,7 +322,7 @@ def test_levels_are_capped_and_mixed_widths_round_trip():
         assert [d.access(i) for i in range(len(values))] == values.tolist()
         buf = io.BytesIO()
         d.write(buf)
-        back = Dac.read(io.BytesIO(buf.getvalue()))
+        back = Dac.read(io.BytesIO(buf.getvalue()), len(values))
         assert back.widths == d.widths
         assert [back.access(i) for i in range(0, len(values), 7)] == values[::7].tolist()
         assert [back.access(i) for i in range(len(values))] == values.tolist()
@@ -333,11 +333,11 @@ def test_levels_are_capped_and_mixed_widths_round_trip():
 def test_a_level_starting_at_bit_64_is_refused():
     """Levels of 40 and 24 bits reach bit 63, so flags that continue past
     them ask for a level that starts at bit 64."""
-    data = struct.pack("<Q", 1) + _level(40, 1, 1) + _level(24, 1, 1) + _level(8, 1, 0)
+    data = _level(40, 1, 1) + _level(24, 1, 1) + _level(8, 1, 0)
     with pytest.raises(ValueError, match="DAC level 2 starts at bit 64, more than"):
-        Dac.read(io.BytesIO(data))
-    last = struct.pack("<Q", 1) + _level(40, 1, 1) + _level(24, (1 << 24) - 1, 0)
-    assert Dac.read(io.BytesIO(last)).access(0) == (1 << 64) - (1 << 40) + 1
+        Dac.read(io.BytesIO(data), 1)
+    last = _level(40, 1, 1) + _level(24, (1 << 24) - 1, 0)
+    assert Dac.read(io.BytesIO(last), 1).access(0) == (1 << 64) - (1 << 40) + 1
 
 
 @pytest.mark.parametrize("widths", [(6, 60), (60, 5), (30, 30, 7)])
@@ -345,12 +345,12 @@ def test_bits_past_bit_63_at_a_mixed_width_boundary_are_refused(widths):
     """The top level's shift is the sum of the widths below it, so its chunk
     may hold 64 - shift bits and no more."""
     shift = sum(widths[:-1])
-    below = struct.pack("<Q", 1) + b"".join(_level(w, 0, 1) for w in widths[:-1])
+    below = b"".join(_level(w, 0, 1) for w in widths[:-1])
     with pytest.raises(ValueError, match=f"DAC level {len(widths) - 1} has a chunk"
                                          " with bits past bit 63"):
-        Dac.read(io.BytesIO(below + _level(widths[-1], 1 << 64 - shift, 0)))
+        Dac.read(io.BytesIO(below + _level(widths[-1], 1 << 64 - shift, 0)), 1)
     top = (1 << 64 - shift) - 1
-    d = Dac.read(io.BytesIO(below + _level(widths[-1], top, 0)))
+    d = Dac.read(io.BytesIO(below + _level(widths[-1], top, 0)), 1)
     assert d.top() == d.access(0) == top << shift
 
 
@@ -359,21 +359,21 @@ def test_a_0_chunk_on_the_last_level_is_refused(widths):
     """encode never ends a value with a 0 chunk past level 0, and top()
     relies on it: with 9 stopping at level 0 and 1 going on with 0 chunks,
     the values that reach the last level would not hold the largest."""
-    below = struct.pack("<Q", 2) + bytes((widths[0],)) + pack_fixed([9, 1], widths[0])
+    below = bytes((widths[0],)) + pack_fixed([9, 1], widths[0])
     below += (0b10).to_bytes(8, "little")
     below += b"".join(_level(w, 0, 1) for w in widths[1:-1])
     with pytest.raises(ValueError, match=f"DAC level {len(widths) - 1} is the last"
                                          " and has a 0 chunk"):
-        Dac.read(io.BytesIO(below + _level(widths[-1], 0, 0)))
-    d = Dac.read(io.BytesIO(below + _level(widths[-1], 1, 0)))
+        Dac.read(io.BytesIO(below + _level(widths[-1], 0, 0)), 2)
+    d = Dac.read(io.BytesIO(below + _level(widths[-1], 1, 0)), 2)
     big = 1 + (1 << sum(widths[:-1]))
     assert [d.access(0), d.access(1)] == [9, big] and d.top() == big
     # level 0 may hold 0 chunks, whether one level or more
-    zeros = Dac.read(io.BytesIO(struct.pack("<Q", 1) + _level(widths[0], 0, 0)))
+    zeros = Dac.read(io.BytesIO(_level(widths[0], 0, 0)), 1)
     assert zeros.access(0) == zeros.top() == 0
     # encode's files keep 0 chunks below the last level
     values = [0, 16, 0, 1 << 20]
-    back = Dac.read(io.BytesIO(bytes(_levels_bytes(values, chunk_bits=4))))
+    back = Dac.read(io.BytesIO(bytes(_levels_bytes(values, chunk_bits=4))), 4)
     assert [back.access(i) for i in range(4)] == values and back.top() == 1 << 20
 
 
@@ -381,14 +381,14 @@ def test_flags_past_the_last_level_are_refused():
     """A continuation flag on the last level makes the reader take what
     follows for another level: the end of the input, or bytes that fail a
     level's checks."""
-    good = struct.pack("<Q", 2) + bytes((3,)) + pack_fixed([5, 1], 3) + (0).to_bytes(8, "little")
-    d = Dac.read(io.BytesIO(good))
+    good = bytes((3,)) + pack_fixed([5, 1], 3) + (0).to_bytes(8, "little")
+    d = Dac.read(io.BytesIO(good), 2)
     assert [d.access(0), d.access(1)] == [5, 1]
     more = bytearray(good)
     more[-8] = 0b10                       # the second value continues
     with pytest.raises(ValueError, match="truncated input"):
-        Dac.read(io.BytesIO(bytes(more)))
+        Dac.read(io.BytesIO(bytes(more)), 2)
     with pytest.raises(ValueError, match="chunk width must be 1 to 64, not 0"):
-        Dac.read(io.BytesIO(bytes(more) + bytes(9)))
+        Dac.read(io.BytesIO(bytes(more) + bytes(9)), 2)
     with pytest.raises(ValueError, match="set bits past the 3 bits"):
-        Dac.read(io.BytesIO(bytes(more) + bytes((3, 0xFF)) + bytes(8)))
+        Dac.read(io.BytesIO(bytes(more) + bytes((3, 0xFF)) + bytes(8)), 2)

@@ -258,7 +258,7 @@ def test_set_padding_bits_of_a_tree_are_refused(encoding):
         flipped = bytearray(data)
         flipped[bit // 8] |= 1 << bit % 8
         with pytest.raises(ValueError, match="set bits past the"):
-            K2Tree.read(io.BytesIO(bytes(flipped)))
+            K2Tree.read(io.BytesIO(bytes(flipped)), t.n_cols)
 
 
 def test_cols_encodings_reject_multi_one_columns():
@@ -400,11 +400,11 @@ def test_a_leaf_id_past_the_vocabulary_is_refused(ids, chunk_bits, levels, messa
     buf = io.BytesIO()
     t.write(buf)
     if message is None:
-        back = K2Tree.read(io.BytesIO(buf.getvalue()))
+        back = K2Tree.read(io.BytesIO(buf.getvalue()), t.n_cols)
         assert leaf_ids(back) == ids and back.vocab.count == 5
         return
     with pytest.raises(ValueError, match=message):
-        K2Tree.read(io.BytesIO(buf.getvalue()))
+        K2Tree.read(io.BytesIO(buf.getvalue()), t.n_cols)
 
 
 @pytest.mark.parametrize("encoding", [VOCAB_COLS_FULL, VOCAB_COLS_RANK])
@@ -417,7 +417,7 @@ def test_a_leaf_read_from_padding_is_refused(encoding):
     buf = io.BytesIO()
     t.write(buf)
     with pytest.raises(ValueError, match="vocabulary leaf 5 holds no 1"):
-        K2Tree.read(io.BytesIO(buf.getvalue()))
+        K2Tree.read(io.BytesIO(buf.getvalue()), t.n_cols)
 
 
 def test_leaf_ids_whose_last_chunk_is_0_are_refused():
@@ -432,7 +432,7 @@ def test_leaf_ids_whose_last_chunk_is_0_are_refused():
     buf = io.BytesIO()
     t.write(buf)
     with pytest.raises(ValueError, match="DAC level 1 is the last and has a 0 chunk"):
-        K2Tree.read(io.BytesIO(buf.getvalue()))
+        K2Tree.read(io.BytesIO(buf.getvalue()), t.n_cols)
 
 
 @pytest.mark.parametrize("encoding", [VOCAB_PLAIN, VOCAB_COLS_FULL, VOCAB_COLS_RANK])
@@ -521,7 +521,7 @@ def test_serialization_round_trip():
         buf = io.BytesIO()
         t.write(buf)
         buf.seek(0)
-        back = K2Tree.read(buf)
+        back = K2Tree.read(buf, t.n_cols)
         assert back.ks == t.ks and back.side == t.side
         assert (back.leaf_side, back.sample_preset) == (cfg.leaf_side, cfg.sample_preset)
         if cfg.leaf_side > 1:
@@ -544,7 +544,7 @@ def test_unknown_tag_byte_is_named(field, value, message):
     assert data[at] in (0, 1)          # the byte holds a known value before
     data[at] = value
     with pytest.raises(ValueError, match=message):
-        K2Tree.read(io.BytesIO(bytes(data)))
+        K2Tree.read(io.BytesIO(bytes(data)), t.n_cols)
 
 
 @pytest.mark.parametrize("rows, cols", [(0, 0), (0, 120), (50, 120)])
@@ -561,7 +561,7 @@ def test_a_tree_without_levels_is_refused(rows, cols, leaf_side):
     data[at["depth"]:at["depth"] + 2] = (0).to_bytes(2, "little")
     del data[at["ks"]:at["ks"] + len(t.ks)]
     with pytest.raises(ValueError, match="tree geometry does not add up"):
-        K2Tree.read(io.BytesIO(bytes(data)))
+        K2Tree.read(io.BytesIO(bytes(data)), t.n_cols)
 
 
 def test_leaf_side_limit():

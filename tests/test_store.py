@@ -123,13 +123,15 @@ def test_spo(store_e):
 
 def test_an_empty_store_round_trips():
     """An empty store's file holds no count or offset that its data gives:
-    a pool is its blob length, a vocabulary its encoding byte."""
+    a pool is its blob length, a DAC no bytes, a vocabulary its encoding
+    byte."""
     empty = TripleStore.build([], 0, 0, 0)
     saved = store_bytes(empty)
-    # magic and version, a blob length per pool, the start count and start
-    # 0, then per tree its header, k byte, tree-bit length and word, DAC
-    # length and encoding byte, and the CRC32
-    assert len(saved) == 6 + 4 * 8 + 16 + 2 * (20 + 1 + 16 + 8 + 1) + 4 == 150
+    # magic (4) and version (2), a blob length per pool (4 x 8), the start
+    # count and start 0 (2 x 8), then per tree its header (leaf side 1,
+    # preset 1, rows 8, level count 2), k byte (1), tree-bit length and
+    # word (2 x 8) and encoding byte (1), and the CRC32 (4)
+    assert len(saved) == 6 + 4 * 8 + 16 + 2 * (12 + 1 + 16 + 1) + 4 == 118
     store, dictionary = read_store(io.BytesIO(saved))
     assert store_bytes(store) == saved
     assert (store.n, store.all_triples(), dictionary.subject_count,
@@ -459,17 +461,6 @@ def test_column_without_a_1_is_a_damaged_store(store_e):
     store = TripleStore(store_e.subject_tree, bad, store_e.pred_index)
     with pytest.raises(ValueError, match="column 1 holds no 1: the store is damaged"):
         store.by_subject(2)
-
-
-def test_sections_that_disagree_on_the_triple_count_are_refused(store_e):
-    short = TripleStore(store_e.subject_tree, store_e.object_tree,
-                        PredicateIndex(array("B", [0, 2, 3])))
-    buf = io.BytesIO()
-    write_store(buf, short, Dictionary.empty())
-    buf.seek(0)
-    with pytest.raises(ValueError, match="the object tree's 4 and the predicate"
-                                         " index's 3 triples are not one triple count"):
-        read_store(buf)
 
 
 def test_store_file_rejects_garbage():

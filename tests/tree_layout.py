@@ -38,14 +38,17 @@ def section_offsets(path) -> dict:
 
 def tree_offsets(tree, at: int = 0) -> dict:
     """Byte offset of each field of `tree` as written, for a tree that
-    starts at byte `at` of its file."""
+    starts at byte `at` of its file: the header (leaf side, preset, rows,
+    level count; the store gives the columns), the ks, the tree bits and,
+    with a vocabulary, the DAC's levels (its owner gives its length) and
+    the vocabulary."""
     offsets = {"leaf side": at, "preset": at + 1, "rows": at + 2,
-               "cols": at + 10, "depth": at + 18, "ks": at + 20}
-    at += 20 + len(tree.ks)
+               "depth": at + 10, "ks": at + 12}
+    at += 12 + len(tree.ks)
     offsets["tree bits"] = at             # u64 length, then the words
     at += 8 + len(tree.tree_bits.data)
     if tree.vocab is not None:
-        offsets["dac"] = at               # u64 length, then the levels
+        offsets["dac"] = at               # the levels, from a width byte
         dac = io.BytesIO()
         tree.leaf_ids.write(dac)
         offsets["vocab"] = at + len(dac.getvalue())   # encoding byte, leaves
@@ -61,7 +64,7 @@ def packed_fields(tree, at: int = 0) -> list:
     if tree.vocab is None:
         return out
     dac, vocab = tree.leaf_ids, tree.vocab
-    at = fields["dac"] + 8
+    at = fields["dac"]
     for width, _, flags in dac.levels:
         at += 1                           # the level's width byte
         n = len(flags) * width
