@@ -117,10 +117,10 @@ def _print_space_report(store: TripleStore, dictionary: Dictionary, out) -> None
         print(f"  {name:<13} {r['serialized']:>12}  {r['total']:>12}"
               f"  {_per(r['total'], n):>8} B/triple", file=out)
     for name, pool in pools.items():
-        size = pool_bytes[name]
+        size, n_suffixes = pool_bytes[name], len(pool.suffixes)
         print(f"    {name.replace('_', '-') + ' pool':<17} {pool.count:>9} terms"
-              f" {size:>12} bytes  {_per(size, pool.count):>8} B/term",
-              file=out)
+              f" {size:>12} bytes  {_per(size, pool.count):>8} B/term,"
+              f" {n_suffixes} suffix{'' if n_suffixes == 1 else 'es'}", file=out)
     core = ["subject_tree", "object_tree", "pred_index"]
     ser = sum(report[k]["serialized"] for k in core)
     tot = sum(report[k]["total"] for k in core)

@@ -19,29 +19,53 @@ gets one id per role. Only the distinct terms pass through Python code,
 as in HDT's dictionary build. The id rows keep the statements' order
 and repeats; the store sorts them.
 
-Each pool is front-coded (plain front coding, as in HDT), in the layout
-the store file keeps it (since format v10):
+Each pool is suffix-coded, then front-coded (plain front coding, as in
+HDT), in the layout the store file keeps it (since format v12):
 
+    suffix count                   vbyte
+    each suffix                    vbyte length, then its UTF-8 bytes
     blob length                    u64
     blob                           the buckets back to back
 
-The sorted UTF-8 terms are cut into buckets of BUCKET = 16. A bucket
-starts with its header term whole, as a vbyte length and the bytes.
-Each later term is a vbyte shared-prefix length with the term before
-it, a vbyte suffix length and the suffix. A vbyte is 7 bits per byte,
-least significant group first, high bit set on every byte but the last.
+A literal is a term that starts with '"'. Its head is the term up to and
+including its last '"'; its suffix is the rest: "^^" and a datatype IRI,
+"@" and a language tag, or nothing. The N-Triples reader keeps '"' out of
+suffixes, and an IRI that starts with '"' keeps its brackets, so only
+literals start with '"'. A pool's suffix table holds each distinct suffix
+of its literals once, in strictly ascending order, and a suffix's code is
+its rank in the table; a pool without literals has an empty table. A
+literal is coded as its head, then its code as a little-endian integer of
+the fewest bytes that hold the suffix count - 1 (none for a table of one
+suffix); every other term is coded as itself. So a datatype IRI is stored
+once a pool, not once a literal, as in HDT's literal dictionaries.
 
-In memory a pool is the blob, the bucket offsets (an `array.array` of
-the smallest unsigned typecode, from 0 up to the blob length) and a
-tuple of the header terms as `bytes`. A lookup bisects the headers and
-scans one bucket; an id->term decode walks one bucket up to the term. No
-other term exists as a Python object until it is decoded.
+The coded terms, in the pool's term order, are cut into buckets of
+BUCKET = 16. A bucket starts with its header term whole, as a vbyte
+length and the bytes. Each later term is a vbyte shared-prefix length
+with the term before it, a vbyte suffix length and the suffix. A vbyte is
+7 bits per byte, least significant group first, high bit set on every
+byte but the last.
 
-The file holds no term count and no bucket offsets: loading walks the
-whole blob once, counting the terms and noting where every BUCKET-th one,
-a header, starts. It refuses a pool unless every vbyte and suffix stays
-inside the blob, no shared prefix is longer than the term before it, the
-terms are UTF-8 cut at character boundaries, and they ascend strictly.
+In memory a pool is the coded blob, the bucket offsets (an `array.array`
+of the smallest unsigned typecode, from 0 up to the blob length), a tuple
+of the header terms as `bytes`, not coded, and the suffix table. Coded
+terms do not sort like terms: "a"A" sorts before "a"^^<x>, but coded
+with the table ("", "^^<x>"), "a"A" then byte 0 sorts after "a" then
+byte 1. So a lookup bisects the headers with
+the key, codes the key (a literal whose suffix is not in the table is
+absent at once) and scans the bucket for the coded key, all of it when
+the key is absent; an id->term decode walks one bucket up to the term and
+appends a literal's suffix. No other term exists as a Python object until
+it is decoded.
+
+The file holds no term count, no code width and no bucket offsets:
+loading walks the whole blob once, counting the terms and noting where
+every BUCKET-th one, a header, starts. It refuses a pool unless the
+suffixes are UTF-8, hold no '"' and ascend strictly; every vbyte and
+suffix stays inside the blob and no shared prefix is longer than the term
+before it; each coded literal is longer than its code, its head ends in
+'"' and its code is inside the table; and the terms, its literals
+expanded, are UTF-8 cut at character boundaries and ascend strictly.
 
 Lookups compare UTF-8 bytes. That agrees with the `str` order the pools
 are sorted by, because UTF-8 byte order is code-point order for Unicode
@@ -54,7 +78,7 @@ from __future__ import annotations
 import operator
 import struct
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from itertools import compress, count, islice
 from typing import Sequence
 
@@ -96,17 +120,53 @@ def _shared_prefixes(blob: bytes, starts: np.ndarray,
     return out
 
 
-def _front_code(encoded: list[bytes]) -> tuple[bytes, list[int]]:
-    """Sorted UTF-8 terms as a front-coded blob and its bucket offsets.
+def _code_width(n_suffixes: int) -> int:
+    """Bytes of a suffix code: the fewest that hold n_suffixes - 1."""
+    return (max(n_suffixes - 1, 0).bit_length() + 7) // 8
+
+
+def _code_literals(encoded: list[bytes], lo: int, hi: int):
+    """The suffix table of the literals encoded[lo:hi], and every term
+    coded (see the module notes), joined, with the coded lengths.
+
+    Each literal's last quote is the last '"' before its end in the joined
+    terms (its first byte is one), found by one search over all quotes;
+    only the suffixes are cut out as objects, to rank them.
+    """
+    joined = b"".join(encoded)
+    lengths = np.fromiter(map(len, encoded), np.int64, len(encoded))
+    if lo == hi:
+        return (), joined, lengths
+    ends = np.cumsum(lengths[:hi])[lo:]
+    first, last = int(ends[0] - lengths[lo]), int(ends[-1])
+    data = np.frombuffer(joined, dtype=np.uint8)[first:last]
+    quotes = np.flatnonzero(data == 0x22) + first
+    cut = quotes[np.searchsorted(quotes, ends) - 1] + 1     # suffix starts
+    found = [joined[i:j] for i, j in zip(cut.tolist(), ends.tolist())]
+    suffixes = tuple(sorted(set(found)))
+    rank = dict(zip(suffixes, count()))
+    codes = np.fromiter(map(rank.__getitem__, found), np.int64, hi - lo)
+    width = _code_width(len(suffixes))
+    heads = cut - (ends - lengths[lo:hi])
+    # the literals' bytes, each suffix replaced by its code
+    coded = np.empty(int(heads.sum()) + width * (hi - lo), dtype=np.uint8)
+    in_head = _runs(heads, np.full(hi - lo, width))
+    coded[in_head] = data[_runs(heads, ends - cut)]
+    coded[~in_head] = (codes[:, None] >> 8 * np.arange(width) & 0xFF).ravel()
+    lengths[lo:hi] = heads + width
+    return suffixes, b"".join((joined[:first], coded.tobytes(), joined[last:])), lengths
+
+
+def _front_code(joined: bytes, lengths: np.ndarray) -> tuple[bytes, list[int]]:
+    """Terms, joined, with their lengths, as a front-coded blob and its
+    bucket offsets.
 
     All terms at once: each term's vbyte fields (its length for a bucket
     head, else its shared-prefix and suffix lengths) are scattered to its
     start, and the term bytes outside the shared prefixes fill the rest
     of the blob in order.
     """
-    n = len(encoded)
-    joined = b"".join(encoded)
-    lengths = np.fromiter(map(len, encoded), np.int64, n)
+    n = len(lengths)
     plain = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(lengths, out=plain[1:])
     shared = _shared_prefixes(joined, plain[:-1], lengths)
@@ -148,6 +208,15 @@ def _runs(set_run: np.ndarray, clear_run: np.ndarray) -> np.ndarray:
     return np.repeat(pattern, np.column_stack((set_run, clear_run)).ravel())
 
 
+def _vbyte(value: int) -> bytes:
+    out = bytearray()
+    while value >= 0x80:
+        out.append(value & 0x7F | 0x80)
+        value >>= 7
+    out.append(value)
+    return bytes(out)
+
+
 def _read_vbyte(blob: bytes, pos: int, end: int) -> tuple[int, int]:
     value = shift = 0
     while True:
@@ -161,19 +230,50 @@ def _read_vbyte(blob: bytes, pos: int, end: int) -> tuple[int, int]:
         shift += 7
 
 
-def _terms(blob: bytes, pos: int, end: int, heads: list | None = None):
-    """The terms from the bucket header at `pos` to `end`; `heads` gets each header's start."""
+def _stream_vbyte(src) -> int:
+    value = shift = 0
+    while (byte := read_exact(src, 1)[0]) >= 0x80:
+        value |= (byte & 0x7F) << shift
+        shift += 7
+    return value | byte << shift
+
+
+def _bucket_terms(blob: bytes, pos: int, end: int):
+    """The coded terms of the bucket from its header at `pos` to `end`.
+    The blob is one `_walk_blob` has checked, or the coder's."""
+    size, pos = _read_vbyte(blob, pos, end)
+    term = blob[pos:pos + size]
+    pos += size
+    yield term
     while pos < end:
-        if heads is not None:
-            heads.append(pos)
-        size, pos = _read_vbyte(blob, pos, end)
-        term, left = blob[pos:pos + size], BUCKET - 1
+        shared, size = blob[pos], blob[pos + 1]
+        if shared < 0x80 and size < 0x80:
+            pos += 2
+        else:
+            shared, pos = _read_vbyte(blob, pos, end)
+            size, pos = _read_vbyte(blob, pos, end)
+        term = term[:shared] + blob[pos:pos + size]
         pos += size
-        if pos > end:
-            raise ValueError("dictionary pool term runs past its blob")
         yield term
-        while left and pos < end:
-            left -= 1
+
+
+def _walk_blob(blob: bytes) -> tuple[list[bytes], list[int]]:
+    """Every coded term of a pool's blob, and where each bucket starts;
+    refuses a vbyte or a term that runs past the blob, and a shared
+    prefix longer than the term before it."""
+    terms: list[bytes] = []
+    heads: list[int] = []
+    pos, end = 0, len(blob)
+    later = range(BUCKET - 1)
+    while pos < end:
+        heads.append(pos)
+        size, pos = _read_vbyte(blob, pos, end)
+        term = blob[pos:pos + size]
+        pos += size
+        terms.append(term)
+        for _ in later:
+            if pos >= end:
+                break
             shared = blob[pos]
             if shared < 0x80 and pos + 1 < end and (size := blob[pos + 1]) < 0x80:
                 pos += 2
@@ -185,65 +285,134 @@ def _terms(blob: bytes, pos: int, end: int, heads: list | None = None):
                                  " previous term")
             term = term[:shared] + blob[pos:pos + size]
             pos += size
-            if pos > end:
-                raise ValueError("dictionary pool term runs past its blob")
-            yield term
+            terms.append(term)
+    if pos > end:                   # a slice at the end came out short
+        raise ValueError("dictionary pool term runs past its blob")
+    return terms, heads
 
 
 class TermPool:
-    """Sorted terms, front-coded in buckets of BUCKET (see the module notes)."""
+    """Sorted terms, suffix-coded and front-coded in buckets of BUCKET (see
+    the module notes)."""
 
-    __slots__ = ("blob", "offsets", "headers", "count")
+    __slots__ = ("blob", "offsets", "headers", "count", "suffixes", "_width")
 
     def __init__(self, blob: bytes, offsets: array, headers: tuple[bytes, ...],
-                 count: int):
+                 count: int, suffixes: tuple[bytes, ...]):
         self.blob = blob
         self.offsets = offsets
         self.headers = headers
         self.count = count
+        self.suffixes = suffixes
+        self._width = _code_width(len(suffixes))
 
     @classmethod
     def from_terms(cls, terms: list[str]) -> "TermPool":
-        blob, offsets = _front_code([term.encode("utf-8") for term in terms])
+        """The pool of `terms`, which must be sorted and distinct."""
+        suffixes, joined, lengths = _code_literals(
+            [term.encode("utf-8") for term in terms],
+            bisect_left(terms, '"'), bisect_left(terms, "#"))
+        blob, offsets = _front_code(joined, lengths)
         # the headers are encoded again once the list above is freed: kept
         # from it, every BUCKET-th object would pin the allocator pages of
         # the terms around it, and the build's peak memory with them
         return cls(blob, packed_array(offsets),
                    tuple(term.encode("utf-8") for term in terms[::BUCKET]),
-                   len(terms))
+                   len(terms), suffixes)
 
     def _bucket(self, b: int):
         offsets = self.offsets
-        return _terms(self.blob, offsets[b], offsets[b + 1])
+        return _bucket_terms(self.blob, offsets[b], offsets[b + 1])
 
     def index(self, key: bytes) -> int:
         """0-based position of the UTF-8 encoded term `key`, or -1."""
         b = bisect_right(self.headers, key) - 1
         if b < 0:
             return -1
-        for i, term in enumerate(self._bucket(b), BUCKET * b):
-            if term >= key:
-                return i if term == key else -1
-        return -1
+        if key[:1] == b'"':
+            end = key.rindex(b'"') + 1
+            suffix, suffixes = key[end:], self.suffixes
+            code = bisect_left(suffixes, suffix)
+            if code == len(suffixes) or suffixes[code] != suffix:
+                return -1
+            key = key[:end] + code.to_bytes(self._width, "little")
+        # coded terms do not sort like terms: no early stop
+        try:
+            return BUCKET * b + operator.indexOf(self._bucket(b), key)
+        except ValueError:
+            return -1
 
     def term(self, i: int) -> str:
         """The term at 0-based position i, which must be in range."""
         b, r = divmod(i, BUCKET)
-        return next(islice(self._bucket(b), r, None)).decode("utf-8")
+        term = next(islice(self._bucket(b), r, None))
+        if term[:1] == b'"':
+            end = len(term) - self._width
+            term = term[:end] + self.suffixes[int.from_bytes(term[end:], "little")]
+        return term.decode("utf-8")
 
     def write(self, out) -> None:
+        out.write(_vbyte(len(self.suffixes)))
+        for suffix in self.suffixes:
+            out.write(_vbyte(len(suffix)))
+            out.write(suffix)
         out.write(struct.pack("<Q", len(self.blob)))
         out.write(self.blob)
 
     @classmethod
     def read(cls, src) -> "TermPool":
         """One pool as the file holds it, refused unless the module notes' checks hold."""
+        suffixes = tuple([read_exact(src, _stream_vbyte(src))
+                          for _ in range(_stream_vbyte(src))])
+        _check_suffixes(suffixes)
         blob = read_exact(src, int.from_bytes(read_exact(src, 8), "little"))
-        heads: list[int] = []
-        terms = list(_terms(blob, 0, len(blob), heads))
+        terms, heads = _walk_blob(blob)
+        _expand_literals(terms, suffixes)
         _check_terms(terms)
         return cls(blob, packed_array(heads + [len(blob)]), tuple(terms[::BUCKET]),
-                   len(terms))
+                   len(terms), suffixes)
+
+
+def _check_suffixes(suffixes: tuple[bytes, ...]) -> None:
+    # joined by an ASCII byte, the suffixes are UTF-8 only if each one is
+    try:
+        b'"'.join(suffixes).decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise ValueError(f"dictionary pool suffix is not valid UTF-8 ({err.reason})"
+                         ) from None
+    if any(b'"' in suffix for suffix in suffixes):
+        raise ValueError("dictionary pool suffix holds a '\"'")
+    if not all(map(operator.lt, suffixes, suffixes[1:])):
+        raise ValueError("dictionary pool suffixes are not in strictly ascending order")
+
+
+def _expand_literals(terms: list[bytes], suffixes: tuple[bytes, ...]) -> None:
+    """Replaces each coded literal in `terms` by the literal, refused unless
+    it is longer than its code, its head ends in '"' and its code is inside
+    the table.
+
+    The literals are found by bisection, which is exact when the terms'
+    first bytes ascend; when they do not, `_check_terms` refuses the pool.
+    """
+    lo, hi = bisect_left(terms, b'"'), bisect_left(terms, b"#")
+    if lo == hi:
+        return
+    width = _code_width(len(suffixes))
+    literals = terms[lo:hi]
+    lengths = np.fromiter(map(len, literals), np.int64, hi - lo)
+    if (lengths <= width).any():
+        raise ValueError("dictionary pool literal is shorter than its suffix code")
+    data = np.frombuffer(b"".join(literals), dtype=np.uint8)
+    ends = np.cumsum(lengths)
+    if (data[ends - width - 1] != 0x22).any():
+        raise ValueError("dictionary pool literal's head does not end in '\"'")
+    codes = np.zeros(hi - lo, dtype=np.int64)
+    for k in range(width):
+        codes |= data[ends - width + k].astype(np.int64) << 8 * k
+    if (codes >= len(suffixes)).any():
+        raise ValueError("dictionary pool suffix code is past its table")
+    terms[lo:hi] = [term[:n] + suffixes[code] for term, n, code in
+                    zip(literals, (lengths - width).tolist(), codes.tolist())]
 
 
 def _check_terms(terms: list[bytes]) -> None:

@@ -22,10 +22,11 @@ a tree build. Both builds only read their inputs and the build path keeps
 no module state, so the trees are a sequential build's, bit for bit.
 Errors surface in subject-then-object order.
 
-A store file (format version 11) is, little-endian throughout: the magic
+A store file (format version 12) is, little-endian throughout: the magic
 "BMX1" and the u16 format version, then the dictionary's four pools
-(shared, subject-only, object-only, predicates; each a u64 blob length
-and the blob, see `dictionary`), the predicate index (u64 start count,
+(shared, subject-only, object-only, predicates; each its suffix table,
+a vbyte count then each suffix, then a u64 blob length and the blob of
+its coded terms, see `dictionary`), the predicate index (u64 start count,
 u64 run starts), the subject tree and the object tree, then a u32 CRC32
 (`zlib.crc32`) of every byte before it, and nothing after that. Each
 tree is its leaf side (u8), sampling preset byte (u8), rows (u64), level
@@ -36,9 +37,10 @@ chunk width per level, and its leaf vocabulary, an encoding byte and the
 leaves (see `Dac` and `LeafVocabulary`). A count is written once, where
 no other part implies it: triples are the last run start, predicates one
 fewer than the run starts, subjects and objects the rows of their trees,
-a pool's terms those in its blob, a tree's columns the triples, a DAC's
-leaf ids the set bits of its tree's last level, a vocabulary's leaves
-the largest leaf id + 1. No index is stored; loading rebuilds them all:
+a pool's terms those in its blob, a pool's suffix-code width its
+suffix count, a tree's columns the triples, a DAC's leaf ids the set
+bits of its tree's last level, a vocabulary's leaves the largest leaf
+id + 1. No index is stored; loading rebuilds them all:
 rank samples, each tree's level table and each pool's bucket offsets.
 Files of older versions are refused with a request to rebuild them.
 
@@ -48,7 +50,10 @@ every single-bit error; a crafted file carries a valid one, so parsing
 still refuses a file, with a ValueError, when:
 - a read runs into the checksum, or bytes lie between the object tree
   and the checksum;
-- a pool fails the dictionary's checks, or a count does not fit its bytes;
+- a pool fails the dictionary's checks (among them a suffix table that
+  is not UTF-8, holds a '"' or does not ascend strictly, and a literal
+  no longer than its suffix code, whose head does not end in '"' or
+  whose code is past the table), or a count does not fit its bytes;
 - the dictionary's subject, predicate and object counts are not the
   store's, unless all three are 0 (a store saved without a dictionary);
 - a packed field (a bitmap, DAC chunks, vocabulary leaves, flags or
@@ -87,7 +92,7 @@ from .dictionary import Dictionary
 from .k2tree import K2Config, K2Tree
 
 MAGIC = b"BMX1"
-FORMAT_VERSION = 11
+FORMAT_VERSION = 12
 
 DEFAULT_MERGE_SORTED = 700
 DEFAULT_MERGE_UNSORTED = 2

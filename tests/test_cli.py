@@ -12,7 +12,7 @@ import pytest
 
 import pfc_reference
 import bmatrix
-from bmatrix._binio import pack_fixed
+from bmatrix._binio import pack_fixed, written_size
 from tree_layout import packed_fields, reseal, section_offsets, tree_offsets
 from bmatrix import cli, ntriples, store as store_mod
 from bmatrix.k2tree import K2Config
@@ -52,7 +52,11 @@ def test_build_reports_counts(built, capsys):
     assert ("subject tree       side 16, levels 2, leaf 8x8, vocab cols-full,"
             " sampling default") in captured
     assert "B/triple" in captured
-    assert captured.count(" B/term") == 4      # one line per dictionary pool
+    # one line per dictionary pool, ending in its suffix count: the
+    # object-only pool holds "hello world"@en and "two\nlines"
+    assert re.findall(r"^    ([a-z-]+) pool .* B/term, (\d+) suffix(?:es)?$",
+                      captured, re.M) == [("shared", "0"), ("subject-only", "0"),
+                                          ("object-only", "2"), ("predicates", "0")]
     assert out.stat().st_size > 0
 
 
@@ -108,7 +112,7 @@ def test_build_empty_file(tmp_path, capsys):
     assert stats_out.count("leaf ids: widths -, chunks 0") == 2
     # no triples and no terms: every ratio is "-", not bytes over 1
     for report in (built_out, stats_out):
-        ratios = re.findall(r"(\S+) B/(?:triple|term)$", report, re.M)
+        ratios = re.findall(r"(\S+) B/(?:triple|term)(?:$|, )", report, re.M)
         assert ratios == ["-"] * 10
     assert cli.main(["query", str(out), "?", "?", "?", "--count-only"]) == 0
 
@@ -469,12 +473,55 @@ def _pool_store(tmp_path):
     encoded = sorted(t.encode() for t in terms)
     _, offsets = pfc_reference.front_code(encoded)
     assert len(offsets) == 4
-    assert (bytes(data[at:at + 8 + offsets[-1]])
-            == pfc_reference.pool_bytes(encoded))
-    return data, at + 8, offsets, encoded
+    # no literal: an empty suffix table (one 0 byte), the blob length, the blob
+    assert (bytes(data[at:at + 9 + offsets[-1]])
+            == pfc_reference.pool_bytes([], encoded))
+    return data, at + 9, offsets, encoded
 
 
-def _corrupt_pool(data, blob_at, offsets, terms, fault):
+LITERALS = [f'"v{i:02d}"{suffix}' for i in range(12)
+            for suffix in ("", "@en", "^^<http://x/int>")]
+
+
+def _literal_store(tmp_path):
+    """A built store whose object-only pool holds LITERALS, and that pool:
+    (bytes, where the pool starts and ends, its suffix table and coded
+    terms as the reference coder gives them)."""
+    src = tmp_path / "literals.nt"
+    src.write_text("".join(f"<http://x/s{i}> <http://x/p> {term} .\n"
+                           for i, term in enumerate(LITERALS)))
+    path = tmp_path / "literals.bmx"
+    assert cli.main(["build", str(src), "-o", str(path)]) == 0
+    data = bytearray(path.read_bytes())
+    dictionary = store_mod.load(str(path))[1]
+    at = section_offsets(path)["dictionary"] + sum(
+        map(written_size, (dictionary.shared, dictionary.subject_only)))
+    end = at + written_size(dictionary.object_only)
+    table, coded = pfc_reference.code_terms(sorted(t.encode() for t in LITERALS))
+    assert table == [b"", b"@en", b"^^<http://x/int>"]
+    assert bytes(data[at:end]) == pfc_reference.pool_bytes(table, coded)
+    return data, at, end, table, coded
+
+
+def _corrupt_pool(tmp_path, fault) -> bytes:
+    """A store file with one fault in a dictionary pool, resealed."""
+    if fault in LITERAL_FAULTS:
+        data, at, end, table, coded = _literal_store(tmp_path)
+        if fault == "suffix code past the table":
+            coded[0] = coded[0][:-1] + bytes([len(table)])
+        elif fault == "suffixes out of order":
+            table[1], table[2] = table[2], table[1]
+        elif fault == "suffix not UTF-8":
+            table[-1] += b"\xff"
+        elif fault == "suffix holding a quote":
+            table[-1] += b'"'
+        elif fault == "literal shorter than its code":
+            coded[0] = b'"'             # the one-byte code would be the quote
+        else:  # the byte before a literal's code is not its closing quote
+            coded[0] = coded[0][:-2] + b"x" + coded[0][-1:]
+        data[at:end] = pfc_reference.pool_bytes(table, coded)
+        return reseal(data)
+    data, blob_at, offsets, terms = _pool_store(tmp_path)
     blob_end = blob_at + offsets[-1]
     if fault == "blob length past the file":
         data[blob_at - 8:blob_at] = (1 << 62).to_bytes(8, "little")
@@ -492,7 +539,17 @@ def _corrupt_pool(data, blob_at, offsets, terms, fault):
             terms[5], terms[6] = terms[6], terms[5]
         else:  # a term ends inside its "é", and the next term starts there
             terms[-2:] = [terms[-2] + b"caf\xc3", b"\xa9!"]
-        data[blob_at - 8:blob_end] = pfc_reference.pool_bytes(terms)
+        data[blob_at - 9:blob_end] = pfc_reference.pool_bytes([], terms)
+    return reseal(data)
+
+
+LITERAL_FAULTS = {
+    "suffix code past the table": "suffix code is past its table",
+    "suffixes out of order": "suffixes are not in strictly ascending order",
+    "suffix not UTF-8": "suffix is not valid UTF-8",
+    "suffix holding a quote": "suffix holds a '\"'",
+    "literal shorter than its code": "literal is shorter than its suffix code",
+    "head without its closing quote": "literal's head does not end in '\"'"}
 
 
 @pytest.mark.parametrize("fault, message", [
@@ -501,17 +558,18 @@ def _corrupt_pool(data, blob_at, offsets, terms, fault):
     ("boundary inside a character", "starts inside a character"),
     ("shared prefix past the previous term", "longer than the previous term"),
     ("suffix past the blob", "term runs past"),
-    ("two terms swapped", "not in strictly ascending order")])
+    ("two terms swapped", "not in strictly ascending order"),
+    *LITERAL_FAULTS.items()])
 def test_corrupt_dictionary_pool_is_a_clean_error(tmp_path, capsys, fault,
                                                    message):
-    data, blob_at, offsets, terms = _pool_store(tmp_path)
-    _corrupt_pool(data, blob_at, offsets, terms, fault)
     bad = tmp_path / "bad.bmx"
-    bad.write_bytes(reseal(data))
+    bad.write_bytes(_corrupt_pool(tmp_path, fault))
     capsys.readouterr()
-    assert cli.main(["stats", str(bad)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and message in err
+    for command in (["stats", str(bad)], ["query", str(bad), "?", "?", "?"]):
+        assert cli.main(command) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("with_dictionary", [True, False])
@@ -648,14 +706,17 @@ def test_leaf_id_bits_past_bit_63_are_a_clean_error(built, capsys, command):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7, 8, 9, 10])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11])
 def test_old_store_version_asks_for_a_rebuild(built, capsys, version):
     _, out = built
     data = bytearray(out.read_bytes())
     data[4:6] = version.to_bytes(2, "little")
     out.write_bytes(bytes(data))
-    assert cli.main(["stats", str(out)]) == 1
-    assert "rebuild" in capsys.readouterr().err
+    for command in (["stats", str(out)], ["query", str(out), "?", "?", "?"]):
+        assert cli.main(command) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "rebuild" in err
+        assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("tree", ["subject_tree", "object_tree"])

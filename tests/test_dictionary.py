@@ -236,17 +236,21 @@ FRONT_CODED = ["", "é", "ê", "☃", "☄", "\U0001F600", "\U0001F600x", "caf\u
                "caf\u00ea", "é" * 100, "é" * 100 + "x"] + [f"x{i:02d}" for i in range(22)]
 
 
-@pytest.mark.parametrize("n", [0, 1, 15, 16, 17, 33])
-def test_front_coded_pool_round_trip(n):
-    terms = sorted(FRONT_CODED[:n])
+def check_pool(terms, absent=()):
+    """A pool of the sorted str `terms` matches the reference coder, reads
+    back to the same bytes, decodes and finds every term, and finds none
+    of `absent`; returns the pool."""
     encoded = [t.encode() for t in terms]
+    table, coded = pfc_reference.code_terms(encoded)
     pool = TermPool.from_terms(terms)
-    assert (pool.blob, list(pool.offsets)) == pfc_reference.front_code(encoded)
+    assert pool.suffixes == tuple(table)
+    assert (pool.blob, list(pool.offsets)) == pfc_reference.front_code(coded)
     first = io.BytesIO()
     pool.write(first)
-    assert first.getvalue() == pfc_reference.pool_bytes(encoded)
+    assert first.getvalue() == pfc_reference.pool_bytes(table, coded)
     first.seek(0)
     back = TermPool.read(first)
+    assert first.read() == b""
     second = io.BytesIO()
     back.write(second)
     assert second.getvalue() == first.getvalue()
@@ -254,9 +258,15 @@ def test_front_coded_pool_round_trip(n):
         assert pool_terms(p) == terms
         for i, (term, key) in enumerate(zip(terms, encoded)):
             assert p.index(key) == i and p.term(i) == term
-        for absent in ("\x00", "caf", "cafe", "é\x00", "\U0001F600y", "\uffff"):
-            assert p.index(absent.encode()) == -1
+        for term in absent:
+            assert p.index(term.encode()) == -1
+    return pool
 
+
+@pytest.mark.parametrize("n", [0, 1, 15, 16, 17, 33])
+def test_front_coded_pool_round_trip(n):
+    check_pool(sorted(FRONT_CODED[:n]), ("\x00", "caf", "cafe", "é\x00",
+                                         "\U0001F600y", "\uffff"))
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -272,4 +282,62 @@ def test_front_code_matches_the_reference(seed):
     if seed % 2:
         terms.add("")
     encoded = sorted(t.encode() for t in terms)
-    assert _front_code(encoded) == pfc_reference.front_code(encoded)
+    lengths = np.array(list(map(len, encoded)), dtype=np.int64)
+    assert _front_code(b"".join(encoded), lengths) == pfc_reference.front_code(encoded)
+
+
+def test_coded_order_is_not_term_order():
+    # "a"A" sorts before "a"^^<x>; coded with the table ("", "^^<x>"), it is
+    # "a"A" then byte 0, which sorts after "a" then byte 1
+    terms = ['"a"', '"a"A"', '"a"^^<x>', '"a"^^<y>']
+    pool = check_pool(terms, ('"a"@en', '"a"^^<z>', '"a"A"^^<x>', '"a"B"', '"b"'))
+    _, coded = pfc_reference.code_terms([t.encode() for t in terms])
+    assert coded == [b'"a"\x00', b'"a"A"\x00', b'"a"\x01', b'"a"\x02']
+    assert coded[1] > coded[2]
+    assert pool.suffixes == (b"", b"^^<x>", b"^^<y>")
+
+
+def test_one_suffix_takes_no_code_bytes():
+    terms = ['"a"@en', '"b"@en', '"c"@en', "d"]
+    pool = check_pool(terms, ('"a"', '"a"@fr', '"d"@en', "c"))
+    assert pool.suffixes == (b"@en",)
+    assert pfc_reference.code_terms([t.encode() for t in terms])[1] == [
+        b'"a"', b'"b"', b'"c"', b"d"]
+
+
+def test_quotes_inside_lexical_forms():
+    terms = sorted(['"say "hi""@en', '"say "hi""', '"""', '""""@fr',
+                    '"a"b"c"^^<x>', '"a"b"', '"\\""', '"x\ny"@en'])
+    pool = check_pool(terms, ('"say "hi"@en', '"a"b"c"', '""@fr', '"say"'))
+    assert pool.suffixes == (b"", b"@en", b"@fr", b"^^<x>")
+
+
+def test_a_lone_quote_and_an_unclosed_literal():
+    # '"' is a head alone with no suffix; in '"abc' the last quote is the
+    # first byte, so its suffix is "abc"
+    terms = ['"', '"abc', '"abc"', '"abc"@en']
+    pool = check_pool(terms, ('"ab', '"abcd', '""', '"@en'))
+    assert pool.suffixes == (b"", b"@en", b"abc")
+
+
+def test_more_than_256_suffixes_take_two_byte_codes():
+    terms = sorted(f'"v{i % 7}"@t{i:03d}' for i in range(300)) + ["x"]
+    pool = check_pool(terms, ('"v0"@t300', '"v0"@t001', '"v9"@t000', "y"))
+    assert len(pool.suffixes) == 300
+    # each literal's 5-byte suffix becomes a 2-byte code
+    _, coded = pfc_reference.code_terms([t.encode() for t in terms])
+    assert [len(t.encode()) - len(c) for c, t in zip(coded, terms)] == [3] * 300 + [0]
+
+
+def test_lookups_in_a_mixed_pool():
+    """Literals of every suffix at every position of a bucket, among IRIs,
+    blank nodes and the empty term; keys absent in many ways."""
+    suffixes = ["", "@en", "@fr", "^^<http://www.w3.org/2001/XMLSchema#integer>"]
+    terms = sorted({f'"{i // 4}"{suffixes[i % 4]}' for i in range(70)}
+                   | {f"http://x/{i}" for i in range(20)}
+                   | {f"_:b{i}" for i in range(20)} | {"", "!", "#", "~"})
+    assert len(terms) > 6 * 16
+    literal_at = {i % 16 for i, t in enumerate(terms) if t.startswith('"')}
+    assert literal_at == set(range(16))
+    check_pool(terms, ('"0"@de', '"0"^^<http://x/int>', '"99"', '"0"@', '"0',
+                       "http://x/20", "_:b", "\x00", '"', "$", "\U0001F600"))

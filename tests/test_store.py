@@ -123,15 +123,16 @@ def test_spo(store_e):
 
 def test_an_empty_store_round_trips():
     """An empty store's file holds no count or offset that its data gives:
-    a pool is its blob length, a DAC no bytes, a vocabulary its encoding
-    byte."""
+    a pool is its suffix count and its blob length, a DAC no bytes, a
+    vocabulary its encoding byte."""
     empty = TripleStore.build([], 0, 0, 0)
     saved = store_bytes(empty)
-    # magic (4) and version (2), a blob length per pool (4 x 8), the start
-    # count and start 0 (2 x 8), then per tree its header (leaf side 1,
-    # preset 1, rows 8, level count 2), k byte (1), tree-bit length and
-    # word (2 x 8) and encoding byte (1), and the CRC32 (4)
-    assert len(saved) == 6 + 4 * 8 + 16 + 2 * (12 + 1 + 16 + 1) + 4 == 118
+    # magic (4) and version (2), a suffix count and a blob length per pool
+    # (4 x (1 + 8)), the start count and start 0 (2 x 8), then per tree its
+    # header (leaf side 1, preset 1, rows 8, level count 2), k byte (1),
+    # tree-bit length and word (2 x 8) and encoding byte (1), and the
+    # CRC32 (4)
+    assert len(saved) == 6 + 4 * 9 + 16 + 2 * (12 + 1 + 16 + 1) + 4 == 122
     store, dictionary = read_store(io.BytesIO(saved))
     assert store_bytes(store) == saved
     assert (store.n, store.all_triples(), dictionary.subject_count,
